@@ -23,7 +23,6 @@ from zonewton import (
 d = 10
 stream = RngStream(3)
 a = random_spd(d, cond=100.0, rng=stream)
-stream.next_draw()
 b = stream.generator.standard_normal(d)
 problem = make_quadratic(a, b)
 known = problem.known
@@ -39,7 +38,6 @@ config = SolverConfig(
     lambda_min=known.m, lambda_max=known.L1,
     max_iterations=400, L1=known.L1, L2=known.L2, m=known.m)
 
-stream.next_draw()
 v = stream.generator.standard_normal(d)
 x0 = known.x_star + v / np.linalg.norm(v)
 trace = run(x0, problem.make_oracle(), config, RngStream(4),

@@ -39,10 +39,8 @@ from .problems import (
 )
 from .sampling import (
     DirectionSet,
-    NearSingularError,
     RngStream,
     gaussian_sphere_sample,
-    matrix_inverse_sqrt,
     stiefel_sample,
 )
 from .solver import (

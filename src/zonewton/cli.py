@@ -9,7 +9,8 @@ counts. Exit codes: 0 success/pass, 1 verification failure, 2 usage error.
 A flat ``key = value`` config file (with ``#`` comments) can seed the run
 configuration; explicit flags override file values. Unknown keys are
 rejected by name. All randomness is controlled by --seed; no environment
-variables are consulted, so reruns are byte-identical.
+variables are consulted, so reruns with the same BLAS thread count are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ _CONFIG_KEYS = {
     "r": int,
     "r_policy": str,
     "r_max": int,
-    "delta": float,
     "alpha": float,
     "lambda_min": float,
     "lambda_max": float,
@@ -71,7 +71,6 @@ class ExperimentConfig:
     r: Optional[int] = None
     r_policy: str = "fixed"
     r_max: Optional[int] = None
-    delta: float = 0.1
     alpha: Optional[float] = None
     lambda_min: Optional[float] = None
     lambda_max: Optional[float] = None
@@ -146,10 +145,8 @@ def _build_problem(cfg: ExperimentConfig):
     stream = RngStream(cfg.seed + 1)
     if cfg.problem == "quadratic":
         a = random_spd(cfg.d, cond=100.0, rng=stream)
-        stream.next_draw()
         b = stream.generator.standard_normal(cfg.d)
         problem = make_quadratic(a, b)
-        stream.next_draw()
         v = stream.generator.standard_normal(cfg.d)
         x0 = problem.known.x_star + v / np.linalg.norm(v)
     elif cfg.problem == "cubic":
@@ -170,8 +167,7 @@ def _solver_config(cfg: ExperimentConfig, problem) -> SolverConfig:
     d = problem.dimension
     if cfg.r_policy == "adaptive":
         policy = AdaptiveDirections(
-            r_max=cfg.r_max if cfg.r_max is not None else 10 * d,
-            delta=cfg.delta)
+            r_max=cfg.r_max if cfg.r_max is not None else 10 * d)
     else:
         policy = FixedDirections(cfg.r if cfg.r is not None else d)
     lambda_min = cfg.lambda_min
@@ -224,7 +220,8 @@ def _cmd_fedrun(args) -> int:
 
 
 def _build_clients(cfg: ExperimentConfig, problem):
-    """Clients whose mean objective equals the centralized problem."""
+    """Clients whose mean objective equals the centralized problem; each
+    client's oracle enforces ``cfg.budget`` on its own evaluations."""
     stream = RngStream(cfg.seed + 2)
     n = cfg.n_clients
     d = problem.dimension
@@ -233,7 +230,6 @@ def _build_clients(cfg: ExperimentConfig, problem):
         # reproduces the centralized quadratic exactly.
         a = problem.known.hessian(np.zeros(d))
         b = a @ problem.known.x_star
-        stream.next_draw()
         gen = stream.generator
         noise = [gen.standard_normal((d, d)) for _ in range(n)]
         noise = [0.05 * (e + e.T) for e in noise]
@@ -248,14 +244,16 @@ def _build_clients(cfg: ExperimentConfig, problem):
             def fn(x, a_i=a_i, b_i=b_i):
                 return 0.5 * float(x @ a_i @ x) - float(b_i @ x)
 
-            clients.append(ClientNode(i, Oracle(fn, d)))
+            clients.append(ClientNode(i, Oracle(fn, d, budget=cfg.budget)))
         return clients
     if cfg.dataset_path is not None:
         data = load_libsvm(cfg.dataset_path)
     else:
         data = make_synthetic_dataset(200, cfg.d, RngStream(cfg.seed + 1))
     fed_config = FederationConfig(n_clients=n, partition="iid-shuffle")
-    return partition_dataset(data, fed_config, stream, ridge=0.1)
+    shards = partition_dataset(data, fed_config, stream, ridge=0.1)
+    return [ClientNode(c.client_id, Oracle(c.oracle.fn, d, budget=cfg.budget))
+            for c in shards]
 
 
 def _print_run_summary(trace, out_path):
@@ -325,7 +323,6 @@ def _add_run_flags(parser):
     parser.add_argument("--r-policy", dest="r_policy",
                         choices=["fixed", "adaptive"])
     parser.add_argument("--r-max", dest="r_max", type=int)
-    parser.add_argument("--delta", type=float)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--lambda-min", dest="lambda_min", type=float)
     parser.add_argument("--lambda-max", dest="lambda_max", type=float)

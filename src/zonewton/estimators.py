@@ -71,8 +71,9 @@ class HessianEstimate:
         lc = None if self.last_center is None else self.last_center.copy()
         return HessianEstimate(self.matrix.copy(), self.updates_applied, lc)
 
-    def update(self, u, curvature: float) -> None:
-        """Apply H <- H + (curvature - u^T H u) u u^T for a unit direction u.
+    def update(self, u, curvature: float) -> float:
+        """Apply H <- H + (curvature - u^T H u) u u^T for a unit direction u
+        and return the residual curvature - u^T H u it corrected.
 
         Raises if u is not unit norm: silent normalization would rescale the
         probed curvature and corrupt the estimator's contraction rate, so the
@@ -87,6 +88,7 @@ class HessianEstimate:
         residual = float(curvature) - float(u @ self.matrix @ u)
         self.matrix += residual * np.outer(u, u)
         self.updates_applied += 1
+        return residual
 
 
 @dataclass

@@ -80,7 +80,6 @@ def partition_dataset(dataset: Dataset, config: FederationConfig,
         raise ValueError(
             f"cannot split {n} samples across {config.n_clients} clients")
     if config.partition == "iid-shuffle":
-        rng.next_draw()
         order = rng.generator.permutation(n)
     else:
         order = np.arange(n)
@@ -176,7 +175,6 @@ class FederatedObjective:
     def __init__(self, clients):
         self._clients = _check_clients(clients)
         self.dimension = self._clients[0].oracle.dimension
-        self.budget = None
         self.eval_count = 0
         self._cached_point = None
         self._cached_centers = None

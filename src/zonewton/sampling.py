@@ -10,58 +10,37 @@ every draw is reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "DirectionSet",
-    "NearSingularError",
     "RngStream",
     "gaussian_sphere_sample",
-    "matrix_inverse_sqrt",
     "stiefel_sample",
 ]
 
 _NORM_TOL = 1e-12
 _ORTHO_TOL = 1e-10
-# Relative eigenvalue cutoff below which a Gram matrix is treated as
-# rank-deficient and the Gaussian draw is rejected.
-_RANK_TOL = 1e-12
-
-
-class NearSingularError(ValueError):
-    """Input matrix is numerically rank-deficient; the caller should resample."""
 
 
 class RngStream:
-    """Seeded random stream (numpy PCG64) with draw bookkeeping.
+    """Seeded random stream (numpy PCG64).
 
     The same seed and call sequence reproduce identical draws on any
-    platform. ``draws`` counts how many sampler calls the stream has served,
-    so a DirectionSet can record exactly where in the stream it came from.
+    platform.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.draws = 0
         self._generator = np.random.default_rng(self.seed)
 
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
 
-    def next_draw(self) -> tuple[int, int]:
-        """Advance the draw counter and return (seed, draw index)."""
-        self.draws += 1
-        return (self.seed, self.draws)
-
-    def spawn(self, offset: int) -> "RngStream":
-        """Independent stream seeded at ``seed + offset`` (per-trial streams)."""
-        return RngStream(self.seed + int(offset))
-
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, draws={self.draws})"
+        return f"RngStream(seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -70,13 +49,10 @@ class DirectionSet:
 
     ``orthonormal`` is True only when the whole set is one orthonormal frame
     (r <= d); sets built from several concatenated frames leave it False.
-    ``provenance`` records (seed, draw index) when the set came from an
-    :class:`RngStream`.
     """
 
     vectors: np.ndarray
     orthonormal: bool = False
-    provenance: Optional[tuple] = None
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=float)
@@ -105,50 +81,15 @@ class DirectionSet:
         return self.vectors.shape[1]
 
 
-def matrix_inverse_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive-definite matrix.
-
-    Computed by symmetric eigendecomposition, S = Q diag(w^-1/2) Q^T, so the
-    defining residual ||S M S - I||_F stays at rounding level scaled by the
-    condition number. Raises :class:`NearSingularError` when the smallest
-    eigenvalue is below 1e-12 times the largest, which upstream samplers
-    treat as "redraw the Gaussian matrix".
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m))
-    if np.max(np.abs(m - m.T)) > 1e-10 * (1.0 + scale):
-        raise ValueError("matrix must be symmetric")
-    w, q = np.linalg.eigh(m)
-    if w[-1] <= 0 or w[0] <= _RANK_TOL * w[-1]:
-        raise NearSingularError(
-            f"matrix is numerically rank-deficient (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])")
-    s = (q * (1.0 / np.sqrt(w))) @ q.T
-    return 0.5 * (s + s.T)
-
-
 def _orthonormal_frame(d: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    """One uniform (d, k) orthonormal frame, U = X (X^T X)^(-1/2)."""
-    eye = np.eye(k)
-    while True:
-        x = gen.standard_normal((d, k))
-        try:
-            u = x @ matrix_inverse_sqrt(x.T @ x)
-        except NearSingularError:
-            continue  # probability-zero in exact arithmetic; redraw
-        # Newton-Schulz polish toward the exact polar factor of X; this only
-        # removes floating-point error, the distribution is untouched. An
-        # extremely ill-conditioned draw (gram error not < 1) cannot be
-        # polished reliably, so treat it like a degenerate draw.
-        for _ in range(8):
-            gram_err = u.T @ u - eye
-            err = np.linalg.norm(gram_err)
-            if err <= 1e-14 * k:
-                return u
-            if err >= 0.5:
-                break
-            u = u - 0.5 * (u @ gram_err)
+    """One uniform (d, k) orthonormal frame: the Q factor of a standard
+    normal (d, k) matrix with each column signed by its diag(R) entry, which
+    makes the frame Haar-distributed (Mezzadri 2007, arXiv:math-ph/0609050).
+    """
+    q, r = np.linalg.qr(gen.standard_normal((d, k)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
 
 
 def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -162,7 +103,6 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
-    provenance = rng.next_draw()
     gen = rng.generator
     rows = []
     remaining = r
@@ -171,7 +111,7 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         rows.append(_orthonormal_frame(d, k, gen).T)
         remaining -= k
     vectors = np.vstack(rows)
-    return DirectionSet(vectors, orthonormal=(r <= d), provenance=provenance)
+    return DirectionSet(vectors, orthonormal=(r <= d))
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -184,7 +124,6 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
-    provenance = rng.next_draw()
     gen = rng.generator
     vecs = gen.standard_normal((r, d))
     norms = np.linalg.norm(vecs, axis=1)
@@ -192,5 +131,4 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         bad = norms == 0.0
         vecs[bad] = gen.standard_normal((int(np.sum(bad)), d))
         norms = np.linalg.norm(vecs, axis=1)
-    return DirectionSet(vecs / norms[:, None], orthonormal=False,
-                        provenance=provenance)
+    return DirectionSet(vecs / norms[:, None], orthonormal=False)

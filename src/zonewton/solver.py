@@ -67,16 +67,9 @@ class FixedDirections:
 @dataclass(frozen=True)
 class AdaptiveDirections:
     """Pick r_k per iteration from the gradient norm and a curvature-residual
-    error proxy, clamped to [d, r_max].
-
-    ``delta`` is the failure-probability knob of the high-probability
-    analysis; the implemented rule does not consume it (the analysis defers
-    the explicit direction-count bound), but it is accepted and recorded in
-    traces for forward compatibility.
-    """
+    error proxy, clamped to [d, r_max]."""
 
     r_max: int
-    delta: float = 0.1
 
 
 RPolicy = Union[FixedDirections, AdaptiveDirections]
@@ -317,10 +310,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     hess = state.hessian.copy()
     sq_residuals = np.empty(d)
     for j in range(d):
-        c = directional_curvature(probe, j)
-        u = frame.vectors[j]
-        sq_residuals[j] = (c - float(u @ hess.matrix @ u)) ** 2
-        hess.update(u, c)
+        residual = hess.update(frame.vectors[j], directional_curvature(probe, j))
+        sq_residuals[j] = residual ** 2
     hess.last_center = x.copy()
 
     # (ii) zeroth-order floor check, when the constants are known.

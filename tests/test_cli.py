@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from zonewton import cli
 from zonewton.cli import main, parse_config_file, UsageError
 from zonewton.solver import RunTrace, TraceRecord
 from zonewton.traceio import CSV_HEADER, write_trace_csv
@@ -72,6 +73,26 @@ def test_budget_stops_run(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4  # header + 3 records
 
 
+def test_fedrun_budget_caps_every_client(tmp_path, capsys, monkeypatch):
+    # one d=20 iteration costs 41 evaluations, so a budget of 30 stops the
+    # run inside its first probe batch
+    extras = {}
+    real_run = cli.federated_run
+
+    def recording_run(*args, **kwargs):
+        trace = real_run(*args, **kwargs)
+        extras.update(trace.extra)
+        return trace
+
+    monkeypatch.setattr(cli, "federated_run", recording_run)
+    code = main(["fedrun", "--problem", "logistic", "--d", "20",
+                 "--n-clients", "5", "--budget", "30", "--seed", "3",
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 0
+    assert "status=stopped_budget" in capsys.readouterr().out
+    assert max(extras["client_eval_counts"]) == 30
+
+
 class TestConfigFile:
     def test_values_and_comments(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -133,11 +154,12 @@ def test_compare_sampling_degenerate_case_completes(capsys):
     assert "stiefel=" in out and "gaussian=" in out
 
 
-def test_compare_sampling_single_direction_fails_threshold(capsys):
+@pytest.mark.parametrize("seed", range(6))
+def test_compare_sampling_single_direction_fails_threshold(capsys, seed):
     # a single direction is distribution-identical under both samplers, so
     # the 5% advantage cannot appear and the exit code must signal failure
     code = main(["compare-sampling", "--d", "2", "--r", "1",
-                 "--trials", "50", "--seed", "0"])
+                 "--trials", "50", "--seed", str(seed)])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out

@@ -6,36 +6,10 @@ from scipy.stats import ks_2samp
 
 from zonewton import (
     DirectionSet,
-    NearSingularError,
     RngStream,
     gaussian_sphere_sample,
-    matrix_inverse_sqrt,
     stiefel_sample,
 )
-
-
-class TestMatrixInverseSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_inverse_sqrt(np.eye(3)), np.eye(3),
-                                   atol=1e-14)
-
-    def test_diagonal(self):
-        s = matrix_inverse_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(s, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_defining_equation(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = matrix_inverse_sqrt(m)
-        assert np.linalg.norm(s @ m @ s - np.eye(2)) <= 1e-10
-
-    def test_near_singular_raises(self):
-        m = np.diag([1.0, 1e-14])
-        with pytest.raises(NearSingularError):
-            matrix_inverse_sqrt(m)
-
-    def test_asymmetric_raises(self):
-        with pytest.raises(ValueError):
-            matrix_inverse_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestStiefelSample:
@@ -137,11 +111,3 @@ class TestDirectionSet:
         with pytest.raises(ValueError):
             ds.vectors[0, 0] = 5.0
 
-
-def test_rng_stream_spawn_and_provenance():
-    rng = RngStream(100)
-    ds = stiefel_sample(2, 2, rng)
-    assert ds.provenance == (100, 1)
-    assert rng.draws == 1
-    child = rng.spawn(3)
-    assert child.seed == 103 and child.draws == 0

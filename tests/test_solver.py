@@ -151,7 +151,6 @@ class TestAdaptiveDirectionCount:
 
 def make_unit_start(problem, seed):
     stream = RngStream(seed)
-    stream.next_draw()
     v = stream.generator.standard_normal(problem.dimension)
     return problem.known.x_star + v / np.linalg.norm(v)
 
