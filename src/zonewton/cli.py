@@ -4,7 +4,12 @@ Subcommands: ``run`` and ``fedrun`` execute solver runs and write CSV
 traces; the ``verify-*`` subcommands and ``compare-sampling`` run the
 empirical verification experiments and signal pass/fail through the exit
 code; ``costs`` prints the deterministic finite-difference evaluation
-counts. Exit codes: 0 success/pass, 1 verification failure, 2 usage error.
+counts. Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
+3 numerical failure (a run that ends ``stopped_numerical``: a non-finite
+objective value, or an iterate so large that rounding swallows the probe
+step). The run summary prints ``evals=``, the evaluations of the last
+complete iteration, and ``spent=``, the evaluations actually charged (for
+``fedrun`` the largest per-client count, since the budget is per client).
 
 A flat ``key = value`` config file (with ``#`` comments) can seed the run
 configuration; explicit flags override file values. Unknown keys are
@@ -18,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,29 +39,16 @@ from .problems import (
     random_spd,
 )
 from .sampling import RngStream
-from .solver import AdaptiveDirections, FixedDirections, SolverConfig, run
+from .solver import (
+    STOPPED_NUMERICAL,
+    AdaptiveDirections,
+    FixedDirections,
+    SolverConfig,
+    run,
+)
 from .traceio import write_trace_csv
 
 __all__ = ["main", "parse_config_file", "ExperimentConfig"]
-
-_CONFIG_KEYS = {
-    "problem": str,
-    "dataset_path": str,
-    "d": int,
-    "mu": float,
-    "r": int,
-    "r_policy": str,
-    "r_max": int,
-    "alpha": float,
-    "lambda_min": float,
-    "lambda_max": float,
-    "max_iters": int,
-    "budget": int,
-    "seed": int,
-    "n_clients": int,
-    "out_path": str,
-}
-
 
 class UsageError(Exception):
     pass
@@ -79,6 +71,19 @@ class ExperimentConfig:
     seed: int = 0
     n_clients: int = 1
     out_path: Optional[str] = None
+
+
+# Config key -> value parser, in field order; Optional[T] parses as T. Both
+# the config file and the run flags are read through this one map.
+_CONFIG_KEYS = {
+    key: get_args(hint)[0] if get_args(hint) else hint
+    for key, hint in get_type_hints(ExperimentConfig).items()
+}
+
+_CHOICES = {
+    "problem": ("quadratic", "cubic", "logistic"),
+    "r_policy": ("fixed", "adaptive"),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -120,29 +125,23 @@ def _merge_config(args) -> ExperimentConfig:
 
 
 def _validate_positive(cfg: ExperimentConfig):
-    for name in ("d", "max_iters", "n_clients"):
-        if getattr(cfg, name) < 1:
-            raise UsageError(f"config key '{name}' must be positive")
-    if cfg.mu <= 0:
-        raise UsageError("config key 'mu' must be positive")
-    for name in ("r", "r_max", "budget"):
-        value = getattr(cfg, name)
-        if value is not None and value < 1:
-            raise UsageError(f"config key '{name}' must be positive")
-    for name in ("alpha", "lambda_min", "lambda_max"):
-        value = getattr(cfg, name)
-        if value is not None and value <= 0:
-            raise UsageError(f"config key '{name}' must be positive")
-    if cfg.problem not in ("quadratic", "cubic", "logistic"):
-        raise UsageError(f"unknown problem '{cfg.problem}'")
-    if cfg.r_policy not in ("fixed", "adaptive"):
-        raise UsageError(f"unknown r_policy '{cfg.r_policy}'")
+    for key, parse in _CONFIG_KEYS.items():
+        value = getattr(cfg, key)
+        if (parse in (int, float) and key != "seed" and value is not None
+                and value <= 0):
+            raise UsageError(f"config key '{key}' must be positive")
+    for key, allowed in _CHOICES.items():
+        if getattr(cfg, key) not in allowed:
+            raise UsageError(f"unknown {key} '{getattr(cfg, key)}'")
 
 
 def _build_problem(cfg: ExperimentConfig):
     """Deterministic problem construction; the problem draws come from
-    seed + 1 so they never collide with the solver's stream at seed."""
+    seed + 1 so they never collide with the solver's stream at seed.
+    Returns the problem, the start point and the logistic dataset (None for
+    the other problems)."""
     stream = RngStream(cfg.seed + 1)
+    data = None
     if cfg.problem == "quadratic":
         a = random_spd(cfg.d, cond=100.0, rng=stream)
         b = stream.generator.standard_normal(cfg.d)
@@ -159,7 +158,7 @@ def _build_problem(cfg: ExperimentConfig):
             data = make_synthetic_dataset(200, cfg.d, stream)
         problem = make_logistic(data, ridge=0.1)
         x0 = np.zeros(problem.dimension)
-    return problem, x0
+    return problem, x0, data
 
 
 def _solver_config(cfg: ExperimentConfig, problem) -> SolverConfig:
@@ -187,7 +186,7 @@ def _solver_config(cfg: ExperimentConfig, problem) -> SolverConfig:
 
 def _cmd_run(args) -> int:
     cfg = _merge_config(args)
-    problem, x0 = _build_problem(cfg)
+    problem, x0, _ = _build_problem(cfg)
     config = _solver_config(cfg, problem)
     known = problem.known
     oracle = problem.make_oracle(budget=cfg.budget)
@@ -195,33 +194,30 @@ def _cmd_run(args) -> int:
                 x_star=known.x_star if known else None,
                 f_star=known.f_star if known else None,
                 hessian_fn=known.hessian if known else None)
-    out_path = cfg.out_path or "run_trace.csv"
-    write_trace_csv(trace, out_path)
-    _print_run_summary(trace, out_path)
-    return 0
+    return _finish_run(trace, cfg.out_path or "run_trace.csv",
+                       spent=oracle.eval_count)
 
 
 def _cmd_fedrun(args) -> int:
     cfg = _merge_config(args)
     if cfg.problem == "cubic":
         raise UsageError("fedrun supports quadratic and logistic problems")
-    problem, x0 = _build_problem(cfg)
+    problem, x0, data = _build_problem(cfg)
     known = problem.known
-    clients = _build_clients(cfg, problem)
+    clients = _build_clients(cfg, problem, data)
     config = _solver_config(cfg, problem)
     trace = federated_run(x0, clients, config, RngStream(cfg.seed),
                           x_star=known.x_star if known else None,
                           f_star=known.f_star if known else None,
                           hessian_fn=known.hessian if known else None)
-    out_path = cfg.out_path or "fedrun_trace.csv"
-    write_trace_csv(trace, out_path)
-    _print_run_summary(trace, out_path)
-    return 0
+    return _finish_run(trace, cfg.out_path or "fedrun_trace.csv",
+                       spent=max(trace.extra["client_eval_counts"]))
 
 
-def _build_clients(cfg: ExperimentConfig, problem):
+def _build_clients(cfg: ExperimentConfig, problem, data):
     """Clients whose mean objective equals the centralized problem; each
-    client's oracle enforces ``cfg.budget`` on its own evaluations."""
+    client's oracle enforces ``cfg.budget`` on its own evaluations. ``data``
+    is the logistic dataset the problem was built from."""
     stream = RngStream(cfg.seed + 2)
     n = cfg.n_clients
     d = problem.dimension
@@ -246,27 +242,30 @@ def _build_clients(cfg: ExperimentConfig, problem):
 
             clients.append(ClientNode(i, Oracle(fn, d, budget=cfg.budget)))
         return clients
-    if cfg.dataset_path is not None:
-        data = load_libsvm(cfg.dataset_path)
-    else:
-        data = make_synthetic_dataset(200, cfg.d, RngStream(cfg.seed + 1))
     fed_config = FederationConfig(n_clients=n, partition="iid-shuffle")
     shards = partition_dataset(data, fed_config, stream, ridge=0.1)
     return [ClientNode(c.client_id, Oracle(c.oracle.fn, d, budget=cfg.budget))
             for c in shards]
 
 
-def _print_run_summary(trace, out_path):
+def _finish_run(trace, out_path, spent: int) -> int:
+    """Write the CSV trace, print the summary line and return the exit code.
+
+    ``evals`` is the count at the last complete iteration; ``spent`` counts
+    every charged evaluation, including a batch a budget stop cut short.
+    """
+    write_trace_csv(trace, out_path)
     if not trace.records:
-        print(f"status={trace.status} evals=0 trace={out_path}")
-        return
-    last = trace.records[-1]
-    if last.f_gap is not None:
-        headline = f"final f_gap={last.f_gap:.6e}"
+        print(f"status={trace.status} evals=0 spent={spent} trace={out_path}")
     else:
-        headline = f"final f_value={last.f_value:.6e}"
-    print(f"{headline} status={trace.status} iters={len(trace.records)} "
-          f"evals={last.evals} trace={out_path}")
+        last = trace.records[-1]
+        if last.f_gap is not None:
+            headline = f"final f_gap={last.f_gap:.6e}"
+        else:
+            headline = f"final f_value={last.f_value:.6e}"
+        print(f"{headline} status={trace.status} iters={len(trace.records)} "
+              f"evals={last.evals} spent={spent} trace={out_path}")
+    return 3 if trace.status == STOPPED_NUMERICAL else 0
 
 
 def _report_exit(report) -> int:
@@ -315,22 +314,10 @@ def _cmd_costs(args) -> int:
 
 def _add_run_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--problem", choices=["quadratic", "cubic", "logistic"])
-    parser.add_argument("--dataset-path", dest="dataset_path")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--r-policy", dest="r_policy",
-                        choices=["fixed", "adaptive"])
-    parser.add_argument("--r-max", dest="r_max", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--lambda-min", dest="lambda_min", type=float)
-    parser.add_argument("--lambda-max", dest="lambda_max", type=float)
-    parser.add_argument("--max-iters", dest="max_iters", type=int)
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n-clients", dest="n_clients", type=int)
-    parser.add_argument("--out", dest="out_path")
+    for key, parse in _CONFIG_KEYS.items():
+        flag = "--out" if key == "out_path" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=parse,
+                            choices=_CHOICES.get(key))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,13 +9,10 @@ differences at construction time to guard against transcription errors.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 from scipy.special import expit
 
@@ -49,7 +46,6 @@ class Dataset:
 
     labels: np.ndarray
     features: object  # (n, d) ndarray, or scipy CSR above _DENSE_DIM_LIMIT
-    source_path: Optional[str] = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
@@ -70,8 +66,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
-        return Dataset(self.labels[indices], self.features[indices],
-                       source_path=None)
+        return Dataset(self.labels[indices], self.features[indices])
 
 
 def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
@@ -138,7 +133,7 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
             for j, val in entries:
                 mat[i, j] = val
         features = mat.tocsr()
-    return Dataset(np.array(labels), features, source_path=str(path))
+    return Dataset(np.array(labels), features)
 
 
 def make_synthetic_dataset(n: int, d: int, rng: RngStream,
@@ -326,48 +321,22 @@ def _estimate_hessian_lipschitz(fn, d: int, center: np.ndarray,
     return 1.5 * worst
 
 
-def _minimizer_cache_path(source_path: str, ridge: float) -> str:
-    tag = hashlib.sha256(
-        f"logistic;ridge={ridge!r};file={os.path.basename(source_path)}".encode()
-    ).hexdigest()[:12]
-    return f"{source_path}.xstar-{tag}.txt"
-
-
-def _write_minimizer_cache(path: str, x_star: np.ndarray, f_star: float):
-    with open(path, "w") as fh:
-        fh.write(f"{len(x_star)} {f_star:.17g}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in x_star) + "\n")
-
-
-def _read_minimizer_cache(path: str):
-    with open(path, "r") as fh:
-        first = fh.readline().split()
-        d, f_star = int(first[0]), float(first[1])
-        coords = np.array([float(t) for t in fh.readline().split()])
-    if len(coords) != d:
-        raise ValueError(f"corrupt minimizer cache {path}")
-    return coords, f_star
-
-
-def _reference_minimizer(fn, gradient, d: int, L1: float,
+def _reference_minimizer(gradient, hessian, d: int,
                          gtol: float = 1e-13) -> np.ndarray:
-    """Deterministic first-order reference solve to ||grad|| <= gtol."""
-    res = scipy.optimize.minimize(
-        fn, np.zeros(d), jac=gradient, method="L-BFGS-B",
-        options={"maxiter": 20000, "gtol": 1e-14, "ftol": 0.0})
-    x = res.x
-    # L-BFGS-B can stop short of very tight tolerances; polish with plain
-    # gradient steps (linear but reliable for strongly convex objectives).
-    step = 1.0 / L1
-    for _ in range(400000):
+    """Deterministic Newton solve from the origin to ||grad|| <= gtol.
+
+    Full steps on the closed-form Hessian, with no line search: near the
+    minimizer f changes by less than its own rounding error, so a decrease
+    test on f stalls there before the gradient reaches gtol.
+    """
+    x = np.zeros(d)
+    for _ in range(100):
         g = gradient(x)
         if np.linalg.norm(g) <= gtol:
-            break
-        x = x - step * g
-    else:
-        raise RuntimeError("reference minimizer failed to reach the target "
-                           "gradient norm")
-    return x
+            return x
+        x = x - np.linalg.solve(hessian(x), g)
+    raise RuntimeError("reference minimizer failed to reach the target "
+                       "gradient norm")
 
 
 def make_logistic(dataset: Dataset, ridge: float,
@@ -378,8 +347,8 @@ def make_logistic(dataset: Dataset, ridge: float,
     Known constants: m = ridge, L1 = ridge + (1/(4n)) sum ||a_i||^2; L2 is
     estimated numerically from sampled directional third differences (an
     estimate, not an analytic bound). The minimizer is computed by a
-    deterministic first-order reference solve to gradient norm <= 1e-12 and
-    cached beside the dataset file when one exists.
+    deterministic Newton solve on the closed-form Hessian to gradient norm
+    <= 1e-13.
     """
     if ridge <= 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
@@ -394,19 +363,7 @@ def make_logistic(dataset: Dataset, ridge: float,
         sq_norms = np.sum(dataset.features**2, axis=1)
     L1 = ridge + float(np.sum(sq_norms)) / (4.0 * dataset.n_samples)
 
-    x_star = None
-    cache_path = None
-    if dataset.source_path is not None:
-        cache_path = _minimizer_cache_path(dataset.source_path, ridge)
-        if os.path.exists(cache_path):
-            cached_x, _ = _read_minimizer_cache(cache_path)
-            if (len(cached_x) == d
-                    and np.linalg.norm(gradient(cached_x)) <= 1e-10):
-                x_star = cached_x
-    if x_star is None:
-        x_star = _reference_minimizer(fn, gradient, d, L1)
-        if cache_path is not None:
-            _write_minimizer_cache(cache_path, x_star, fn(x_star))
+    x_star = _reference_minimizer(gradient, hessian, d)
     f_star = fn(x_star)
 
     L2 = None

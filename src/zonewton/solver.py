@@ -8,7 +8,9 @@ directions, feeding all r_k curvatures to the warm-started incremental
 Hessian estimate, and (iv) clips the estimate's spectrum into
 [lambda_min, lambda_max], inverts it, and takes the damped Newton step
 x <- x - alpha * Z * g. The center value f(x) is shared between the two
-probe phases, so one iteration costs exactly 2 r_k + 1 evaluations.
+probe phases, so one iteration costs exactly 2 r_k + 1 evaluations. A
+probe batch that holds a non-finite value, or whose probe steps are lost to
+rounding at x, ends the run as stopped_numerical.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "RUNNING",
     "STOPPED_BUDGET",
     "STOPPED_MAX_ITER",
+    "STOPPED_NUMERICAL",
     "STOPPED_ZO_FLOOR",
     "adaptive_direction_count",
     "contraction_gamma",
@@ -55,6 +58,7 @@ RUNNING = "running"
 STOPPED_ZO_FLOOR = "stopped_zo_floor"
 STOPPED_MAX_ITER = "stopped_max_iter"
 STOPPED_BUDGET = "stopped_budget"
+STOPPED_NUMERICAL = "stopped_numerical"
 
 
 @dataclass(frozen=True)
@@ -287,13 +291,46 @@ def _validate_run_inputs(oracle: Oracle, config: SolverConfig):
         raise TypeError(f"unknown r policy {policy!r}")
 
 
+def _probe_failed(x: np.ndarray, probe) -> bool:
+    """True when a probe batch cannot carry information about f.
+
+    Either it holds a non-finite value, or the probe step mu is no larger
+    than the rounding unit eps * ||x|| of the iterate. The probe points
+    x +/- mu*u are then lost to rounding (a point equal to x implies
+    eps * ||x|| > 2 mu), and a gradient estimate of exactly 0 would pass
+    the floor test.
+    """
+    # Written so that a non-finite x fails too.
+    return not (math.isfinite(probe.center_value)
+                and np.isfinite(probe.plus_values).all()
+                and np.isfinite(probe.minus_values).all()
+                and np.finfo(float).eps * np.linalg.norm(x) < probe.mu)
+
+
+def _numerical_stop(state: SolverState, evals: int, f_value: float,
+                    r_used: int):
+    """Stopped state and trace record for a failed probe batch; the Hessian
+    estimate is left as it was and the record keeps the offending point."""
+    x = state.x
+    new_state = SolverState(
+        x=x.copy(), hessian=state.hessian, gradient=None,
+        iteration=state.iteration + 1, evals=evals,
+        status=STOPPED_NUMERICAL)
+    record = TraceRecord(
+        iteration=state.iteration, evals=evals, f_value=f_value,
+        r_used=r_used, x=x.copy())
+    return new_state, record
+
+
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
             rng: RngStream) -> tuple[SolverState, TraceRecord]:
     """Run one solver iteration; returns the new state and its trace record.
 
     Budget exhaustion inside either probe phase propagates as
     :class:`BudgetExhaustedError`; the caller keeps the trace collected so
-    far and marks the run stopped_budget.
+    far and marks the run stopped_budget. A probe batch that fails
+    :func:`_probe_failed` stops the run as stopped_numerical before any
+    Hessian update.
     """
     if state.status != RUNNING:
         raise ValueError(f"cannot iterate a solver in status {state.status!r}")
@@ -304,6 +341,9 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     # (i) one orthonormal frame: gradient + the first d Hessian updates.
     frame = stiefel_sample(d, d, rng)
     probe = oracle.probe_batch(x, frame, config.mu)
+    if _probe_failed(x, probe):
+        return _numerical_stop(state, oracle.eval_count,
+                               probe.center_value, d)
     grad = estimate_gradient(probe)
     g_norm = grad.norm
 
@@ -345,6 +385,9 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         extra = stiefel_sample(d, r_k - d, rng)
         probe2 = oracle.probe_batch(x, extra, config.mu,
                                     center=probe.center_value)
+        if _probe_failed(x, probe2):
+            return _numerical_stop(state, oracle.eval_count,
+                                   probe.center_value, r_k)
         for j in range(r_k - d):
             hess.update(extra.vectors[j], directional_curvature(probe2, j))
 
@@ -369,8 +412,8 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
         x_star=None, f_star: Optional[float] = None,
         hessian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         ) -> RunTrace:
-    """Iterate until the zeroth-order floor, the budget, or the iteration cap
-    stops the run; returns the per-iteration trace.
+    """Iterate until the zeroth-order floor, the budget, a numerical failure
+    or the iteration cap stops the run; returns the per-iteration trace.
 
     Ground-truth arguments are optional and only enrich the trace: ``x_star``
     fills the x_err column, ``f_star`` the f_gap column, and ``hessian_fn``

@@ -89,8 +89,30 @@ def test_fedrun_budget_caps_every_client(tmp_path, capsys, monkeypatch):
                  "--n-clients", "5", "--budget", "30", "--seed", "3",
                  "--out", str(tmp_path / "trace.csv")])
     assert code == 0
-    assert "status=stopped_budget" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status=stopped_budget" in out
+    assert "evals=0 spent=30" in out
     assert max(extras["client_eval_counts"]) == 30
+
+
+def test_budget_stop_reports_spent_evaluations(tmp_path, capsys):
+    # two 11-evaluation iterations complete; the third batch spends the
+    # remaining 8 before the budget of 30 stops it
+    code = main(["run", "--problem", "quadratic", "--d", "5", "--seed", "0",
+                 "--budget", "30", "--out", str(tmp_path / "trace.csv")])
+    assert code == 0
+    assert "evals=22 spent=30" in capsys.readouterr().out
+
+
+def test_diverging_run_stops_numerical(tmp_path, capsys):
+    # alpha = 5 throws the cubic's iterate to |x| ~ 1e15, where every probe
+    # point x +/- mu*u rounds to x and the gradient estimate is exactly 0
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--problem", "cubic", "--d", "4", "--alpha", "5",
+                 "--lambda-min", "1e-3", "--seed", "0", "--out", str(out)])
+    assert code == 3
+    assert "status=stopped_numerical" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) > 1
 
 
 class TestConfigFile:

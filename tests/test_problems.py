@@ -1,10 +1,14 @@
-"""Problem zoo: closed forms, constants, the LIBSVM parser, caching."""
+"""Problem zoo: closed forms, constants, the LIBSVM parser, the reference
+minimizer."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zonewton
 from zonewton import (
     Oracle,
     RngStream,
@@ -203,7 +207,7 @@ class TestLoadLibsvm(object):
             load_libsvm(path)
 
 
-def test_minimizer_cache_roundtrip(tmp_path):
+def test_file_dataset_minimizer_writes_no_file(tmp_path):
     path = tmp_path / "train.libsvm"
     gen = np.random.default_rng(10)
     lines = []
@@ -212,19 +216,20 @@ def test_minimizer_cache_roundtrip(tmp_path):
         feats = " ".join(f"{j + 1}:{gen.standard_normal():.6f}" for j in range(4))
         lines.append(f"{label} {feats}")
     path.write_text("\n".join(lines) + "\n")
-    ds = load_libsvm(path)
-    p1 = make_logistic(ds, ridge=0.3, estimate_l2=False)
-    caches = [f for f in os.listdir(tmp_path) if ".xstar-" in f]
-    assert len(caches) == 1
-    # flat text format: first line "dim f_star", second line coordinates
-    content = (tmp_path / caches[0]).read_text().splitlines()
-    first = content[0].split()
-    assert int(first[0]) == 4
-    assert float(first[1]) == pytest.approx(p1.known.f_star)
-    assert len(content[1].split()) == 4
-    # a second construction must reuse the cached minimizer
-    p2 = make_logistic(load_libsvm(path), ridge=0.3, estimate_l2=False)
-    np.testing.assert_array_equal(p1.known.x_star, p2.known.x_star)
+    p = make_logistic(load_libsvm(path), ridge=0.3, estimate_l2=False)
+    assert os.listdir(tmp_path) == ["train.libsvm"]
+    assert np.linalg.norm(p.known.gradient(p.known.x_star)) <= 1e-12
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zonewton.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, zonewton; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_sparse_storage_above_dimension_limit(tmp_path):

@@ -27,6 +27,7 @@ from zonewton.solver import (
     RUNNING,
     STOPPED_BUDGET,
     STOPPED_MAX_ITER,
+    STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
 )
 
@@ -284,6 +285,17 @@ class TestRun:
         assert trace.status == STOPPED_ZO_FLOOR
         assert trace.records[-1].zo_bound == pytest.approx(
             4 * known.L2 * 1e-6 / (3 * known.m))
+
+    def test_nan_objective_stops_numerical(self):
+        d = 3
+        oracle = Oracle(lambda x: float("nan"), d)
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                              max_iterations=5)
+        trace = run(np.ones(d), oracle, config, RngStream(12))
+        assert trace.status == STOPPED_NUMERICAL
+        assert len(trace.records) == 1
+        np.testing.assert_array_equal(trace.records[0].x, np.ones(d))
+        assert oracle.eval_count == 2 * d + 1
 
     def test_fixed_r_below_d_rejected(self):
         problem = make_quadratic(np.eye(3), np.zeros(3))
