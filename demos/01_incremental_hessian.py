@@ -50,4 +50,4 @@ warm, _ = estimate_hessian(oracle2, np.zeros(d),
                            warm_start=est)
 print(f"after 10 warm-started updates: ||H - A||_F = "
       f"{np.linalg.norm(warm.matrix - a):.6f} "
-      f"(carried {est.updates_applied} previous updates)")
+      f"(carried {directions.r} previous updates)")

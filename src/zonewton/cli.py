@@ -58,7 +58,7 @@ class UsageError(Exception):
 class ExperimentConfig:
     problem: str = "quadratic"
     dataset_path: Optional[str] = None
-    d: int = 10
+    d: Optional[int] = None  # unset: 10, or the dataset file's dimension
     mu: float = 1e-5
     r: Optional[int] = None
     r_policy: str = "fixed"
@@ -139,23 +139,28 @@ def _build_problem(cfg: ExperimentConfig):
     """Deterministic problem construction; the problem draws come from
     seed + 1 so they never collide with the solver's stream at seed.
     Returns the problem, the start point and the logistic dataset (None for
-    the other problems)."""
+    the other problems).
+
+    A dataset file takes an explicit ``d`` as its feature dimension (below
+    the file's largest index that is an error); with ``d`` unset the file
+    sets it. Generated problems default to d = 10."""
     stream = RngStream(cfg.seed + 1)
     data = None
+    d = 10 if cfg.d is None else cfg.d
     if cfg.problem == "quadratic":
-        a = random_spd(cfg.d, cond=100.0, rng=stream)
-        b = stream.generator.standard_normal(cfg.d)
+        a = random_spd(d, cond=100.0, rng=stream)
+        b = stream.generator.standard_normal(d)
         problem = make_quadratic(a, b)
-        v = stream.generator.standard_normal(cfg.d)
+        v = stream.generator.standard_normal(d)
         x0 = problem.known.x_star + v / np.linalg.norm(v)
     elif cfg.problem == "cubic":
-        problem = make_cubic_box(cfg.d, box_radius=0.4)
-        x0 = 0.3 * np.ones(cfg.d)
+        problem = make_cubic_box(d, box_radius=0.4)
+        x0 = 0.3 * np.ones(d)
     else:
         if cfg.dataset_path is not None:
-            data = load_libsvm(cfg.dataset_path)
+            data = load_libsvm(cfg.dataset_path, dimension=cfg.d)
         else:
-            data = make_synthetic_dataset(200, cfg.d, stream)
+            data = make_synthetic_dataset(200, d, stream)
         problem = make_logistic(data, ridge=0.1)
         x0 = np.zeros(problem.dimension)
     return problem, x0, data

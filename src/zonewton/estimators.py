@@ -39,18 +39,14 @@ _UNIT_TOL = 1e-10
 
 @dataclass
 class HessianEstimate:
-    """Symmetric d x d curvature estimate with incremental update state.
+    """Symmetric d x d curvature estimate, corrected in place by rank-one
+    updates.
 
-    ``matrix`` stays exactly symmetric because every update adds a scalar
-    multiple of u u^T. ``updates_applied`` counts every rank-one update the
-    estimate has absorbed, including those inherited through warm starts.
-    ``last_center`` is the iterate at which the most recent updates were
-    probed; callers that distrust stale warm starts can inspect it.
+    ``matrix`` stays exactly symmetric: every update adds a scalar multiple
+    of u u^T, and a block update adds a symmetrised increment.
     """
 
     matrix: np.ndarray
-    updates_applied: int = 0
-    last_center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.matrix = np.array(self.matrix, dtype=float)
@@ -68,8 +64,7 @@ class HessianEstimate:
         return self.matrix.shape[0]
 
     def copy(self) -> "HessianEstimate":
-        lc = None if self.last_center is None else self.last_center.copy()
-        return HessianEstimate(self.matrix.copy(), self.updates_applied, lc)
+        return HessianEstimate(self.matrix.copy())
 
     def update(self, u, curvature: float) -> float:
         """Apply H <- H + (curvature - u^T H u) u u^T for a unit direction u
@@ -87,8 +82,27 @@ class HessianEstimate:
             raise ValueError(f"direction must be unit norm, got ||u|| = {nrm!r}")
         residual = float(curvature) - float(u @ self.matrix @ u)
         self.matrix += residual * np.outer(u, u)
-        self.updates_applied += 1
         return residual
+
+    def apply_probe(self, probe: ProbeResult) -> np.ndarray:
+        """Apply a probe batch's r rank-one updates in direction order and
+        return their residuals c_j - u_j^T H u_j.
+
+        Along an orthonormal set the updates do not interact: update j
+        leaves u_k^T H u_k unchanged for every k != j. So every residual can
+        be taken from the starting H, and the r updates are one block
+        H + V^T diag(residuals) V, with the directions as the rows of V.
+        Other sets (i.i.d. directions, several concatenated frames) are
+        applied one :meth:`update` at a time.
+        """
+        curvatures = directional_curvature(probe)
+        v = probe.directions.vectors
+        if not probe.directions.orthonormal:
+            return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
+        residuals = curvatures - np.sum((v @ self.matrix) * v, axis=1)
+        increment = (v.T * residuals) @ v
+        self.matrix += 0.5 * (increment + increment.T)
+        return residuals
 
 
 @dataclass
@@ -96,22 +110,18 @@ class GradientEstimate:
     """Central-difference gradient along an orthonormal basis."""
 
     g: np.ndarray
-    mu_used: float
-    basis: DirectionSet
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.basis.r < len(self.g) or not self.basis.orthonormal:
-            raise ValueError("gradient basis must hold d orthonormal directions")
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.g))
 
 
-def directional_curvature(probe: ProbeResult, j: int) -> float:
-    """Second central difference (f+ - 2 f0 + f-) / mu^2 along direction j."""
-    if not 0 <= j < probe.r:
+def directional_curvature(probe: ProbeResult, j: Optional[int] = None):
+    """Second central difference (f+ - 2 f0 + f-) / mu^2 along direction j,
+    or the array of them along every direction when j is None."""
+    if j is None:
+        j = slice(None)
+    elif not 0 <= j < probe.r:
         raise IndexError(f"direction index {j} out of range for r={probe.r}")
     return (probe.plus_values[j] - 2.0 * probe.center_value
             + probe.minus_values[j]) / probe.mu**2
@@ -124,10 +134,10 @@ def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
 
     Starts from ``warm_start`` (copied, the input is left untouched) or the
     zero matrix, consumes exactly 2r+1 evaluations, and applies the r updates
-    in direction order. Returns the probe as well so the gradient estimator
-    can reuse the same function values for free.
+    in direction order (:meth:`HessianEstimate.apply_probe`). Returns the
+    probe as well so the gradient estimator can reuse the same function
+    values for free.
     """
-    x = np.asarray(x, dtype=float)
     if warm_start is None:
         est = HessianEstimate.zero(oracle.dimension)
     else:
@@ -135,9 +145,7 @@ def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
             raise ValueError("warm start dimension does not match the oracle")
         est = warm_start.copy()
     probe = oracle.probe_batch(x, directions, mu)
-    for j in range(directions.r):
-        est.update(directions.vectors[j], directional_curvature(probe, j))
-    est.last_center = x.copy()
+    est.apply_probe(probe)
     return est, probe
 
 
@@ -158,7 +166,7 @@ def estimate_gradient(probe: ProbeResult) -> GradientEstimate:
             f"orthonormal={ds.orthonormal})")
     coeffs = (probe.plus_values[:d] - probe.minus_values[:d]) / (2.0 * probe.mu)
     g = coeffs @ ds.vectors[:d]
-    return GradientEstimate(g=g, mu_used=probe.mu, basis=ds)
+    return GradientEstimate(g)
 
 
 def update_rate_bound(d: int) -> float:

@@ -129,23 +129,6 @@ def _aggregate(values_per_client) -> np.ndarray:
     return acc / len(values_per_client)
 
 
-def _probe_all_clients(ordered, x, directions, mu, centers=None):
-    probes = [
-        client.oracle.probe_batch(
-            x, directions, mu,
-            center=None if centers is None else centers[i])
-        for i, client in enumerate(ordered)
-    ]
-    center = float(_aggregate([p.center_value for p in probes]))
-    plus = _aggregate([p.plus_values for p in probes])
-    minus = _aggregate([p.minus_values for p in probes])
-    fresh = (2 * directions.r + 1) if centers is None else 2 * directions.r
-    aggregated = ProbeResult(center_value=center, plus_values=plus,
-                             minus_values=minus, mu=float(mu),
-                             directions=directions, fresh_evals=fresh)
-    return aggregated, [p.center_value for p in probes]
-
-
 def federated_probe(clients, x, directions: DirectionSet,
                     mu: float) -> ProbeResult:
     """One probe round: broadcast (x, directions, mu), collect each client's
@@ -155,10 +138,7 @@ def federated_probe(clients, x, directions: DirectionSet,
     (1/n) sum_i f_i. Any client failure aborts the round; there is no
     partial aggregation.
     """
-    ordered = _check_clients(clients)
-    aggregated, _ = _probe_all_clients(ordered, np.asarray(x, dtype=float),
-                                       directions, mu)
-    return aggregated
+    return FederatedObjective(clients).probe_batch(x, directions, mu)
 
 
 class FederatedObjective:
@@ -180,26 +160,16 @@ class FederatedObjective:
         self._cached_centers = None
 
     @property
-    def clients(self):
-        return list(self._clients)
-
-    @property
     def n_clients(self) -> int:
         return len(self._clients)
 
     def client_eval_counts(self) -> list:
         return [c.oracle.eval_count for c in self._clients]
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        values = [c.oracle.evaluate(x) for c in self._clients]
-        self.eval_count += 1
-        return float(_aggregate(values))
-
     def probe_batch(self, x, directions: DirectionSet, mu: float,
                     center: Optional[float] = None) -> ProbeResult:
         x = np.asarray(x, dtype=float)
-        centers = None
+        centers = [None] * self.n_clients
         if center is not None:
             if (self._cached_point is None
                     or not np.array_equal(self._cached_point, x)):
@@ -207,13 +177,18 @@ class FederatedObjective:
                     "center reuse is only valid at the most recently probed "
                     "point; probe without a center first")
             centers = self._cached_centers
-        aggregated, per_client_centers = _probe_all_clients(
-            self._clients, x, directions, mu, centers=centers)
+        probes = [client.oracle.probe_batch(x, directions, mu, center=c)
+                  for client, c in zip(self._clients, centers)]
         if center is None:
             self._cached_point = x.copy()
-            self._cached_centers = per_client_centers
-        self.eval_count += aggregated.fresh_evals
-        return aggregated
+            self._cached_centers = [p.center_value for p in probes]
+        fresh = 2 * directions.r + (1 if center is None else 0)
+        self.eval_count += fresh
+        return ProbeResult(
+            center_value=float(_aggregate([p.center_value for p in probes])),
+            plus_values=_aggregate([p.plus_values for p in probes]),
+            minus_values=_aggregate([p.minus_values for p in probes]),
+            mu=float(mu), directions=directions, fresh_evals=fresh)
 
 
 def federated_run(x0, clients, config: SolverConfig, rng: RngStream,

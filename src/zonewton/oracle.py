@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,10 +143,12 @@ class Oracle:
         start = self._count
         try:
             center_value = self.evaluate(x) if center is None else float(center)
-            for j in range(r):
-                step = mu * directions.vectors[j]
-                plus[j] = self.evaluate(x + step)
-                minus[j] = self.evaluate(x - step)
+            # x is checked once above, so the displaced points skip evaluate()
+            for j, step in enumerate(mu * directions.vectors):
+                self._charge()
+                plus[j] = self.fn(x + step)
+                self._charge()
+                minus[j] = self.fn(x - step)
         except BudgetExhaustedError as exc:
             raise BudgetExhaustedError(
                 str(exc), consumed=self._count - start) from None
@@ -164,14 +165,10 @@ class Oracle:
 def deterministic_fd_costs(d: int) -> tuple[int, int]:
     """Evaluation counts of the two deterministic finite-difference Hessians.
 
-    Returns ``((d+1)(d/2+1), 2d^2+1)``: the cost of the forward-difference
+    Returns ``((d+1)(d+2)/2, 2d^2+1)``: the cost of the forward-difference
     scheme along the canonical basis and of the all-pairs symmetric-difference
-    scheme. Exact rational arithmetic keeps odd ``d`` exact, where the first
-    formula equals (d+1)(d+2)/2.
+    scheme.
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    forward = (d + 1) * (Fraction(d, 2) + 1)
-    if forward.denominator != 1:  # (d+1)(d+2) is always even
-        raise AssertionError("forward-difference cost is not integral")
-    return int(forward), 2 * d * d + 1
+    return (d + 1) * (d + 2) // 2, 2 * d * d + 1

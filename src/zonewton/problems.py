@@ -16,8 +16,9 @@ import numpy as np
 import scipy.sparse
 from scipy.special import expit
 
+from .estimators import directional_curvature, estimate_gradient
 from .oracle import Oracle
-from .sampling import RngStream, stiefel_sample
+from .sampling import DirectionSet, RngStream, stiefel_sample
 
 __all__ = [
     "Dataset",
@@ -181,25 +182,21 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
         return
     gen = np.random.default_rng(seed)
     d = problem.dimension
+    oracle = Oracle(problem.fn, d)
+    identity = DirectionSet(np.eye(d), orthonormal=True)
     for _ in range(n_points):
         x = gen.standard_normal(d) / np.sqrt(d)
         g_exact = np.asarray(known.gradient(x), dtype=float)
-        g_fd = np.empty(d)
-        h_diag_fd = np.empty(d)
-        f0 = problem.fn(x)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = mu
-            fp, fm = problem.fn(x + e), problem.fn(x - e)
-            g_fd[i] = (fp - fm) / (2 * mu)
-            h_diag_fd[i] = (fp - 2 * f0 + fm) / mu**2
+        probe = oracle.probe_batch(x, identity, mu)
+        g_fd = estimate_gradient(probe).g
         if not np.allclose(g_fd, g_exact, rtol=1e-4, atol=1e-6):
             raise ValueError(
                 f"{problem.name}: closed-form gradient disagrees with finite "
                 "differences")
         if known.hessian is not None:
             h_diag = np.diag(np.asarray(known.hessian(x), dtype=float))
-            if not np.allclose(h_diag_fd, h_diag, rtol=1e-3, atol=1e-5):
+            if not np.allclose(directional_curvature(probe), h_diag,
+                               rtol=1e-3, atol=1e-5):
                 raise ValueError(
                     f"{problem.name}: closed-form Hessian diagonal disagrees "
                     "with finite differences")

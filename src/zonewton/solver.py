@@ -22,9 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .estimators import (
-    GradientEstimate,
     HessianEstimate,
-    directional_curvature,
     estimate_gradient,
     gradient_error_bound,
     update_rate_bound,
@@ -123,7 +121,6 @@ class SolverConfig:
 class SolverState:
     x: np.ndarray
     hessian: HessianEstimate
-    gradient: Optional[GradientEstimate]
     iteration: int
     evals: int
     status: str = RUNNING
@@ -134,7 +131,7 @@ class SolverState:
         if x0.shape != (d,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({d},)")
         return cls(x=x0.copy(), hessian=HessianEstimate.zero(d),
-                   gradient=None, iteration=0, evals=0)
+                   iteration=0, evals=0)
 
 
 @dataclass
@@ -313,7 +310,7 @@ def _numerical_stop(state: SolverState, evals: int, f_value: float,
     estimate is left as it was and the record keeps the offending point."""
     x = state.x
     new_state = SolverState(
-        x=x.copy(), hessian=state.hessian, gradient=None,
+        x=x.copy(), hessian=state.hessian,
         iteration=state.iteration + 1, evals=evals,
         status=STOPPED_NUMERICAL)
     record = TraceRecord(
@@ -348,11 +345,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     g_norm = grad.norm
 
     hess = state.hessian.copy()
-    sq_residuals = np.empty(d)
-    for j in range(d):
-        residual = hess.update(frame.vectors[j], directional_curvature(probe, j))
-        sq_residuals[j] = residual ** 2
-    hess.last_center = x.copy()
+    residuals = hess.apply_probe(probe)
 
     # (ii) zeroth-order floor check, when the constants are known.
     if (config.stop_on_zo_floor and config.L2 is not None
@@ -360,7 +353,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         bound = zo_floor_stop(g_norm, d, config.L2, config.mu, config.m)
         if bound is not None:
             new_state = SolverState(
-                x=x.copy(), hessian=hess, gradient=grad,
+                x=x.copy(), hessian=hess,
                 iteration=state.iteration + 1, evals=oracle.eval_count,
                 status=STOPPED_ZO_FLOOR)
             record = TraceRecord(
@@ -376,7 +369,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     if isinstance(policy, FixedDirections):
         r_k = policy.r
     else:
-        rho = math.sqrt(float(np.mean(sq_residuals)))
+        rho = math.sqrt(float(np.mean(residuals ** 2)))
         proxy = rho * math.sqrt(d * (d + 2) / 2.0)
         r_k = adaptive_direction_count(
             g_norm, d, config.L1, config.L2 if config.L2 is not None else 0.0,
@@ -388,8 +381,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         if _probe_failed(x, probe2):
             return _numerical_stop(state, oracle.eval_count,
                                    probe.center_value, r_k)
-        for j in range(r_k - d):
-            hess.update(extra.vectors[j], directional_curvature(probe2, j))
+        hess.apply_probe(probe2)
 
     # (iv) clip, invert, step.
     z, info = eigenvalue_clip(hess.matrix, config.lambda_min,
@@ -397,7 +389,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     x_new = newton_step(x, z, grad.g, alpha)
 
     new_state = SolverState(
-        x=x_new, hessian=hess, gradient=grad,
+        x=x_new, hessian=hess,
         iteration=state.iteration + 1, evals=oracle.eval_count,
         status=RUNNING)
     record = TraceRecord(
@@ -443,5 +435,4 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
         if state.status != RUNNING:
             status = state.status
             break
-    return RunTrace(records=records, status=status, x_final=state.x.copy(),
-                    extra={"r_policy": config.r_policy})
+    return RunTrace(records=records, status=status, x_final=state.x.copy())

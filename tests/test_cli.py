@@ -115,6 +115,37 @@ def test_diverging_run_stops_numerical(tmp_path, capsys):
     assert len(out.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("flags,config,dim", [
+    (["--d", "8"], "", 8),
+    ([], "d = 8\n", 8),
+    ([], "", 5),
+])
+def test_dataset_path_honours_d(tmp_path, flags, config, dim):
+    # the file's largest feature index is 5; an explicit d pads it
+    data = tmp_path / "tiny.svm"
+    data.write_text("+1 1:0.5 3:1.0 5:-0.2\n-1 2:0.3 4:0.7\n"
+                    "+1 1:-0.1 5:0.4\n-1 3:0.9\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--problem", "logistic", "--dataset-path", str(data),
+                 "--config", str(cfg), "--max-iters", "2", "--out", str(out)]
+                + flags)
+    assert code == 0
+    r_col = CSV_HEADER.split(",").index("r_used")
+    rows = out.read_text().splitlines()[1:]
+    assert [int(row.split(",")[r_col]) for row in rows] == [dim, dim]
+
+
+def test_dataset_path_rejects_d_below_file_dimension(tmp_path, capsys):
+    data = tmp_path / "tiny.svm"
+    data.write_text("+1 1:0.5 5:-0.2\n-1 2:0.3\n")
+    code = main(["run", "--problem", "logistic", "--dataset-path", str(data),
+                 "--d", "3", "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    assert "below the largest index 5" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_values_and_comments(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
