@@ -24,17 +24,25 @@ from .fedsim import (
     federated_run,
     partition_dataset,
 )
-from .oracle import BudgetExhaustedError, Oracle, ProbeResult, deterministic_fd_costs
+from .oracle import (
+    BudgetExhaustedError,
+    Objective,
+    Oracle,
+    ProbeResult,
+    deterministic_fd_costs,
+)
 from .problems import (
     Dataset,
     KnownInfo,
     ProblemSpec,
     load_libsvm,
     logistic_gap_objective,
+    logistic_objective,
     make_cubic_box,
     make_logistic,
     make_quadratic,
     make_synthetic_dataset,
+    quadratic_objective,
     random_spd,
 )
 from .sampling import (

@@ -36,6 +36,7 @@ from .problems import (
     make_logistic,
     make_quadratic,
     make_synthetic_dataset,
+    quadratic_objective,
     random_spd,
 )
 from .sampling import RngStream
@@ -239,12 +240,8 @@ def _build_clients(cfg: ExperimentConfig, problem, data):
         mean_shift = sum(shifts) / n
         clients = []
         for i in range(n):
-            a_i = a + noise[i] - mean_noise
-            b_i = b + shifts[i] - mean_shift
-
-            def fn(x, a_i=a_i, b_i=b_i):
-                return 0.5 * float(x @ a_i @ x) - float(b_i @ x)
-
+            fn = quadratic_objective(a + noise[i] - mean_noise,
+                                     b + shifts[i] - mean_shift)
             clients.append(ClientNode(i, Oracle(fn, d, budget=cfg.budget)))
         return clients
     fed_config = FederationConfig(n_clients=n, partition="iid-shuffle")

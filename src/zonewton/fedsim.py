@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .oracle import Oracle, ProbeResult
-from .problems import Dataset
+from .problems import Dataset, logistic_objective
 from .sampling import DirectionSet, RngStream
 from .solver import RunTrace, SolverConfig, run as solver_run
 
@@ -91,20 +91,8 @@ def partition_dataset(dataset: Dataset, config: FederationConfig,
         shard = dataset.subset(order[offset:offset + size])
         offset += size
         clients.append(ClientNode(cid, Oracle(
-            _local_logistic(shard, ridge, weight), dataset.dimension)))
+            logistic_objective(shard, ridge, weight), dataset.dimension)))
     return clients
-
-
-def _local_logistic(shard: Dataset, ridge: float, weight: float):
-    x_mat = shard.features
-    y = shard.labels
-
-    def fn(w):
-        z = y * (x_mat @ w)
-        return (weight * float(np.sum(np.logaddexp(0.0, -z)))
-                + 0.5 * ridge * float(w @ w))
-
-    return fn
 
 
 def _check_clients(clients) -> list:

@@ -18,6 +18,7 @@ from .sampling import DirectionSet
 
 __all__ = [
     "BudgetExhaustedError",
+    "Objective",
     "Oracle",
     "ProbeResult",
     "deterministic_fd_costs",
@@ -67,8 +68,39 @@ class ProbeResult:
         return len(self.plus_values)
 
 
+class Objective:
+    """A scalar objective written once, in its batch form.
+
+    ``batch(points)`` maps an (m, d) array of points to their m values.
+    Calling the objective on one point x returns ``batch(x[None])[0]``, so
+    both forms share one formula. :class:`Oracle` evaluates a probe batch
+    with a single ``batch`` call.
+    """
+
+    def __init__(self, batch: Callable[[np.ndarray], np.ndarray]):
+        self.batch = batch
+
+    def __call__(self, x) -> float:
+        return float(self.batch(np.asarray(x, dtype=float)[None])[0])
+
+
+def _pointwise(fn: Callable[[np.ndarray], float]):
+    """The batch form of a plain callable: one call per point, in row
+    order."""
+
+    def batch(points: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, points), dtype=float, count=len(points))
+
+    return batch
+
+
 class Oracle:
     """Wraps ``f: R^d -> R`` behind an evaluation counter and optional budget.
+
+    If ``fn`` has a ``batch`` attribute, ``fn.batch(points)`` must map an
+    (m, d) array of points to their m values; the oracle then evaluates a
+    whole probe batch in one call. A plain callable is evaluated one point
+    at a time. Either way every point is charged the same.
 
     The counter increases by exactly one per scalar query and never decreases.
     Once ``eval_count == budget`` any further query raises
@@ -84,6 +116,7 @@ class Oracle:
         if budget is not None and budget < 1:
             raise ValueError(f"budget must be positive when set, got {budget}")
         self.fn = fn
+        self._batch = getattr(fn, "batch", None) or _pointwise(fn)
         self.dimension = int(dimension)
         self.budget = None if budget is None else int(budget)
         self._count = 0
@@ -93,16 +126,26 @@ class Oracle:
     def eval_count(self) -> int:
         return self._count
 
-    def _charge(self, consumed_in_batch: int = 0):
-        # Check-and-increment under the lock so the budget can never be
-        # overrun by concurrent callers.
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Charge and evaluate the rows of ``points`` in order.
+
+        The whole batch is charged in one locked step, so the budget can
+        never be overrun by concurrent callers. When the budget allows only
+        a prefix of the rows, that prefix is charged and evaluated, and the
+        raised error's ``consumed`` is its length.
+        """
         with self._lock:
-            if self.budget is not None and self._count >= self.budget:
-                raise BudgetExhaustedError(
-                    f"evaluation budget of {self.budget} exhausted",
-                    consumed=consumed_in_batch,
-                )
-            self._count += 1
+            allowed = len(points)
+            if self.budget is not None:
+                allowed = min(allowed, self.budget - self._count)
+            self._count += allowed
+        if allowed < len(points):
+            if allowed:
+                self._batch(points[:allowed])
+            raise BudgetExhaustedError(
+                f"evaluation budget of {self.budget} exhausted",
+                consumed=allowed)
+        return self._batch(points)
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -114,8 +157,7 @@ class Oracle:
     def evaluate(self, x) -> float:
         """Return f(x), charging one evaluation."""
         x = self._check_point(x)
-        self._charge()
-        return float(self.fn(x))
+        return float(self._evaluate(x[None])[0])
 
     def probe_batch(self, x, directions: DirectionSet, mu: float,
                     center: Optional[float] = None) -> ProbeResult:
@@ -126,9 +168,12 @@ class Oracle:
         f(x) from an earlier batch at the same x) skips the center query so
         only ``2r`` evaluations are charged.
 
-        On budget exhaustion mid-batch the partial results are discarded and
-        the raised error's ``consumed`` attribute reports how many
-        evaluations the batch charged before stopping.
+        The points are the rows of one matrix, ordered x (unless ``center``
+        is given), x + mu*u_1, x - mu*u_1, x + mu*u_2, ...; they are charged
+        and evaluated together. On budget exhaustion mid-batch only the
+        leading points the budget allows are charged and evaluated, the
+        partial results are discarded, and the raised error's ``consumed``
+        attribute reports how many evaluations the batch charged.
         """
         if mu <= 0 or not np.isfinite(mu):
             raise ValueError(f"mu must be a positive finite real, got {mu}")
@@ -137,28 +182,21 @@ class Oracle:
             raise ValueError(
                 f"directions have dimension {directions.dimension}, "
                 f"oracle expects {self.dimension}")
-        r = directions.r
-        plus = np.empty(r)
-        minus = np.empty(r)
-        start = self._count
-        try:
-            center_value = self.evaluate(x) if center is None else float(center)
-            # x is checked once above, so the displaced points skip evaluate()
-            for j, step in enumerate(mu * directions.vectors):
-                self._charge()
-                plus[j] = self.fn(x + step)
-                self._charge()
-                minus[j] = self.fn(x - step)
-        except BudgetExhaustedError as exc:
-            raise BudgetExhaustedError(
-                str(exc), consumed=self._count - start) from None
+        first = 1 if center is None else 0
+        steps = mu * directions.vectors
+        points = np.empty((2 * directions.r + first, self.dimension))
+        if center is None:
+            points[0] = x
+        np.add(x, steps, out=points[first::2])
+        np.subtract(x, steps, out=points[first + 1::2])
+        values = self._evaluate(points)
         return ProbeResult(
-            center_value=center_value,
-            plus_values=plus,
-            minus_values=minus,
+            center_value=float(values[0] if center is None else center),
+            plus_values=values[first::2],
+            minus_values=values[first + 1::2],
             mu=float(mu),
             directions=directions,
-            fresh_evals=self._count - start,
+            fresh_evals=len(points),
         )
 
 

@@ -17,7 +17,7 @@ import scipy.sparse
 from scipy.special import expit
 
 from .estimators import directional_curvature, estimate_gradient
-from .oracle import Oracle
+from .oracle import Objective, Oracle
 from .sampling import DirectionSet, RngStream, stiefel_sample
 
 __all__ = [
@@ -27,15 +27,22 @@ __all__ = [
     "check_known_derivatives",
     "load_libsvm",
     "logistic_gap_objective",
+    "logistic_objective",
     "make_cubic_box",
     "make_logistic",
     "make_quadratic",
     "make_synthetic_dataset",
+    "quadratic_objective",
     "random_spd",
 ]
 
 # Datasets are stored dense below this dimension, sparse (CSR) above.
 _DENSE_DIM_LIMIT = 10_000
+
+# A logistic batch forms its (points x samples) margins in row blocks of at
+# most this many bytes, computed in place, so that a probe batch does not
+# raise the peak memory by the size of the whole margin matrix.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -202,6 +209,19 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
                     "with finite differences")
 
 
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def quadratic_objective(a: np.ndarray, b: np.ndarray) -> Objective:
+    """f(x) = 1/2 x^T A x - b^T x."""
+
+    def batch(points):
+        return 0.5 * _rowdot(points @ a, points) - points @ b
+
+    return Objective(batch)
+
+
 def make_quadratic(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     """f(x) = 1/2 x^T A x - b^T x for symmetric positive-definite A.
 
@@ -219,13 +239,9 @@ def make_quadratic(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if eigs[0] <= 0:
         raise ValueError(f"A must be positive definite (min eigenvalue {eigs[0]:.3e})")
     x_star = np.linalg.solve(a, b)
-    f_star = 0.5 * float(x_star @ a @ x_star) - float(b @ x_star)
-
-    def fn(x):
-        return 0.5 * float(x @ a @ x) - float(b @ x)
-
+    fn = quadratic_objective(a, b)
     known = KnownInfo(
-        x_star=x_star, f_star=f_star,
+        x_star=x_star, f_star=fn(x_star),
         gradient=lambda x: a @ x - b,
         hessian=lambda x: a,
         m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0,
@@ -247,8 +263,8 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
         raise ValueError(f"box_radius must be positive, got {box_radius}")
     r = float(box_radius)
 
-    def fn(x):
-        return float(np.sum(x**3 / 3.0 + x**2 / 2.0))
+    def batch(points):
+        return np.sum(points**3 / 3.0 + points**2 / 2.0, axis=1)
 
     m = 1.0 - 2.0 * r
     known = KnownInfo(
@@ -257,19 +273,63 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
         hessian=lambda x: np.diag(2.0 * x + 1.0),
         m=m if m > 0 else None, L1=1.0 + 2.0 * r, L2=2.0,
         domain=f"||x||_inf <= {r}")
-    problem = ProblemSpec(d, fn, known, name="cubic_box")
+    problem = ProblemSpec(d, Objective(batch), known, name="cubic_box")
     check_known_derivatives(problem)
     return problem
+
+
+def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
+    """For every row p of ``points``, the sum over samples i of
+    loss(y_i a_i^T p).
+
+    The margins are formed in row blocks of at most ``_BLOCK_BYTES`` and
+    ``loss`` maps a block in place, so a batch allocates one block buffer.
+    """
+    features_t, labels = dataset.features.T, dataset.labels
+    sparse = scipy.sparse.issparse(features_t)
+    n = len(labels)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    sums = np.empty(len(points))
+    buffer = np.empty((min(rows, len(points)), n))
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        z = buffer[:len(block)]
+        if sparse:
+            z[...] = block @ features_t
+        else:
+            np.matmul(block, features_t, out=z)
+        z *= labels
+        loss(z)
+        z.sum(axis=1, out=sums[start:start + len(block)])
+    return sums
+
+
+def _logistic_loss(z: np.ndarray):
+    """log(1 + exp(-z)), in place."""
+    np.negative(z, out=z)
+    np.logaddexp(0.0, z, out=z)
+
+
+def logistic_objective(dataset: Dataset, ridge: float,
+                       weight: float) -> Objective:
+    """f(x) = weight * sum_i log(1 + exp(-y_i a_i^T x)) + (ridge/2) ||x||^2.
+
+    Weight 1/n gives the full-dataset objective of :func:`make_logistic`;
+    ``fedsim`` gives each client shard weight n_clients/N.
+    """
+
+    def batch(points):
+        return (weight * _sample_sums(points, dataset, _logistic_loss)
+                + 0.5 * ridge * _rowdot(points, points))
+
+    return Objective(batch)
 
 
 def _logistic_parts(dataset: Dataset, ridge: float):
     x_mat = dataset.features
     y = dataset.labels
     n = dataset.n_samples
-
-    def fn(w):
-        z = y * (x_mat @ w)
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * ridge * float(w @ w)
+    fn = logistic_objective(dataset, ridge, 1.0 / n)
 
     def gradient(w):
         z = y * (x_mat @ w)
@@ -295,7 +355,7 @@ def _logistic_parts(dataset: Dataset, ridge: float):
     return fn, gradient, hessian
 
 
-def _estimate_hessian_lipschitz(fn, d: int, center: np.ndarray,
+def _estimate_hessian_lipschitz(fn: Objective, d: int, center: np.ndarray,
                                 radius: float = 0.5, n_samples: int = 200,
                                 h: float = 1e-2, seed: int = 20240501) -> float:
     """Empirical Hessian-Lipschitz constant from directional third differences.
@@ -304,18 +364,18 @@ def _estimate_hessian_lipschitz(fn, d: int, center: np.ndarray,
     largest third central difference; for symmetric third-derivative tensors
     the directional form attains the operator norm, so this is a usable (not
     worst-case) estimate. Logged in the returned value only; callers should
-    treat it as an estimate.
+    treat it as an estimate. Each sample draws u, then the offset of x; all
+    4 * n_samples points are evaluated as one batch.
     """
-    gen = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        u = gen.standard_normal(d)
-        u /= np.linalg.norm(u)
-        x = center + radius * gen.standard_normal(d) / np.sqrt(d)
-        third = (fn(x + 2 * h * u) - 2 * fn(x + h * u)
-                 + 2 * fn(x - h * u) - fn(x - 2 * h * u)) / (2 * h**3)
-        worst = max(worst, abs(third))
-    return 1.5 * worst
+    draws = np.random.default_rng(seed).standard_normal((n_samples, 2, d))
+    u = draws[:, 0]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    x = center + radius * draws[:, 1] / np.sqrt(d)
+    values = fn.batch(np.concatenate(
+        [x + 2 * h * u, x + h * u, x - h * u, x - 2 * h * u]))
+    f2, f1, m1, m2 = values.reshape(4, n_samples)
+    third = (f2 - 2 * f1 + 2 * m1 - m2) / (2 * h**3)
+    return 1.5 * float(np.max(np.abs(third)))
 
 
 def _reference_minimizer(gradient, hessian, d: int,
@@ -377,7 +437,7 @@ def make_logistic(dataset: Dataset, ridge: float,
 
 
 def logistic_gap_objective(dataset: Dataset, ridge: float,
-                           x_star: np.ndarray) -> Callable[[np.ndarray], float]:
+                           x_star: np.ndarray) -> Objective:
     """Logistic objective evaluated as the gap f(x) - f(x_star), computed in
     a cancellation-free form.
 
@@ -389,20 +449,22 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     itself. Same minimizer, derivatives, and regularity constants as the raw
     objective; its optimum value is exactly 0.
     """
-    x_mat = dataset.features
-    y = dataset.labels
     x_star = np.asarray(x_star, dtype=float)
-    z_star = y * (x_mat @ x_star)
-    s_star = expit(-z_star)  # sigma(-z*)
+    s_star = expit(-dataset.labels * (dataset.features @ x_star))  # sigma(-z*)
 
-    def gap(x):
-        w = x - x_star
-        dz = y * (x_mat @ w)
-        per_sample = np.log1p(s_star * np.expm1(-dz))
-        ridge_part = 0.5 * ridge * float(w @ (w + 2.0 * x_star))
-        return float(np.mean(per_sample)) + ridge_part
+    def loss(dz):
+        # log(1 + sigma(-z*) (exp(-dz) - 1)), in place
+        np.negative(dz, out=dz)
+        np.expm1(dz, out=dz)
+        dz *= s_star
+        np.log1p(dz, out=dz)
 
-    return gap
+    def batch(points):
+        w = points - x_star
+        return (_sample_sums(w, dataset, loss) / dataset.n_samples
+                + 0.5 * ridge * _rowdot(w, w + 2.0 * x_star))
+
+    return Objective(batch)
 
 
 def random_spd(d: int, cond: float, rng: RngStream) -> np.ndarray:

@@ -72,6 +72,16 @@ class DirectionSet:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
+    @classmethod
+    def _owned(cls, vectors: np.ndarray, orthonormal: bool) -> "DirectionSet":
+        """A set over ``vectors``, which the caller hands over and built to be
+        unit norm (and orthonormal when flagged); the checks are skipped."""
+        vectors.setflags(write=False)
+        directions = object.__new__(cls)
+        object.__setattr__(directions, "vectors", vectors)
+        object.__setattr__(directions, "orthonormal", orthonormal)
+        return directions
+
     @property
     def r(self) -> int:
         return self.vectors.shape[0]
@@ -110,8 +120,7 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         k = min(d, remaining)
         rows.append(_orthonormal_frame(d, k, gen).T)
         remaining -= k
-    vectors = np.vstack(rows)
-    return DirectionSet(vectors, orthonormal=(r <= d))
+    return DirectionSet._owned(np.vstack(rows), orthonormal=(r <= d))
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -131,4 +140,4 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         bad = norms == 0.0
         vecs[bad] = gen.standard_normal((int(np.sum(bad)), d))
         norms = np.linalg.norm(vecs, axis=1)
-    return DirectionSet(vecs / norms[:, None], orthonormal=False)
+    return DirectionSet._owned(vecs / norms[:, None], orthonormal=False)

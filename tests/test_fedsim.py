@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonewton import (
     ClientNode,
     FederatedObjective,
     FederationConfig,
     FixedDirections,
+    Objective,
     Oracle,
     RngStream,
     SolverConfig,
@@ -18,6 +20,7 @@ from zonewton import (
     make_quadratic,
     make_synthetic_dataset,
     partition_dataset,
+    quadratic_objective,
     random_spd,
     run,
     stiefel_sample,
@@ -257,3 +260,42 @@ class TestFederatedRun:
         trace = federated_run(np.ones(d), clients, config, RngStream(21))
         assert trace.status == STOPPED_BUDGET
         assert len(trace.records) == 1  # first round fits, second aborts
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 6), extra=st.integers(0, 12),
+       batch_form=st.booleans(), seed=st.integers(0, 2**16))
+def test_federated_matches_centralized_at_every_iteration(
+        n, d, extra, batch_form, seed):
+    """Criterion 9 as a property: any client count, dimension and direction
+    count, with client objectives on the batch path or the per-point one."""
+    gen = np.random.default_rng(seed)
+    base = random_spd(d, 5.0, RngStream(seed))
+    fns = []
+    for _ in range(n):
+        e = 0.05 * gen.standard_normal((d, d))
+        fn = quadratic_objective(base + e + e.T, gen.standard_normal(d))
+        fns.append(fn if batch_form else (lambda x, fn=fn: fn(x)))
+
+    def mean_batch(points):
+        # the server's fold: ascending client id, then divide
+        acc = 0.0
+        for fn in fns:
+            acc = acc + (fn.batch(points) if batch_form
+                         else np.array([fn(p) for p in points]))
+        return acc / n
+
+    r = d + extra
+    config = SolverConfig(mu=1e-5, r_policy=FixedDirections(r),
+                          max_iterations=6, lambda_min=0.5, lambda_max=20.0)
+    x0 = np.ones(d)
+    central_oracle = Oracle(Objective(mean_batch), d)
+    central = run(x0, central_oracle, config, RngStream(seed + 1))
+    clients = [ClientNode(i, Oracle(fns[i], d)) for i in range(n)]
+    fed = federated_run(x0, clients, config, RngStream(seed + 1))
+    assert len(central.records) == len(fed.records) == 6
+    for rc, rf in zip(central.records, fed.records):
+        assert np.linalg.norm(rc.x - rf.x) <= 1e-10
+        assert rc.evals == rf.evals
+    assert np.linalg.norm(central.x_final - fed.x_final) <= 1e-10
+    assert fed.extra["client_eval_counts"] == [central_oracle.eval_count] * n

@@ -4,9 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonewton import (
     BudgetExhaustedError,
+    Objective,
     Oracle,
     RngStream,
     deterministic_fd_costs,
@@ -171,3 +173,87 @@ def test_probe_rejects_mismatched_directions():
     directions = stiefel_sample(2, 2, RngStream(7))
     with pytest.raises(ValueError, match="dimension"):
         oracle.probe_batch(np.zeros(3), directions, mu=0.1)
+
+
+class Counting:
+    """f(x) = x . x, counting every point it evaluates; with ``batch_form``
+    it also offers the batch form."""
+
+    def __init__(self, batch_form):
+        self.seen = 0
+        if batch_form:
+            self.batch = self._batch
+
+    def __call__(self, x):
+        self.seen += 1
+        return float(x @ x)
+
+    def _batch(self, points):
+        self.seen += len(points)
+        return np.einsum("ij,ij->i", points, points)
+
+
+def _spend(objective, d, budget, batches):
+    """Probe the batches (r, reuse_center) in order until the budget stops
+    one; returns the oracle, the probe values and the error's consumed."""
+    oracle = Oracle(objective, d, budget=budget)
+    rng = RngStream(d)
+    values = []
+    center = None
+    for r, reuse in batches:
+        directions = stiefel_sample(d, r, rng)
+        try:
+            probe = oracle.probe_batch(np.ones(d), directions, 0.1,
+                                       center=center if reuse else None)
+        except BudgetExhaustedError as exc:
+            return oracle, values, exc.consumed
+        center = probe.center_value
+        values.append((probe.center_value, probe.plus_values,
+                       probe.minus_values))
+    return oracle, values, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4),
+       budget=st.integers(1, 80),
+       batches=st.lists(st.tuples(st.integers(1, 9), st.booleans()),
+                        min_size=1, max_size=6))
+def test_budget_accounting_on_batch_and_pointwise_paths(d, budget, batches):
+    batches = [(r, reuse and k > 0) for k, (r, reuse) in enumerate(batches)]
+    costs = [2 * r + (0 if reuse else 1) for r, reuse in batches]
+    results = []
+    for batch_form in (True, False):
+        objective = Counting(batch_form)
+        oracle, values, consumed = _spend(objective, d, budget, batches)
+        assert oracle.eval_count == min(budget, sum(costs))
+        assert objective.seen == oracle.eval_count
+        done = len(values)
+        if consumed is None:
+            assert done == len(batches) and sum(costs) <= budget
+        else:
+            # the partial batch: what the budget left after the whole ones
+            assert consumed == budget - sum(costs[:done]) < costs[done]
+        results.append((consumed, values))
+    (consumed_b, values_b), (consumed_p, values_p) = results
+    assert consumed_b == consumed_p
+    for got, want in zip(values_b, values_p):
+        assert got[0] == pytest.approx(want[0], rel=1e-13)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-13)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-13)
+
+
+def test_batch_form_gets_the_points_in_probe_order():
+    seen = []
+
+    def batch(points):
+        seen.append(points.copy())
+        return np.zeros(len(points))
+
+    oracle = Oracle(Objective(batch), 2)
+    directions = stiefel_sample(2, 2, RngStream(9))
+    x = np.array([0.5, -1.5])
+    oracle.probe_batch(x, directions, mu=0.25)
+    (points,) = seen
+    steps = 0.25 * directions.vectors
+    expected = [x, x + steps[0], x - steps[0], x + steps[1], x - steps[1]]
+    np.testing.assert_array_equal(points, expected)

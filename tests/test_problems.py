@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zonewton
 from zonewton import (
@@ -16,13 +17,16 @@ from zonewton import (
     gradient_error_bound,
     load_libsvm,
     logistic_gap_objective,
+    logistic_objective,
     make_cubic_box,
     make_logistic,
     make_quadratic,
     make_synthetic_dataset,
+    quadratic_objective,
     random_spd,
     stiefel_sample,
 )
+from zonewton import problems as problems_module
 from zonewton.problems import check_known_derivatives
 
 
@@ -290,3 +294,42 @@ def test_closed_forms_agree_with_finite_differences():
     ]
     for p in problems:
         check_known_derivatives(p, seed=15)
+
+
+# Sample count at which a logistic batch is formed in blocks of 8 rows.
+_EIGHT_ROW_SAMPLES = problems_module._BLOCK_BYTES // (8 * 8)
+
+
+def _objectives(d, seed):
+    gen = np.random.default_rng(seed)
+    data_set = make_synthetic_dataset(_EIGHT_ROW_SAMPLES, d, RngStream(seed))
+    return {
+        "quadratic": quadratic_objective(random_spd(d, 10.0, RngStream(seed)),
+                                         gen.standard_normal(d)),
+        "cubic": make_cubic_box(d, 0.4).fn,
+        "logistic": logistic_objective(data_set, 0.1, 1.0 / len(data_set.labels)),
+        "gap": logistic_gap_objective(data_set, 0.1, gen.standard_normal(d)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), m=st.sampled_from([1, 2, 7, 8, 9, 17, 24]),
+       seed=st.integers(0, 2**16))
+def test_batch_agrees_with_single_point_calls(d, m, seed):
+    points = np.random.default_rng(seed).standard_normal((m, d))
+    for name, fn in _objectives(d, seed).items():
+        batch = fn.batch(points)
+        assert batch.shape == (m,)
+        single = np.array([fn(p) for p in points])
+        # relative, or absolute where a value is below 1
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-13,
+                                   err_msg=name)
+
+
+def test_logistic_objective_weights_the_sample_sum():
+    data_set = make_synthetic_dataset(30, 4, RngStream(16))
+    x = np.random.default_rng(17).standard_normal(4)
+    z = data_set.labels * (data_set.features @ x)
+    expected = 0.7 * np.sum(np.logaddexp(0.0, -z)) + 0.5 * 0.2 * float(x @ x)
+    assert logistic_objective(data_set, 0.2, 0.7)(x) == pytest.approx(
+        expected, rel=1e-14)

@@ -106,6 +106,17 @@ class TestDirectionSet:
         with pytest.raises(ValueError):
             DirectionSet(v, orthonormal=True)
 
+    @pytest.mark.parametrize("d", [1, 7, 200])
+    def test_sampler_output_passes_public_checks(self, d):
+        # samplers skip the constructor's checks; their sets must pass them
+        rng = RngStream(d)
+        for r in (1, d, 2 * d + 1):
+            for ds in (stiefel_sample(d, r, rng),
+                       gaussian_sphere_sample(d, r, rng)):
+                again = DirectionSet(ds.vectors, orthonormal=ds.orthonormal)
+                np.testing.assert_array_equal(again.vectors, ds.vectors)
+        assert stiefel_sample(d, d, rng).orthonormal
+
     def test_vectors_are_read_only(self):
         ds = stiefel_sample(3, 2, RngStream(8))
         with pytest.raises(ValueError):
