@@ -20,7 +20,6 @@ from .fedsim import (
     ClientNode,
     FederatedObjective,
     FederationConfig,
-    federated_probe,
     federated_run,
     partition_dataset,
 )

@@ -70,7 +70,7 @@ class ExperimentConfig:
     max_iters: int = 200
     budget: Optional[int] = None
     seed: int = 0
-    n_clients: int = 1
+    n_clients: Optional[int] = None  # fedrun only; unset: 1
     out_path: Optional[str] = None
 
 
@@ -122,6 +122,7 @@ def _merge_config(args) -> ExperimentConfig:
         if flag is not None:
             setattr(cfg, key, flag)
     _validate_positive(cfg)
+    _reject_unread(cfg, args.command)
     return cfg
 
 
@@ -134,6 +135,21 @@ def _validate_positive(cfg: ExperimentConfig):
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise UsageError(f"unknown {key} '{getattr(cfg, key)}'")
+
+
+def _reject_unread(cfg: ExperimentConfig, command: str):
+    """A setting the command would never read is a usage error, whether it
+    came from a flag or from the config file."""
+    unread = {
+        "r": (cfg.r_policy == "adaptive", "under r_policy = adaptive"),
+        "r_max": (cfg.r_policy == "fixed", "under r_policy = fixed"),
+        "n_clients": (command == "run", "by run, only by fedrun"),
+        "dataset_path": (cfg.problem != "logistic",
+                         f"by the {cfg.problem} problem, only by logistic"),
+    }
+    for key, (ignored, where) in unread.items():
+        if ignored and getattr(cfg, key) is not None:
+            raise UsageError(f"config key '{key}' is not read {where}")
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -225,7 +241,7 @@ def _build_clients(cfg: ExperimentConfig, problem, data):
     client's oracle enforces ``cfg.budget`` on its own evaluations. ``data``
     is the logistic dataset the problem was built from."""
     stream = RngStream(cfg.seed + 2)
-    n = cfg.n_clients
+    n = 1 if cfg.n_clients is None else cfg.n_clients
     d = problem.dimension
     if cfg.problem == "quadratic":
         # Perturb A and b with zero-sum symmetric noise so the client mean

@@ -8,10 +8,14 @@ directions uniform on the sphere) the squared Frobenius error contracts by
 eta = 1 - 2/(d^2 + 2d) per update, and the recursion can be warm-started
 from the previous iterate's estimate.
 
-The gradient is estimated along the first d (orthonormal) probe directions
-by central differences, reusing the Hessian probe values at no extra
-evaluation cost, with deterministic error at most d * L2 * mu^2 / 6 for an
-L2-Hessian-Lipschitz objective.
+A probe batch along a Stiefel set is applied one orthonormal frame at a
+time, each frame as one symmetrised block update; sets of i.i.d.
+directions are applied one rank-one update at a time.
+
+The gradient is estimated along the first frame of d orthonormal probe
+directions by central differences, reusing the Hessian probe values at no
+extra evaluation cost, with deterministic error at most d * L2 * mu^2 / 6
+for an L2-Hessian-Lipschitz objective.
 """
 
 from __future__ import annotations
@@ -88,20 +92,27 @@ class HessianEstimate:
         """Apply a probe batch's r rank-one updates in direction order and
         return their residuals c_j - u_j^T H u_j.
 
-        Along an orthonormal set the updates do not interact: update j
-        leaves u_k^T H u_k unchanged for every k != j. So every residual can
-        be taken from the starting H, and the r updates are one block
-        H + V^T diag(residuals) V, with the directions as the rows of V.
-        Other sets (i.i.d. directions, several concatenated frames) are
-        applied one :meth:`update` at a time.
+        Within an orthonormal frame the updates do not interact: update j
+        leaves u_k^T H u_k unchanged for every other k of the frame. So
+        every residual of a frame can be taken from the H the frame starts
+        from, and its updates are one block H + V^T diag(residuals) V, with
+        the frame's directions as the rows of V. The frames are applied in
+        order. A set with ``frame_size`` 1 is applied one :meth:`update` at
+        a time.
         """
         curvatures = directional_curvature(probe)
         v = probe.directions.vectors
-        if not probe.directions.orthonormal:
+        k = probe.directions.frame_size
+        if k == 1:
             return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
-        residuals = curvatures - np.sum((v @ self.matrix) * v, axis=1)
-        increment = (v.T * residuals) @ v
-        self.matrix += 0.5 * (increment + increment.T)
+        residuals = np.empty(len(v))
+        for start in range(0, len(v), k):
+            frame = slice(start, start + k)
+            u = v[frame]
+            res = curvatures[frame] - np.sum((u @ self.matrix) * u, axis=1)
+            increment = (u.T * res) @ u
+            self.matrix += 0.5 * (increment + increment.T)
+            residuals[frame] = res
         return residuals
 
 
@@ -150,20 +161,22 @@ def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
 
 
 def estimate_gradient(probe: ProbeResult) -> GradientEstimate:
-    """Gradient from the first d orthonormal directions of a probe batch.
+    """Gradient from the first frame of a probe batch, d orthonormal
+    directions.
 
-    g = sum_j (f(x + mu u_j) - f(x - mu u_j)) / (2 mu) * u_j over an
+    g = sum_j (f(x + mu u_j) - f(x - mu u_j)) / (2 mu) * u_j over the
     orthonormal basis u_1..u_d. Consumes zero additional evaluations. Raises
-    when the probe's direction set is not flagged orthonormal or holds fewer
-    than d directions; in that case the caller must enlarge r to at least d.
+    unless the probe's direction set is made of frames of d directions
+    (``frame_size`` d) and holds at least d of them; the caller must then
+    probe a Stiefel set with r at least d.
     """
     ds = probe.directions
     d = ds.dimension
-    if not ds.orthonormal or ds.r < d:
+    if ds.frame_size != d or ds.r < d:
         raise ValueError(
             "gradient reuse needs a full orthonormal basis: probe along at "
-            f"least d={d} orthonormal directions (got r={ds.r}, "
-            f"orthonormal={ds.orthonormal})")
+            f"least d={d} directions in orthonormal frames of d (got "
+            f"r={ds.r}, frame_size={ds.frame_size})")
     coeffs = (probe.plus_values[:d] - probe.minus_values[:d]) / (2.0 * probe.mu)
     g = coeffs @ ds.vectors[:d]
     return GradientEstimate(g)

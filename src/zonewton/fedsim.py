@@ -27,7 +27,6 @@ __all__ = [
     "ClientNode",
     "FederatedObjective",
     "FederationConfig",
-    "federated_probe",
     "federated_run",
     "partition_dataset",
 ]
@@ -117,18 +116,6 @@ def _aggregate(values_per_client) -> np.ndarray:
     return acc / len(values_per_client)
 
 
-def federated_probe(clients, x, directions: DirectionSet,
-                    mu: float) -> ProbeResult:
-    """One probe round: broadcast (x, directions, mu), collect each client's
-    2r+1 scalars, average value-wise in ascending client-id order.
-
-    The result is exactly the centralized probe of the mean objective
-    (1/n) sum_i f_i. Any client failure aborts the round; there is no
-    partial aggregation.
-    """
-    return FederatedObjective(clients).probe_batch(x, directions, mu)
-
-
 class FederatedObjective:
     """Oracle-shaped adapter over a set of clients.
 
@@ -156,6 +143,11 @@ class FederatedObjective:
 
     def probe_batch(self, x, directions: DirectionSet, mu: float,
                     center: Optional[float] = None) -> ProbeResult:
+        """One probe round: broadcast (x, directions, mu), collect each
+        client's scalars, average them value-wise in ascending client-id
+        order. The result is exactly the centralized probe of the mean
+        objective. Any client failure aborts the round; there is no partial
+        aggregation."""
         x = np.asarray(x, dtype=float)
         centers = [None] * self.n_clients
         if center is not None:

@@ -3,8 +3,9 @@
 Every factory returns a :class:`ProblemSpec` whose ``known`` record carries
 the minimizer, optimum value, closed-form derivatives, and the regularity
 constants (strong convexity m, gradient Lipschitz L1, Hessian Lipschitz L2)
-valid on a stated domain. Closed forms are cross-checked against finite
-differences at construction time to guard against transcription errors.
+valid on the domain the factory's docstring states. Closed forms are
+cross-checked against finite differences at construction time to guard
+against transcription errors.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class KnownInfo:
     m: Optional[float] = None
     L1: Optional[float] = None
     L2: Optional[float] = None
-    domain: Optional[str] = None
 
 
 @dataclass
@@ -190,7 +190,7 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
     gen = np.random.default_rng(seed)
     d = problem.dimension
     oracle = Oracle(problem.fn, d)
-    identity = DirectionSet(np.eye(d), orthonormal=True)
+    identity = DirectionSet(np.eye(d), frame_size=d)
     for _ in range(n_points):
         x = gen.standard_normal(d) / np.sqrt(d)
         g_exact = np.asarray(known.gradient(x), dtype=float)
@@ -244,8 +244,7 @@ def make_quadratic(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         x_star=x_star, f_star=fn(x_star),
         gradient=lambda x: a @ x - b,
         hessian=lambda x: a,
-        m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0,
-        domain="all of R^d")
+        m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0)
     problem = ProblemSpec(d, fn, known, name="quadratic")
     check_known_derivatives(problem)
     return problem
@@ -271,8 +270,7 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
         x_star=np.zeros(d), f_star=0.0,
         gradient=lambda x: x**2 + x,
         hessian=lambda x: np.diag(2.0 * x + 1.0),
-        m=m if m > 0 else None, L1=1.0 + 2.0 * r, L2=2.0,
-        domain=f"||x||_inf <= {r}")
+        m=m if m > 0 else None, L1=1.0 + 2.0 * r, L2=2.0)
     problem = ProblemSpec(d, Objective(batch), known, name="cubic_box")
     check_known_derivatives(problem)
     return problem
@@ -402,10 +400,10 @@ def make_logistic(dataset: Dataset, ridge: float,
 
     f(x) = (1/n) sum_i log(1 + exp(-y_i a_i^T x)) + (ridge/2) ||x||^2.
     Known constants: m = ridge, L1 = ridge + (1/(4n)) sum ||a_i||^2; L2 is
-    estimated numerically from sampled directional third differences (an
-    estimate, not an analytic bound). The minimizer is computed by a
-    deterministic Newton solve on the closed-form Hessian to gradient norm
-    <= 1e-13.
+    estimated numerically from directional third differences sampled in the
+    ball of radius 0.5 around x* (an estimate, not an analytic bound). The
+    minimizer is computed by a deterministic Newton solve on the closed-form
+    Hessian to gradient norm <= 1e-13.
     """
     if ridge <= 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
@@ -429,8 +427,7 @@ def make_logistic(dataset: Dataset, ridge: float,
 
     known = KnownInfo(
         x_star=x_star, f_star=f_star, gradient=gradient, hessian=hessian,
-        m=ridge, L1=L1, L2=L2,
-        domain="ball of radius 0.5 around x_star (L2 estimate)")
+        m=ridge, L1=L1, L2=L2)
     problem = ProblemSpec(d, fn, known, name="logistic")
     check_known_derivatives(problem)
     return problem

@@ -47,12 +47,14 @@ class RngStream:
 class DirectionSet:
     """Ordered collection of r unit-norm d-vectors (rows of ``vectors``).
 
-    ``orthonormal`` is True only when the whole set is one orthonormal frame
-    (r <= d); sets built from several concatenated frames leave it False.
+    The rows form consecutive orthonormal frames of ``frame_size`` rows,
+    the last frame possibly shorter. Stiefel sets have ``frame_size`` d;
+    ``frame_size`` 1 claims no orthogonality between directions, as for
+    i.i.d. sphere draws.
     """
 
     vectors: np.ndarray
-    orthonormal: bool = False
+    frame_size: int = 1
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=float)
@@ -62,24 +64,29 @@ class DirectionSet:
         if np.any(np.abs(norms - 1.0) > _NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"directions must be unit norm (worst deviation {worst:.3e})")
-        if self.orthonormal:
-            if v.shape[0] > v.shape[1]:
-                raise ValueError("cannot have more orthonormal directions than the dimension")
-            gram = v @ v.T
-            off = gram - np.eye(v.shape[0])
-            if np.max(np.abs(off)) > _ORTHO_TOL:
-                raise ValueError("orthonormal flag set but directions are not orthonormal")
+        k = self.frame_size
+        if not 1 <= k <= v.shape[1]:
+            raise ValueError(
+                f"frame_size must lie in [1, d={v.shape[1]}], got {k}")
+        if k > 1:
+            for start in range(0, v.shape[0], k):
+                frame = v[start:start + k]
+                off = frame @ frame.T - np.eye(frame.shape[0])
+                if np.max(np.abs(off)) > _ORTHO_TOL:
+                    raise ValueError(
+                        f"the frame at row {start} is not orthonormal")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
     @classmethod
-    def _owned(cls, vectors: np.ndarray, orthonormal: bool) -> "DirectionSet":
+    def _owned(cls, vectors: np.ndarray, frame_size: int) -> "DirectionSet":
         """A set over ``vectors``, which the caller hands over and built to be
-        unit norm (and orthonormal when flagged); the checks are skipped."""
+        unit norm, in orthonormal frames of ``frame_size`` rows; the checks
+        are skipped."""
         vectors.setflags(write=False)
         directions = object.__new__(cls)
         object.__setattr__(directions, "vectors", vectors)
-        object.__setattr__(directions, "orthonormal", orthonormal)
+        object.__setattr__(directions, "frame_size", frame_size)
         return directions
 
     @property
@@ -108,8 +115,8 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     For r <= d the result is a single orthonormal frame whose columns are
     each marginally uniform on the unit sphere. For r > d, ceil(r/d)
     independent frames are generated and concatenated in generation order,
-    the last truncated to the remainder; the orthonormal flag is then False
-    (orthogonality holds only within each frame).
+    the last truncated to the remainder; orthogonality holds within each
+    frame, which the set records as ``frame_size`` d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
@@ -120,7 +127,7 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         k = min(d, remaining)
         rows.append(_orthonormal_frame(d, k, gen).T)
         remaining -= k
-    return DirectionSet._owned(np.vstack(rows), orthonormal=(r <= d))
+    return DirectionSet._owned(np.vstack(rows), frame_size=d)
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -129,7 +136,7 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     Standard normal vectors divided by their norms; zero-norm draws (never
     seen in practice) are redrawn. The directions are not orthogonal, which
     is exactly what the sampling-comparison experiments contrast against
-    :func:`stiefel_sample`.
+    :func:`stiefel_sample`; the set has ``frame_size`` 1.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
@@ -140,4 +147,4 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
         bad = norms == 0.0
         vecs[bad] = gen.standard_normal((int(np.sum(bad)), d))
         norms = np.linalg.norm(vecs, axis=1)
-    return DirectionSet._owned(vecs / norms[:, None], orthonormal=False)
+    return DirectionSet._owned(vecs / norms[:, None], frame_size=1)

@@ -134,14 +134,18 @@ class SolverState:
                    iteration=0, evals=0)
 
 
+# Field metadata of the TraceRecord fields that the CSV trace leaves out.
+_IN_MEMORY = {"csv": False}
+
+
 @dataclass
 class TraceRecord:
     """One iteration's worth of trace data.
 
-    The first twelve fields are the CSV columns; the trailing fields are
-    in-memory extras for the verification harness (the iterate itself, the
-    spectral Hessian error, whether eigenvalue clipping was active, and the
-    stopping-criterion guarantee when it fired).
+    The fields are the CSV columns, in order, except those marked
+    ``_IN_MEMORY``: in-memory extras for the verification harness (the
+    iterate itself, the spectral Hessian error, whether eigenvalue clipping
+    was active, and the stopping-criterion guarantee when it fired).
     """
 
     iteration: int
@@ -156,10 +160,10 @@ class TraceRecord:
     hess_err_fro: Optional[float] = None
     up_scalars: Optional[int] = None
     down_scalars: Optional[int] = None
-    x: Optional[np.ndarray] = None
-    hess_err_spec: Optional[float] = None
-    clipped: Optional[bool] = None
-    zo_bound: Optional[float] = None
+    x: Optional[np.ndarray] = field(default=None, metadata=_IN_MEMORY)
+    hess_err_spec: Optional[float] = field(default=None, metadata=_IN_MEMORY)
+    clipped: Optional[bool] = field(default=None, metadata=_IN_MEMORY)
+    zo_bound: Optional[float] = field(default=None, metadata=_IN_MEMORY)
 
 
 @dataclass

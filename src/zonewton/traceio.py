@@ -1,23 +1,29 @@
 """CSV emission for run traces.
 
-Floats are written with 17 significant digits so the file round-trips 64-bit
-values exactly; columns without ground truth stay empty. Byte-identical
-output for identical traces makes seeded reruns diffable.
+The columns are the :class:`~zonewton.solver.TraceRecord` fields that the
+CSV keeps, in field order, with ``iteration`` written as ``iter``; integer
+fields are written as integers. Floats are written with 17 significant
+digits so the file round-trips 64-bit values exactly; columns without
+ground truth stay empty. Byte-identical output for identical traces makes
+seeded reruns diffable.
 """
 
 from __future__ import annotations
 
-from .solver import RunTrace
+from dataclasses import fields
+from typing import get_args, get_type_hints
+
+from .solver import RunTrace, TraceRecord
 
 __all__ = ["CSV_HEADER", "write_trace_csv"]
 
-CSV_HEADER = ("iter,evals,f_value,f_gap,grad_norm_est,r_used,alpha,"
-              "step_norm,x_err,hess_err_fro,up_scalars,down_scalars")
-
-_INT_FIELDS = ("iteration", "evals", "r_used", "up_scalars", "down_scalars")
-_FIELDS = ("iteration", "evals", "f_value", "f_gap", "grad_norm_est",
-           "r_used", "alpha", "step_norm", "x_err", "hess_err_fro",
-           "up_scalars", "down_scalars")
+_FIELDS = tuple(f.name for f in fields(TraceRecord)
+                if f.metadata.get("csv", True))
+_INT_FIELDS = frozenset(
+    name for name, hint in get_type_hints(TraceRecord).items()
+    if name in _FIELDS and int in (hint, *get_args(hint)))
+CSV_HEADER = ",".join("iter" if name == "iteration" else name
+                      for name in _FIELDS)
 
 
 def _format(name: str, value) -> str:

@@ -146,6 +146,38 @@ def test_dataset_path_rejects_d_below_file_dimension(tmp_path, capsys):
     assert "below the largest index 5" in capsys.readouterr().err
 
 
+class TestUnreadSettings:
+    """A setting the command would never read exits 2 and is named, whether
+    it came from a flag or from the config file."""
+
+    @staticmethod
+    def rejects(tmp_path, capsys, command, flags, key, value):
+        out = tmp_path / "trace.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_flag = [command, *flags, "--" + key.replace("_", "-"), value]
+        from_file = [command, *flags, "--config", str(cfg)]
+        for argv in (from_flag, from_file):
+            assert main(argv + ["--max-iters", "1", "--out", str(out)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_r_under_adaptive_policy(self, tmp_path, capsys):
+        self.rejects(tmp_path, capsys, "run", ["--r-policy", "adaptive"],
+                     "r", "12")
+
+    def test_r_max_under_fixed_policy(self, tmp_path, capsys):
+        self.rejects(tmp_path, capsys, "fedrun", ["--n-clients", "2"],
+                     "r_max", "30")
+
+    def test_n_clients_with_run(self, tmp_path, capsys):
+        self.rejects(tmp_path, capsys, "run", [], "n_clients", "1")
+
+    def test_dataset_path_with_generated_problem(self, tmp_path, capsys):
+        self.rejects(tmp_path, capsys, "run", ["--problem", "quadratic"],
+                     "dataset_path", "/nonexistent")
+
+
 class TestConfigFile:
     def test_values_and_comments(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -219,6 +251,19 @@ def test_compare_sampling_single_direction_fails_threshold(capsys, seed):
 
 
 class TestTraceCsv:
+    def test_header_is_the_documented_one(self):
+        # the literal header of README's trace section
+        assert CSV_HEADER == (
+            "iter,evals,f_value,f_gap,grad_norm_est,r_used,alpha,step_norm,"
+            "x_err,hess_err_fro,up_scalars,down_scalars")
+
+    def test_integer_columns_are_written_as_integers(self, tmp_path):
+        rec = TraceRecord(iteration=2, evals=7.0, f_value=1.0, r_used=3.0,
+                          alpha=1.0, up_scalars=9.0, down_scalars=4.0)
+        path = tmp_path / "t.csv"
+        write_trace_csv(RunTrace([rec], "stopped_max_iter", np.zeros(1)), path)
+        assert path.read_text().splitlines()[1] == "2,7,1,,,3,1,,,,9,4"
+
     def test_empty_trace_is_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace_csv(RunTrace([], "stopped_max_iter", np.zeros(1)), path)

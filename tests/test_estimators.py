@@ -41,7 +41,7 @@ class TestDirectionalCurvature:
 
     def test_quartic_one_dimensional(self):
         oracle = Oracle(lambda x: float(x[0] ** 4), 1)
-        basis = DirectionSet(np.array([[1.0]]), orthonormal=True)
+        basis = DirectionSet(np.array([[1.0]]), frame_size=1)
         probe = oracle.probe_batch(np.array([1.0]), basis, mu=0.1)
         assert directional_curvature(probe, 0) == pytest.approx(12.02, abs=1e-9)
 
@@ -104,10 +104,11 @@ class TestRankOneUpdate:
 
 @st.composite
 def frame_probes(draw):
-    """A symmetric warm start and a probe batch along a Stiefel frame whose
-    second differences are exactly the drawn curvatures (mu = 1, f0 = 0)."""
+    """A symmetric warm start and a probe batch along a Stiefel set of up to
+    three frames whose second differences are exactly the drawn curvatures
+    (mu = 1, f0 = 0)."""
     d = draw(st.integers(1, 12))
-    r = draw(st.integers(1, d))
+    r = draw(st.integers(1, 3 * d))
     values = st.floats(-100.0, 100.0)
     w = draw(arrays(float, (d, d), elements=values))
     c = draw(arrays(float, r, elements=values))
@@ -127,15 +128,22 @@ class TestApplyProbe:
         residuals = est.apply_probe(probe)
         h = est.matrix
         v = probe.directions.vectors
+        k = probe.directions.frame_size
+        # H matches every direction of the last frame, and the first
+        # frame's residuals are taken from the warm start
+        last, first = v[(probe.r - 1) // k * k:], v[:k]
         scale = 1.0 + np.linalg.norm(warm) + np.linalg.norm(c)
-        np.testing.assert_allclose(np.sum((v @ h) * v, axis=1), c,
-                                   rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(residuals, c - np.sum((v @ warm) * v, axis=1),
-                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.sum((last @ h) * last, axis=1),
+                                   c[-len(last):], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            residuals[:k], c[:k] - np.sum((first @ warm) * first, axis=1),
+            rtol=0, atol=1e-12 * scale)
         assert np.array_equal(h, h.T)
         sequential = HessianEstimate(warm)
-        for j in range(probe.r):
-            sequential.update(v[j], directional_curvature(probe, j))
+        want_residuals = [sequential.update(u, directional_curvature(probe, j))
+                          for j, u in enumerate(v)]
+        np.testing.assert_allclose(residuals, want_residuals,
+                                   rtol=0, atol=1e-12 * scale)
         seq = sequential.matrix
         assert np.linalg.norm(h - seq) <= 1e-13 * max(
             np.linalg.norm(seq), np.linalg.norm(warm))
@@ -158,7 +166,7 @@ class TestEstimateHessian:
     def test_exact_on_diagonal_quadratic_with_canonical_basis(self):
         a = np.diag([2.0, 4.0])
         oracle = quad_oracle(a)
-        basis = DirectionSet(np.eye(2), orthonormal=True)
+        basis = DirectionSet(np.eye(2), frame_size=2)
         est, probe = estimate_hessian(oracle, np.array([0.5, -1.0]), basis,
                                       mu=0.3)
         np.testing.assert_allclose(est.matrix, a, atol=1e-10)
@@ -205,7 +213,7 @@ class TestEstimateGradient:
         # f(x) = x^3 in 1-d: error (1.331 - 0.729)/0.2 - 3 = 0.01 equals
         # the bound with L2 = 6 (third derivative constant), mu = 0.1.
         oracle = Oracle(lambda x: float(x[0] ** 3), 1)
-        basis = DirectionSet(np.array([[1.0]]), orthonormal=True)
+        basis = DirectionSet(np.array([[1.0]]), frame_size=1)
         probe = oracle.probe_batch(np.array([1.0]), basis, mu=0.1)
         g = estimate_gradient(probe).g[0]
         assert g == pytest.approx(3.01, abs=1e-12)
@@ -224,6 +232,20 @@ class TestEstimateGradient:
         probe = oracle.probe_batch(np.zeros(3), directions, mu=0.1)
         with pytest.raises(ValueError, match="orthonormal"):
             estimate_gradient(probe)
+
+    def test_reads_the_first_frame_of_a_multi_frame_set(self):
+        d = 4
+        fn = lambda x: float(np.sum(np.sin(x)))
+        x = np.array([0.3, -1.2, 2.0, 0.7])
+        directions = stiefel_sample(d, 2 * d + 1, RngStream(14))
+        probe = Oracle(fn, d).probe_batch(x, directions, mu=0.1)
+        first = DirectionSet(directions.vectors[:d], frame_size=d)
+        want = estimate_gradient(Oracle(fn, d).probe_batch(x, first, mu=0.1))
+        np.testing.assert_allclose(estimate_gradient(probe).g, want.g,
+                                   rtol=1e-15, atol=0)
+        # f has Hessian-Lipschitz constant 1
+        assert np.linalg.norm(want.g - np.cos(x)) <= gradient_error_bound(
+            d, 1.0, 0.1)
 
     def test_requires_full_dimension(self):
         oracle = Oracle(lambda x: 0.0, 3)

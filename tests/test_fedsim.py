@@ -14,7 +14,6 @@ from zonewton import (
     RngStream,
     SolverConfig,
     estimate_hessian,
-    federated_probe,
     federated_run,
     make_logistic,
     make_quadratic,
@@ -112,7 +111,7 @@ class TestFederatedProbe:
         directions = stiefel_sample(d, d, RngStream(5))
         x = np.array([0.1, 0.2, 0.3])
         want = central.probe_batch(x, directions, mu=0.05)
-        got = federated_probe([client], x, directions, mu=0.05)
+        got = FederatedObjective([client]).probe_batch(x, directions, mu=0.05)
         assert got.center_value == want.center_value
         np.testing.assert_array_equal(got.plus_values, want.plus_values)
         np.testing.assert_array_equal(got.minus_values, want.minus_values)
@@ -123,7 +122,7 @@ class TestFederatedProbe:
         clients = [ClientNode(i, Oracle(fn, d)) for i in range(4)]
         directions = stiefel_sample(d, d, RngStream(6))
         x = np.array([0.5, -0.5])
-        got = federated_probe(clients, x, directions, mu=0.1)
+        got = FederatedObjective(clients).probe_batch(x, directions, mu=0.1)
         want = Oracle(fn, d).probe_batch(x, directions, mu=0.1)
         np.testing.assert_allclose(got.plus_values, want.plus_values,
                                    rtol=1e-15)
@@ -133,7 +132,8 @@ class TestFederatedProbe:
         clients, problem, _ = quadratic_clients(n, d, seed=7)
         directions = stiefel_sample(d, 2 * d, RngStream(8))
         x = np.zeros(d)
-        fed_probe = federated_probe(clients, x, directions, mu=1e-3)
+        fed_probe = FederatedObjective(clients).probe_batch(x, directions,
+                                                            mu=1e-3)
         central_oracle = problem.make_oracle()
         central_est, central_probe = estimate_hessian(
             central_oracle, x, directions, mu=1e-3)
@@ -151,8 +151,8 @@ class TestFederatedProbe:
         fn = lambda x: 0.0
         clients = [ClientNode(1, Oracle(fn, 2)), ClientNode(1, Oracle(fn, 2))]
         with pytest.raises(ValueError, match="duplicate"):
-            federated_probe(clients, np.zeros(2),
-                            stiefel_sample(2, 2, RngStream(9)), 0.1)
+            FederatedObjective(clients).probe_batch(
+                np.zeros(2), stiefel_sample(2, 2, RngStream(9)), 0.1)
 
 
 class TestFederatedObjective:
@@ -244,7 +244,8 @@ class TestFederatedRun:
         assert not hasattr(clients[0].oracle, "gradient")
         assert not hasattr(clients[0].oracle, "hessian")
         directions = stiefel_sample(d, d, RngStream(30))
-        probe = federated_probe(clients, np.ones(d), directions, mu=0.1)
+        probe = FederatedObjective(clients).probe_batch(np.ones(d), directions,
+                                                        mu=0.1)
         boundary_values = ([probe.center_value] + list(probe.plus_values)
                            + list(probe.minus_values))
         assert sorted(boundary_values) == sorted(seen)

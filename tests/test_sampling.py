@@ -20,12 +20,12 @@ class TestStiefelSample:
     def test_single_direction_is_unit(self):
         ds = stiefel_sample(3, 1, RngStream(1))
         assert abs(np.linalg.norm(ds.vectors[0]) - 1.0) <= 1e-12
-        assert ds.orthonormal
+        assert ds.frame_size == 3
 
     def test_more_directions_than_dimension_uses_blocks(self):
         ds = stiefel_sample(3, 5, RngStream(2))
         assert ds.vectors.shape == (5, 3)
-        assert not ds.orthonormal
+        assert ds.frame_size == 3
         first, second = ds.vectors[:3], ds.vectors[3:]
         assert np.linalg.norm(first @ first.T - np.eye(3)) <= 1e-10
         assert np.linalg.norm(second @ second.T - np.eye(2)) <= 1e-10
@@ -60,7 +60,7 @@ class TestGaussianSphereSample:
         ds = gaussian_sphere_sample(5, 3, RngStream(3))
         np.testing.assert_allclose(np.linalg.norm(ds.vectors, axis=1), 1.0,
                                    atol=1e-12)
-        assert not ds.orthonormal
+        assert ds.frame_size == 1
 
     def test_one_dimensional_signs(self):
         ds = gaussian_sphere_sample(1, 2, RngStream(4))
@@ -97,14 +97,27 @@ class TestDirectionSet:
             DirectionSet(np.array([[1.0, 1.0]]))
 
     def test_rejects_false_orthonormal_flag(self):
+        # a frame of size 2 whose rows are not orthogonal, first or later
         v = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        with pytest.raises(ValueError):
-            DirectionSet(v, orthonormal=True)
+        with pytest.raises(ValueError, match="row 0"):
+            DirectionSet(v, frame_size=2)
+        with pytest.raises(ValueError, match="row 2"):
+            DirectionSet(np.vstack([np.eye(2), v]), frame_size=2)
+        DirectionSet(v, frame_size=1)  # one-row frames claim nothing
 
     def test_rejects_overfull_orthonormal_flag(self):
+        # frame_size must lie in [1, d]
         v = np.array([[1.0], [-1.0]])
-        with pytest.raises(ValueError):
-            DirectionSet(v, orthonormal=True)
+        for size in (0, 2):
+            with pytest.raises(ValueError, match="frame_size"):
+                DirectionSet(v, frame_size=size)
+        with pytest.raises(ValueError, match="frame_size"):
+            DirectionSet(np.eye(3), frame_size=4)
+
+    def test_frames_may_repeat_and_the_last_be_short(self):
+        v = np.vstack([np.eye(3), -np.eye(3), np.eye(3)[:1]])
+        assert DirectionSet(v, frame_size=3).frame_size == 3
+        assert DirectionSet(np.eye(3)[:2], frame_size=3).r == 2
 
     @pytest.mark.parametrize("d", [1, 7, 200])
     def test_sampler_output_passes_public_checks(self, d):
@@ -113,9 +126,9 @@ class TestDirectionSet:
         for r in (1, d, 2 * d + 1):
             for ds in (stiefel_sample(d, r, rng),
                        gaussian_sphere_sample(d, r, rng)):
-                again = DirectionSet(ds.vectors, orthonormal=ds.orthonormal)
+                again = DirectionSet(ds.vectors, frame_size=ds.frame_size)
                 np.testing.assert_array_equal(again.vectors, ds.vectors)
-        assert stiefel_sample(d, d, rng).orthonormal
+        assert stiefel_sample(d, 2 * d + 1, rng).frame_size == d
 
     def test_vectors_are_read_only(self):
         ds = stiefel_sample(3, 2, RngStream(8))
