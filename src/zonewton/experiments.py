@@ -91,6 +91,8 @@ def rate_verification(d: int, trials: int, seed: int, mu: float = 1e-6,
     the origin; mean squared Frobenius errors are averaged across trials and
     every consecutive ratio must stay below eta * (1 + slack).
     """
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     eta = update_rate_bound(d)
     a = random_spd(d, cond=3.0, rng=RngStream(seed))
     problem = make_quadratic(a, np.zeros(d))
@@ -148,6 +150,8 @@ def gradient_bound_verification(seed: int, d: int = 4,
     bases. Zero violations are allowed; a rounding slack of
     1e-12 * (1 + ||grad f||) absorbs floating-point noise.
     """
+    if n_points < 1:
+        raise ValueError(f"need at least 1 point, got {n_points}")
     problem = make_cubic_box(d, box_radius)
     grad = problem.known.gradient
     L2 = problem.known.L2

@@ -40,8 +40,9 @@ __all__ = [
 # Datasets are stored dense below this dimension, sparse (CSR) above.
 _DENSE_DIM_LIMIT = 10_000
 
-# A logistic batch forms its (points x samples) margins in row blocks of at
-# most this many bytes, computed in place, so that a probe batch does not
+# A logistic batch forms its (points x samples) margins in row blocks, and
+# its loss needs one scratch block of the same shape. Margins and scratch
+# together take at most this many bytes, so that a probe batch does not
 # raise the peak memory by the size of the whole margin matrix.
 _BLOCK_BYTES = 1 << 20
 
@@ -276,19 +277,28 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
     return problem
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block of a batch over n samples: two float blocks of this
+    many rows, the margins and the loss scratch, fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * n))
+
+
 def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     """For every row p of ``points``, the sum over samples i of
     loss(y_i a_i^T p).
 
-    The margins are formed in row blocks of at most ``_BLOCK_BYTES`` and
-    ``loss`` maps a block in place, so a batch allocates one block buffer.
+    The margins are formed in row blocks of ``_block_rows(n)`` rows, and
+    ``loss(z, scratch)`` maps a block in place, given a scratch block of the
+    same shape; so a batch allocates two block buffers, within
+    ``_BLOCK_BYTES``.
     """
     features_t, labels = dataset.features.T, dataset.labels
     sparse = scipy.sparse.issparse(features_t)
     n = len(labels)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = _block_rows(n)
     sums = np.empty(len(points))
-    buffer = np.empty((min(rows, len(points)), n))
+    shape = (min(rows, len(points)), n)
+    buffer, scratch = np.empty(shape), np.empty(shape)
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
         z = buffer[:len(block)]
@@ -297,15 +307,25 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
         else:
             np.matmul(block, features_t, out=z)
         z *= labels
-        loss(z)
+        loss(z, scratch[:len(block)])
         z.sum(axis=1, out=sums[start:start + len(block)])
     return sums
 
 
-def _logistic_loss(z: np.ndarray):
-    """log(1 + exp(-z)), in place."""
+def _logistic_loss(z: np.ndarray, scratch: np.ndarray):
+    """log(1 + exp(-z)), in place, as max(-z, 0) + log1p(exp(-|z|)).
+
+    The stable softplus form that ``np.logaddexp(0, -z)`` evaluates one
+    element at a time, here as whole-array ufunc calls. ``np.maximum``
+    propagates NaN, so a NaN margin gives a NaN loss.
+    """
+    np.abs(z, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
     np.negative(z, out=z)
-    np.logaddexp(0.0, z, out=z)
+    np.maximum(z, 0.0, out=z)
+    z += scratch
 
 
 def logistic_objective(dataset: Dataset, ridge: float,
@@ -449,7 +469,7 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     x_star = np.asarray(x_star, dtype=float)
     s_star = expit(-dataset.labels * (dataset.features @ x_star))  # sigma(-z*)
 
-    def loss(dz):
+    def loss(dz, _scratch):
         # log(1 + sigma(-z*) (exp(-dz) - 1)), in place
         np.negative(dz, out=dz)
         np.expm1(dz, out=dz)

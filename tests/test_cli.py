@@ -229,6 +229,18 @@ def test_verify_lemma1(capsys):
     assert "violations=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-rate", "--d", "3", "--trials", "0"],
+    ["verify-lemma1", "--points", "0"],
+])
+def test_verify_gate_with_nothing_to_check_is_usage_error(capsys, argv):
+    # a gate that checked nothing must neither pass nor report a nan ratio
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "nan" not in captured.out
+    assert "error: need at least 1" in captured.err
+
+
 def test_compare_sampling_degenerate_case_completes(capsys):
     # with d = r = 1 both samplers recover the 1x1 Hessian to rounding, so
     # no 5% advantage exists; the run must still complete and print both means

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import zonewton
 from zonewton import (
+    FixedDirections,
     Oracle,
     RngStream,
+    SolverConfig,
     estimate_gradient,
     gradient_error_bound,
     load_libsvm,
@@ -24,10 +26,12 @@ from zonewton import (
     make_synthetic_dataset,
     quadratic_objective,
     random_spd,
+    run,
     stiefel_sample,
 )
 from zonewton import problems as problems_module
 from zonewton.problems import check_known_derivatives
+from zonewton.solver import STOPPED_NUMERICAL
 
 
 class TestQuadratic:
@@ -297,7 +301,8 @@ def test_closed_forms_agree_with_finite_differences():
 
 
 # Sample count at which a logistic batch is formed in blocks of 8 rows.
-_EIGHT_ROW_SAMPLES = problems_module._BLOCK_BYTES // (8 * 8)
+_EIGHT_ROW_SAMPLES = problems_module._block_rows(1) // 8
+assert problems_module._block_rows(_EIGHT_ROW_SAMPLES) == 8
 
 
 def _objectives(d, seed):
@@ -333,3 +338,36 @@ def test_logistic_objective_weights_the_sample_sum():
     expected = 0.7 * np.sum(np.logaddexp(0.0, -z)) + 0.5 * 0.2 * float(x @ x)
     assert logistic_objective(data_set, 0.2, 0.7)(x) == pytest.approx(
         expected, rel=1e-14)
+
+
+_margins = st.one_of(
+    st.floats(1e-3, 800.0),
+    st.floats(-800.0, -1e-3),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_margins, min_size=1, max_size=40))
+def test_logistic_loss_matches_logaddexp(values):
+    z = np.array(values)[None, :]
+    out = z.copy()
+    problems_module._logistic_loss(out, np.empty_like(out))
+    with np.errstate(invalid="ignore"):
+        ref = np.logaddexp(0.0, -z)
+    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+    np.testing.assert_allclose(out[normal], ref[normal], rtol=1e-15, atol=0)
+    infinite = np.isinf(z)
+    np.testing.assert_array_equal(out[infinite], ref[infinite])
+    assert np.array_equal(np.isnan(out), np.isnan(z))
+
+
+def test_nan_coordinate_stops_logistic_run_numerical():
+    data_set = make_synthetic_dataset(50, 3, RngStream(18))
+    oracle = Oracle(logistic_objective(data_set, 0.1, 1.0 / 50), 3)
+    config = SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
+                          max_iterations=5)
+    trace = run(np.array([0.1, np.nan, -0.2]), oracle, config, RngStream(19))
+    assert trace.status == STOPPED_NUMERICAL
+    assert len(trace.records) == 1
+    assert np.isnan(trace.records[0].f_value)
