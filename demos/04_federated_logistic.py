@@ -25,9 +25,8 @@ data = make_synthetic_dataset(n_samples, d, RngStream(5))
 problem = make_logistic(data, ridge, estimate_l2=False)
 known = problem.known
 
-clients = partition_dataset(
-    data, FederationConfig(n_clients, partition="iid-shuffle"),
-    RngStream(6), ridge=ridge)
+clients = partition_dataset(data, FederationConfig(n_clients), RngStream(6),
+                            ridge=ridge)
 print(f"{n_samples} samples split across {n_clients} clients "
       f"(client mean objective == full-dataset objective)\n")
 

@@ -260,8 +260,7 @@ def _build_clients(cfg: ExperimentConfig, problem, data):
                                      b + shifts[i] - mean_shift)
             clients.append(ClientNode(i, Oracle(fn, d, budget=cfg.budget)))
         return clients
-    fed_config = FederationConfig(n_clients=n, partition="iid-shuffle")
-    shards = partition_dataset(data, fed_config, stream, ridge=0.1)
+    shards = partition_dataset(data, FederationConfig(n), stream, ridge=0.1)
     return [ClientNode(c.client_id, Oracle(c.oracle.fn, d, budget=cfg.budget))
             for c in shards]
 

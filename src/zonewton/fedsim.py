@@ -4,8 +4,10 @@ A server orchestrates n clients, each holding a local objective f_i; the
 global objective is their average. Because finite differences are linear in
 the objective, the server can broadcast the probe points, collect each
 client's raw scalar values, and average them value-wise: the aggregated
-probe is exactly the centralized probe of the mean objective. Nothing but
-scalar function values ever leaves a client.
+probe is exactly the centralized probe of the mean objective. So the server
+is itself an :class:`~zonewton.oracle.Oracle` whose objective is that mean,
+and probe points, center reuse and evaluation accounting are the oracle's.
+Nothing but scalar function values ever leaves a client.
 
 Aggregation folds client values in ascending client-id order (no pairwise or
 tree reduction), so federated runs are bit-stable and reproducible.
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import Oracle, ProbeResult
+from .oracle import Objective, Oracle, ProbeResult
 from .problems import Dataset, logistic_objective
 from .sampling import DirectionSet, RngStream
 from .solver import RunTrace, SolverConfig, run as solver_run
@@ -42,21 +44,17 @@ class ClientNode:
 
 @dataclass
 class FederationConfig:
-    """How to split a dataset across clients.
+    """How many clients to split a dataset across.
 
-    ``partition`` is "iid-shuffle" (seeded permutation, then an even split
-    with the remainder going to the lowest ids) or "contiguous" (file
-    order). Aggregation order is always ascending client id.
+    The split is a seeded permutation, then an even split with the remainder
+    going to the lowest ids. Aggregation order is always ascending client id.
     """
 
     n_clients: int
-    partition: str = "iid-shuffle"
 
     def __post_init__(self):
         if self.n_clients < 1:
             raise ValueError(f"n_clients must be positive, got {self.n_clients}")
-        if self.partition not in ("iid-shuffle", "contiguous"):
-            raise ValueError(f"unknown partition policy {self.partition!r}")
 
 
 def _split_sizes(n_samples: int, n_clients: int) -> list:
@@ -78,10 +76,7 @@ def partition_dataset(dataset: Dataset, config: FederationConfig,
     if config.n_clients > n:
         raise ValueError(
             f"cannot split {n} samples across {config.n_clients} clients")
-    if config.partition == "iid-shuffle":
-        order = rng.generator.permutation(n)
-    else:
-        order = np.arange(n)
+    order = rng.generator.permutation(n)
     sizes = _split_sizes(n, config.n_clients)
     clients = []
     offset = 0
@@ -110,29 +105,29 @@ def _check_clients(clients) -> list:
 def _aggregate(values_per_client) -> np.ndarray:
     """Sequential mean in client order; summation order is part of the
     protocol, so no pairwise reduction."""
-    acc = np.zeros_like(np.asarray(values_per_client[0], dtype=float))
+    acc = np.zeros_like(values_per_client[0], dtype=float)
     for value in values_per_client:
         acc = acc + value
     return acc / len(values_per_client)
 
 
-class FederatedObjective:
-    """Oracle-shaped adapter over a set of clients.
+class FederatedObjective(Oracle):
+    """The server: an :class:`Oracle` over the mean of the client objectives.
 
-    ``eval_count`` counts logical evaluations of the mean objective (one per
-    aggregated scalar), which makes federated traces line up with their
-    centralized twins; each client's own counter tracks its local cost.
-    Center-value reuse works per client: the adapter caches the last probe
-    point's per-client centers, so a follow-up batch at the same point skips
-    every client's center query.
+    Its objective's ``batch`` broadcasts one point matrix to every client,
+    each client charges and evaluates it through its own oracle, and the
+    returned values are folded in ascending client-id order. Probe points,
+    center reuse and the server's ``eval_count`` (evaluations of the mean
+    objective, which lines federated traces up with their centralized twins)
+    are the oracle's own; each client's counter tracks its local cost. When
+    a client's budget aborts a round, the server has already charged the
+    whole round.
     """
 
     def __init__(self, clients):
         self._clients = _check_clients(clients)
-        self.dimension = self._clients[0].oracle.dimension
-        self.eval_count = 0
-        self._cached_point = None
-        self._cached_centers = None
+        super().__init__(Objective(self.batch),
+                         self._clients[0].oracle.dimension)
 
     @property
     def n_clients(self) -> int:
@@ -141,6 +136,12 @@ class FederatedObjective:
     def client_eval_counts(self) -> list:
         return [c.oracle.eval_count for c in self._clients]
 
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """Mean client value at each row of ``points``; a client failure
+        propagates, so a round is never partially aggregated."""
+        return _aggregate([c.oracle.evaluate_points(points)
+                           for c in self._clients])
+
     def probe_batch(self, x, directions: DirectionSet, mu: float,
                     center: Optional[float] = None) -> ProbeResult:
         """One probe round: broadcast (x, directions, mu), collect each
@@ -148,27 +149,7 @@ class FederatedObjective:
         order. The result is exactly the centralized probe of the mean
         objective. Any client failure aborts the round; there is no partial
         aggregation."""
-        x = np.asarray(x, dtype=float)
-        centers = [None] * self.n_clients
-        if center is not None:
-            if (self._cached_point is None
-                    or not np.array_equal(self._cached_point, x)):
-                raise ValueError(
-                    "center reuse is only valid at the most recently probed "
-                    "point; probe without a center first")
-            centers = self._cached_centers
-        probes = [client.oracle.probe_batch(x, directions, mu, center=c)
-                  for client, c in zip(self._clients, centers)]
-        if center is None:
-            self._cached_point = x.copy()
-            self._cached_centers = [p.center_value for p in probes]
-        fresh = 2 * directions.r + (1 if center is None else 0)
-        self.eval_count += fresh
-        return ProbeResult(
-            center_value=float(_aggregate([p.center_value for p in probes])),
-            plus_values=_aggregate([p.plus_values for p in probes]),
-            minus_values=_aggregate([p.minus_values for p in probes]),
-            mu=float(mu), directions=directions, fresh_evals=fresh)
+        return super().probe_batch(x, directions, mu, center)
 
 
 def federated_run(x0, clients, config: SolverConfig, rng: RngStream,

@@ -44,8 +44,7 @@ class ProbeResult:
 
     ``plus_values[j]`` and ``minus_values[j]`` are f(x + mu*u_j) and
     f(x - mu*u_j) for the j-th direction; ``center_value`` is f(x), shared by
-    all directions of the batch. ``fresh_evals`` is the number of evaluations
-    this batch actually charged (2r+1, or 2r when a known center was reused).
+    all directions of the batch.
     """
 
     center_value: float
@@ -53,7 +52,6 @@ class ProbeResult:
     minus_values: np.ndarray
     mu: float
     directions: DirectionSet
-    fresh_evals: int
 
     def __post_init__(self):
         self.plus_values = np.asarray(self.plus_values, dtype=float)
@@ -126,8 +124,9 @@ class Oracle:
     def eval_count(self) -> int:
         return self._count
 
-    def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Charge and evaluate the rows of ``points`` in order.
+    def evaluate_points(self, points: np.ndarray) -> np.ndarray:
+        """Charge and evaluate the rows of an (m, d) array ``points`` in
+        order; every query of the oracle goes through here.
 
         The whole batch is charged in one locked step, so the budget can
         never be overrun by concurrent callers. When the budget allows only
@@ -157,7 +156,7 @@ class Oracle:
     def evaluate(self, x) -> float:
         """Return f(x), charging one evaluation."""
         x = self._check_point(x)
-        return float(self._evaluate(x[None])[0])
+        return float(self.evaluate_points(x[None])[0])
 
     def probe_batch(self, x, directions: DirectionSet, mu: float,
                     center: Optional[float] = None) -> ProbeResult:
@@ -189,14 +188,13 @@ class Oracle:
             points[0] = x
         np.add(x, steps, out=points[first::2])
         np.subtract(x, steps, out=points[first + 1::2])
-        values = self._evaluate(points)
+        values = self.evaluate_points(points)
         return ProbeResult(
             center_value=float(values[0] if center is None else center),
             plus_values=values[first::2],
             minus_values=values[first + 1::2],
             mu=float(mu),
             directions=directions,
-            fresh_evals=len(points),
         )
 
 

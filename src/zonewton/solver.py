@@ -89,7 +89,6 @@ class SolverConfig:
     lambda_min: float = 1e-6
     lambda_max: float = 1e6
     max_iterations: int = 100
-    L0: Optional[float] = None
     L1: Optional[float] = None
     L2: Optional[float] = None
     m: Optional[float] = None
@@ -113,7 +112,7 @@ class SolverConfig:
         if self.alpha is not None:
             return self.alpha
         if self.L1 is not None:
-            return self.lambda_min / self.L1
+            return optimal_stepsize(self.lambda_min, self.L1)
         return 1.0
 
 
@@ -122,7 +121,6 @@ class SolverState:
     x: np.ndarray
     hessian: HessianEstimate
     iteration: int
-    evals: int
     status: str = RUNNING
 
     @classmethod
@@ -130,8 +128,7 @@ class SolverState:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (d,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({d},)")
-        return cls(x=x0.copy(), hessian=HessianEstimate.zero(d),
-                   iteration=0, evals=0)
+        return cls(x=x0.copy(), hessian=HessianEstimate.zero(d), iteration=0)
 
 
 # Field metadata of the TraceRecord fields that the CSV trace leaves out.
@@ -315,8 +312,7 @@ def _numerical_stop(state: SolverState, evals: int, f_value: float,
     x = state.x
     new_state = SolverState(
         x=x.copy(), hessian=state.hessian,
-        iteration=state.iteration + 1, evals=evals,
-        status=STOPPED_NUMERICAL)
+        iteration=state.iteration + 1, status=STOPPED_NUMERICAL)
     record = TraceRecord(
         iteration=state.iteration, evals=evals, f_value=f_value,
         r_used=r_used, x=x.copy())
@@ -358,8 +354,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         if bound is not None:
             new_state = SolverState(
                 x=x.copy(), hessian=hess,
-                iteration=state.iteration + 1, evals=oracle.eval_count,
-                status=STOPPED_ZO_FLOOR)
+                iteration=state.iteration + 1, status=STOPPED_ZO_FLOOR)
             record = TraceRecord(
                 iteration=state.iteration, evals=oracle.eval_count,
                 f_value=probe.center_value, grad_norm_est=g_norm,
@@ -393,9 +388,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     x_new = newton_step(x, z, grad.g, alpha)
 
     new_state = SolverState(
-        x=x_new, hessian=hess,
-        iteration=state.iteration + 1, evals=oracle.eval_count,
-        status=RUNNING)
+        x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING)
     record = TraceRecord(
         iteration=state.iteration, evals=oracle.eval_count,
         f_value=probe.center_value, grad_norm_est=g_norm, r_used=r_k,

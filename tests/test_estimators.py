@@ -114,8 +114,7 @@ def frame_probes(draw):
     c = draw(arrays(float, r, elements=values))
     frame = stiefel_sample(d, r, RngStream(draw(st.integers(0, 2**32 - 1))))
     probe = ProbeResult(center_value=0.0, plus_values=c / 2,
-                        minus_values=c / 2, mu=1.0, directions=frame,
-                        fresh_evals=2 * r + 1)
+                        minus_values=c / 2, mu=1.0, directions=frame)
     return w + w.T, c, probe
 
 
