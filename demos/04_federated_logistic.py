@@ -22,7 +22,7 @@ from zonewton import (
 
 n_samples, d, ridge, n_clients = 200, 10, 0.1, 5
 data = make_synthetic_dataset(n_samples, d, RngStream(5))
-problem = make_logistic(data, ridge, estimate_l2=False)
+problem = make_logistic(data, ridge)
 known = problem.known
 
 clients = partition_dataset(data, FederationConfig(n_clients), RngStream(6),
@@ -34,7 +34,7 @@ r = 30
 config = SolverConfig(
     mu=1e-7, r_policy=FixedDirections(r), alpha=1.0,
     lambda_min=0.02, lambda_max=1e4, max_iterations=25,
-    L1=known.L1, m=known.m, stop_on_zo_floor=False)
+    L1=known.L1, m=known.m)
 trace = federated_run(np.zeros(d), clients, config, RngStream(7),
                       x_star=known.x_star, f_star=known.f_star)
 

@@ -360,8 +360,7 @@ def quadratic_rate_verification(seed: int, n: int = 200, d: int = 10,
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d * d), alpha=1.0,
         lambda_min=lambda_min, lambda_max=1e4,
-        max_iterations=max_iterations, L1=known.L1, L2=known.L2, m=known.m,
-        stop_on_zo_floor=False)
+        max_iterations=max_iterations, L1=known.L1)
     trace = run(x0, oracle, config, RngStream(seed + 2),
                 x_star=known.x_star, f_star=0.0, hessian_fn=known.hessian)
 
@@ -497,7 +496,7 @@ def stopping_criterion_check(seed: int, d: int = 4, box_radius: float = 0.4,
         mu=mu, r_policy=FixedDirections(d), alpha=1.0,
         lambda_min=known.m, lambda_max=known.L1,
         max_iterations=max_iterations,
-        L1=known.L1, L2=known.L2, m=known.m, stop_on_zo_floor=True)
+        L1=known.L1, L2=known.L2, m=known.m)
     # The cubic is only convex near the origin; an isotropic positive start
     # keeps every iterate inside the box.
     x0 = 0.75 * box_radius * np.ones(d)

@@ -5,7 +5,8 @@ the minimizer, optimum value, closed-form derivatives, and the regularity
 constants (strong convexity m, gradient Lipschitz L1, Hessian Lipschitz L2)
 valid on the domain the factory's docstring states. Closed forms are
 cross-checked against finite differences at construction time to guard
-against transcription errors.
+against transcription errors. Datasets hold their features as one dense
+(samples, dimension) float array; the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse
-from scipy.special import expit
 
 from .estimators import directional_curvature, estimate_gradient
 from .oracle import Objective, Oracle
@@ -37,9 +36,6 @@ __all__ = [
     "random_spd",
 ]
 
-# Datasets are stored dense below this dimension, sparse (CSR) above.
-_DENSE_DIM_LIMIT = 10_000
-
 # A logistic batch forms its (points x samples) margins in row blocks, and
 # its loss needs one scratch block of the same shape. Margins and scratch
 # together take at most this many bytes, so that a probe batch does not
@@ -49,13 +45,14 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class Dataset:
-    """Binary-classification samples: labels in {-1, +1} and row features.
+    """Binary-classification samples: labels in {-1, +1} and row features,
+    stored as a dense (n, d) float array whatever the dimension.
 
     Feature indices are 1-based in LIBSVM files and 0-based in memory.
     """
 
     labels: np.ndarray
-    features: object  # (n, d) ndarray, or scipy CSR above _DENSE_DIM_LIMIT
+    features: np.ndarray
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
@@ -63,6 +60,9 @@ class Dataset:
             raise ValueError("labels must be a non-empty 1-d array")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        self.features = np.asarray(self.features, dtype=float)
+        if self.features.ndim != 2:
+            raise ValueError("features must be a 2-d (samples, dimension) array")
         if self.features.shape[0] != len(self.labels):
             raise ValueError("features and labels disagree on the sample count")
 
@@ -83,8 +83,9 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
     """Parse a LIBSVM-format text file: ``label index:value ...`` per line.
 
     Labels must parse to +1/-1; 0/1 labels are mapped to -1/+1. Indices are
-    1-based and must be strictly increasing within a line. The feature
-    dimension is the largest index seen unless ``dimension`` overrides it.
+    1-based and must be strictly increasing within a line; values must be
+    finite. The feature dimension is the largest index seen unless
+    ``dimension`` overrides it.
     """
     labels = []
     rows = []
@@ -118,6 +119,9 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
                         f"malformed feature {tok!r} at line {lineno}") from None
                 if idx < 1:
                     raise ValueError(f"index {idx} below 1 at line {lineno}")
+                if not np.isfinite(val):
+                    raise ValueError(
+                        f"non-finite feature {tok!r} at line {lineno}")
                 if idx <= prev_index:
                     raise ValueError(f"non-increasing index at line {lineno}")
                 prev_index = idx
@@ -131,18 +135,10 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
     if d < max_index:
         raise ValueError(
             f"dimension override {d} is below the largest index {max_index}")
-    n = len(labels)
-    if d < _DENSE_DIM_LIMIT:
-        features = np.zeros((n, d))
-        for i, entries in enumerate(rows):
-            for j, val in entries:
-                features[i, j] = val
-    else:
-        mat = scipy.sparse.lil_matrix((n, d))
-        for i, entries in enumerate(rows):
-            for j, val in entries:
-                mat[i, j] = val
-        features = mat.tocsr()
+    features = np.zeros((len(labels), d))
+    for i, entries in enumerate(rows):
+        for j, val in entries:
+            features[i, j] = val
     return Dataset(np.array(labels), features)
 
 
@@ -293,7 +289,6 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     ``_BLOCK_BYTES``.
     """
     features_t, labels = dataset.features.T, dataset.labels
-    sparse = scipy.sparse.issparse(features_t)
     n = len(labels)
     rows = _block_rows(n)
     sums = np.empty(len(points))
@@ -302,10 +297,7 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
         z = buffer[:len(block)]
-        if sparse:
-            z[...] = block @ features_t
-        else:
-            np.matmul(block, features_t, out=z)
+        np.matmul(block, features_t, out=z)
         z *= labels
         loss(z, scratch[:len(block)])
         z.sum(axis=1, out=sums[start:start + len(block)])
@@ -343,6 +335,13 @@ def logistic_objective(dataset: Dataset, ridge: float,
     return Objective(batch)
 
 
+def _sigmoid(z):
+    """The logistic function 1 / (1 + exp(-z)), elementwise. For z below
+    about -709 exp(-z) overflows to inf, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _logistic_parts(dataset: Dataset, ridge: float):
     x_mat = dataset.features
     y = dataset.labels
@@ -350,25 +349,14 @@ def _logistic_parts(dataset: Dataset, ridge: float):
     fn = logistic_objective(dataset, ridge, 1.0 / n)
 
     def gradient(w):
-        z = y * (x_mat @ w)
-        s = expit(-z)  # sigma(-z)
-        if scipy.sparse.issparse(x_mat):
-            g = -(x_mat.T @ (y * s)) / n
-            g = np.asarray(g).ravel()
-        else:
-            g = -(x_mat.T @ (y * s)) / n
-        return g + ridge * w
+        s = _sigmoid(-y * (x_mat @ w))
+        return -(x_mat.T @ (y * s)) / n + ridge * w
 
     def hessian(w):
-        z = y * (x_mat @ w)
-        s = expit(z)
+        s = _sigmoid(y * (x_mat @ w))
         weights = s * (1.0 - s) / n
-        if scipy.sparse.issparse(x_mat):
-            xw = x_mat.multiply(weights[:, None])
-            h = np.asarray((x_mat.T @ xw).todense())
-        else:
-            h = x_mat.T @ (weights[:, None] * x_mat)
-        return h + ridge * np.eye(dataset.dimension)
+        return (x_mat.T @ (weights[:, None] * x_mat)
+                + ridge * np.eye(dataset.dimension))
 
     return fn, gradient, hessian
 
@@ -414,8 +402,7 @@ def _reference_minimizer(gradient, hessian, d: int,
                        "gradient norm")
 
 
-def make_logistic(dataset: Dataset, ridge: float,
-                  estimate_l2: bool = True) -> ProblemSpec:
+def make_logistic(dataset: Dataset, ridge: float) -> ProblemSpec:
     """Ridge-regularized logistic regression over a labeled dataset.
 
     f(x) = (1/n) sum_i log(1 + exp(-y_i a_i^T x)) + (ridge/2) ||x||^2.
@@ -431,23 +418,12 @@ def make_logistic(dataset: Dataset, ridge: float,
         raise ValueError("dataset is empty")
     d = dataset.dimension
     fn, gradient, hessian = _logistic_parts(dataset, ridge)
-    if scipy.sparse.issparse(dataset.features):
-        sq_norms = np.asarray(dataset.features.multiply(dataset.features)
-                              .sum(axis=1)).ravel()
-    else:
-        sq_norms = np.sum(dataset.features**2, axis=1)
+    sq_norms = np.sum(dataset.features**2, axis=1)
     L1 = ridge + float(np.sum(sq_norms)) / (4.0 * dataset.n_samples)
-
     x_star = _reference_minimizer(gradient, hessian, d)
-    f_star = fn(x_star)
-
-    L2 = None
-    if estimate_l2:
-        L2 = _estimate_hessian_lipschitz(fn, d, x_star)
-
     known = KnownInfo(
-        x_star=x_star, f_star=f_star, gradient=gradient, hessian=hessian,
-        m=ridge, L1=L1, L2=L2)
+        x_star=x_star, f_star=fn(x_star), gradient=gradient, hessian=hessian,
+        m=ridge, L1=L1, L2=_estimate_hessian_lipschitz(fn, d, x_star))
     problem = ProblemSpec(d, fn, known, name="logistic")
     check_known_derivatives(problem)
     return problem
@@ -467,7 +443,7 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     objective; its optimum value is exactly 0.
     """
     x_star = np.asarray(x_star, dtype=float)
-    s_star = expit(-dataset.labels * (dataset.features @ x_star))  # sigma(-z*)
+    s_star = _sigmoid(-dataset.labels * (dataset.features @ x_star))
 
     def loss(dz, _scratch):
         # log(1 + sigma(-z*) (exp(-dz) - 1)), in place

@@ -92,7 +92,6 @@ class SolverConfig:
     L1: Optional[float] = None
     L2: Optional[float] = None
     m: Optional[float] = None
-    stop_on_zo_floor: bool = True
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -348,8 +347,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     residuals = hess.apply_probe(probe)
 
     # (ii) zeroth-order floor check, when the constants are known.
-    if (config.stop_on_zo_floor and config.L2 is not None
-            and config.m is not None):
+    if config.L2 is not None and config.m is not None:
         bound = zo_floor_stop(g_norm, d, config.L2, config.mu, config.m)
         if bound is not None:
             new_state = SolverState(

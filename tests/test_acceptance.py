@@ -75,7 +75,7 @@ def test_criterion_4_evaluation_accounting():
     config = SolverConfig(
         mu=1e-6, r_policy=AdaptiveDirections(r_max=40),
         lambda_min=known.m, lambda_max=known.L1, max_iterations=50,
-        L1=known.L1, L2=0.0, m=known.m, stop_on_zo_floor=False)
+        L1=known.L1, m=known.m)
     trace = run(2.0 * np.ones(d), oracle, config, RngStream(5))
     assert len(trace.records) == 50
     evals = [rec.evals for rec in trace.records]

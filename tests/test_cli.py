@@ -146,6 +146,15 @@ def test_dataset_path_rejects_d_below_file_dimension(tmp_path, capsys):
     assert "below the largest index 5" in capsys.readouterr().err
 
 
+def test_dataset_path_rejects_non_finite_feature(tmp_path, capsys):
+    data = tmp_path / "tiny.svm"
+    data.write_text("+1 1:0.5 2:0.1\n-1 1:nan\n")
+    code = main(["run", "--problem", "logistic", "--dataset-path", str(data),
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    assert "non-finite feature '1:nan' at line 2" in capsys.readouterr().err
+
+
 class TestUnreadSettings:
     """A setting the command would never read exits 2 and is named, whether
     it came from a flag or from the config file."""

@@ -79,7 +79,7 @@ class TestPartition:
         assert [c.client_id for c in clients] == [0, 1, 2]
         x = np.ones(2)
         values = [c.oracle.evaluate(x) for c in clients]
-        p = make_logistic(ds, 0.1, estimate_l2=False)
+        p = make_logistic(ds, 0.1)
         assert sum(values) / 3 == pytest.approx(p.fn(x), rel=1e-12)
 
     def test_shuffle_is_seeded(self):
@@ -203,14 +203,13 @@ class TestFederatedRun:
 
     def test_partitioned_logistic_converges_to_global_minimizer(self):
         data_set = make_synthetic_dataset(200, 10, RngStream(17))
-        problem = make_logistic(data_set, 0.1, estimate_l2=False)
+        problem = make_logistic(data_set, 0.1)
         clients = partition_dataset(data_set, FederationConfig(5),
                                     RngStream(18), ridge=0.1)
         known = problem.known
         config = SolverConfig(mu=1e-7, r_policy=FixedDirections(30),
                               alpha=1.0, lambda_min=0.02, lambda_max=1e4,
-                              max_iterations=30, L1=known.L1, m=known.m,
-                              stop_on_zo_floor=False)
+                              max_iterations=30, L1=known.L1, m=known.m)
         trace = federated_run(np.zeros(10), clients, config, RngStream(19),
                               x_star=known.x_star)
         assert np.linalg.norm(trace.x_final - known.x_star) <= 1e-5

@@ -30,7 +30,7 @@ from zonewton import (
     stiefel_sample,
 )
 from zonewton import problems as problems_module
-from zonewton.problems import check_known_derivatives
+from zonewton.problems import Dataset, check_known_derivatives
 from zonewton.solver import STOPPED_NUMERICAL
 
 
@@ -95,26 +95,26 @@ class TestCubicBox:
 class TestLogistic:
     def test_single_sample_closed_form(self):
         data_set = _single_sample_dataset()
-        p = make_logistic(data_set, ridge=1.0, estimate_l2=False)
+        p = make_logistic(data_set, ridge=1.0)
         assert p.fn(np.zeros(1)) == pytest.approx(np.log(2.0))
         assert p.known.gradient(np.zeros(1))[0] == pytest.approx(-0.5)
         assert p.known.m == 1.0
 
     def test_gradient_matches_central_difference(self):
         data_set = _single_sample_dataset()
-        p = make_logistic(data_set, ridge=1.0, estimate_l2=False)
+        p = make_logistic(data_set, ridge=1.0)
         mu = 1e-5
         fd = (p.fn(np.array([mu])) - p.fn(np.array([-mu]))) / (2 * mu)
         assert fd == pytest.approx(p.known.gradient(np.zeros(1))[0], abs=1e-8)
 
     def test_reference_minimizer_is_tight(self):
         data_set = make_synthetic_dataset(50, 4, RngStream(3))
-        p = make_logistic(data_set, ridge=0.1, estimate_l2=False)
+        p = make_logistic(data_set, ridge=0.1)
         assert np.linalg.norm(p.known.gradient(p.known.x_star)) <= 1e-12
 
     def test_l1_formula(self):
         data_set = make_synthetic_dataset(30, 3, RngStream(4))
-        p = make_logistic(data_set, ridge=0.5, estimate_l2=False)
+        p = make_logistic(data_set, ridge=0.5)
         expected = 0.5 + np.sum(data_set.features**2) / (4 * 30)
         assert p.known.L1 == pytest.approx(expected)
 
@@ -124,20 +124,19 @@ class TestLogistic:
 
 
 def _single_sample_dataset():
-    from zonewton.problems import Dataset
     return Dataset(np.array([1.0]), np.array([[1.0]]))
 
 
 class TestGapObjective:
     def test_zero_at_reference(self):
         data_set = make_synthetic_dataset(40, 5, RngStream(5))
-        p = make_logistic(data_set, ridge=0.2, estimate_l2=False)
+        p = make_logistic(data_set, ridge=0.2)
         gap = logistic_gap_objective(data_set, 0.2, p.known.x_star)
         assert gap(p.known.x_star) == 0.0
 
     def test_matches_raw_difference(self):
         data_set = make_synthetic_dataset(40, 5, RngStream(6))
-        p = make_logistic(data_set, ridge=0.2, estimate_l2=False)
+        p = make_logistic(data_set, ridge=0.2)
         gap = logistic_gap_objective(data_set, 0.2, p.known.x_star)
         gen = np.random.default_rng(7)
         for _ in range(10):
@@ -149,7 +148,7 @@ class TestGapObjective:
         # the raw difference loses all digits at distance 1e-8; the gap
         # form must still agree with the quadratic model there
         data_set = make_synthetic_dataset(40, 5, RngStream(8))
-        p = make_logistic(data_set, ridge=0.2, estimate_l2=False)
+        p = make_logistic(data_set, ridge=0.2)
         gap = logistic_gap_objective(data_set, 0.2, p.known.x_star)
         h = p.known.hessian(p.known.x_star)
         gen = np.random.default_rng(9)
@@ -214,6 +213,26 @@ class TestLoadLibsvm(object):
         with pytest.raises(ValueError, match="no samples"):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "data.txt"
+        path.write_text(f"+1 1:0.5\n-1 1:0.2 3:{value}\n")
+        with pytest.raises(ValueError,
+                           match=f"non-finite feature '3:{value}' at line 2"):
+            load_libsvm(path)
+
+
+class TestDataset:
+    def test_features_become_a_float_array(self):
+        ds = Dataset([1, -1], [[1, 2], [3, 4]])
+        assert isinstance(ds.features, np.ndarray)
+        assert ds.features.dtype == float
+        assert ds.dimension == 2
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            Dataset(np.array([1.0, -1.0]), np.array([0.5, 0.2]))
+
 
 def test_file_dataset_minimizer_writes_no_file(tmp_path):
     path = tmp_path / "train.libsvm"
@@ -224,29 +243,38 @@ def test_file_dataset_minimizer_writes_no_file(tmp_path):
         feats = " ".join(f"{j + 1}:{gen.standard_normal():.6f}" for j in range(4))
         lines.append(f"{label} {feats}")
     path.write_text("\n".join(lines) + "\n")
-    p = make_logistic(load_libsvm(path), ridge=0.3, estimate_l2=False)
+    p = make_logistic(load_libsvm(path), ridge=0.3)
     assert os.listdir(tmp_path) == ["train.libsvm"]
     assert np.linalg.norm(p.known.gradient(p.known.x_star)) <= 1e-12
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The package runs with scipy blocked: importing any scipy module from
+    it raises, so a logistic run and the quadratic gate exiting 0 show that
+    neither scipy.optimize nor any other part of scipy is needed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(zonewton.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, zonewton; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    out = tmp_path / "trace.csv"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from zonewton import cli\n"
+        "assert cli.main(['run', '--problem', 'logistic', '--d', '5',\n"
+        f"                 '--max-iters', '3', '--out', {str(out)!r}]) == 0\n"
+        "assert cli.main(['verify-quadratic', '--seed', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "['scipy']"
+    assert len(out.read_text().splitlines()) == 4
 
 
-def test_sparse_storage_above_dimension_limit(tmp_path):
-    """Dimensions >= 10^4 switch to CSR storage; the logistic objective and
-    gradient must agree with a dense twin on the same samples."""
-    import scipy.sparse
-
-    from zonewton.problems import Dataset, _logistic_parts
-
+def test_wide_file_loads_dense(tmp_path):
+    """A 10^4-wide file with five nonzeros per row loads as the dense array
+    of its entries, exactly."""
     path = tmp_path / "wide.libsvm"
     gen = np.random.default_rng(21)
     lines = []
@@ -262,16 +290,12 @@ def test_sparse_storage_above_dimension_limit(tmp_path):
         lines.append(f"{'+1' if label > 0 else '-1'} {feats}")
     path.write_text("\n".join(lines) + "\n")
 
-    sparse_ds = load_libsvm(path, dimension=10_000)
-    assert scipy.sparse.issparse(sparse_ds.features)
+    loaded = load_libsvm(path, dimension=10_000)
     dense_ds = Dataset(np.array(labels), dense)
-
-    fn_s, grad_s, _ = _logistic_parts(sparse_ds, ridge=0.2)
-    fn_d, grad_d, _ = _logistic_parts(dense_ds, ridge=0.2)
-    for _ in range(3):
-        w = gen.standard_normal(10_000) * 0.01
-        assert fn_s(w) == pytest.approx(fn_d(w), rel=1e-12)
-        np.testing.assert_allclose(grad_s(w), grad_d(w), atol=1e-14)
+    assert type(loaded.features) is np.ndarray
+    assert loaded.features.shape == (8, 10_000)
+    np.testing.assert_array_equal(loaded.features, dense_ds.features)
+    np.testing.assert_array_equal(loaded.labels, dense_ds.labels)
 
 
 def test_synthetic_dataset_deterministic():
@@ -293,8 +317,7 @@ def test_closed_forms_agree_with_finite_differences():
     problems = [
         make_quadratic(random_spd(4, 20.0, RngStream(13)), np.ones(4)),
         make_cubic_box(4, 0.5),
-        make_logistic(make_synthetic_dataset(30, 4, RngStream(14)), 0.2,
-                      estimate_l2=False),
+        make_logistic(make_synthetic_dataset(30, 4, RngStream(14)), 0.2),
     ]
     for p in problems:
         check_known_derivatives(p, seed=15)
@@ -355,6 +378,28 @@ def test_logistic_loss_matches_logaddexp(values):
     problems_module._logistic_loss(out, np.empty_like(out))
     with np.errstate(invalid="ignore"):
         ref = np.logaddexp(0.0, -z)
+    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+    np.testing.assert_allclose(out[normal], ref[normal], rtol=1e-15, atol=0)
+    infinite = np.isinf(z)
+    np.testing.assert_array_equal(out[infinite], ref[infinite])
+    assert np.array_equal(np.isnan(out), np.isnan(z))
+
+
+_sigmoid_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-800.0, 800.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_sigmoid_inputs, min_size=1, max_size=40))
+def test_sigmoid_matches_expit(values):
+    from scipy.special import expit
+
+    z = np.array(values)
+    out = problems_module._sigmoid(z)
+    ref = expit(z)
     normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
     np.testing.assert_allclose(out[normal], ref[normal], rtol=1e-15, atol=0)
     infinite = np.isinf(z)

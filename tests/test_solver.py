@@ -279,7 +279,7 @@ class TestRun:
         config = SolverConfig(
             mu=1e-3, r_policy=FixedDirections(4), alpha=1.0,
             lambda_min=known.m, lambda_max=known.L1, max_iterations=50,
-            L1=known.L1, L2=known.L2, m=known.m, stop_on_zo_floor=True)
+            L1=known.L1, L2=known.L2, m=known.m)
         trace = run(0.3 * np.ones(4), problem.make_oracle(), config,
                     RngStream(9), x_star=known.x_star)
         assert trace.status == STOPPED_ZO_FLOOR
