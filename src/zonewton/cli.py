@@ -7,9 +7,10 @@ code; ``costs`` prints the deterministic finite-difference evaluation
 counts. Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 numerical failure (a run that ends ``stopped_numerical``: a non-finite
 objective value, or an iterate so large that rounding swallows the probe
-step). The run summary prints ``evals=``, the evaluations of the last
-complete iteration, and ``spent=``, the evaluations actually charged (for
-``fedrun`` the largest per-client count, since the budget is per client).
+step; or a gate that raises ``FloatingPointError``). The run summary
+prints ``evals=``, the evaluations of the last complete iteration, and
+``spent=``, the evaluations actually charged (for ``fedrun`` the largest
+per-client count, since the budget is per client).
 
 A flat ``key = value`` config file (with ``#`` comments) can seed the run
 configuration; explicit flags override file values. Unknown keys are
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

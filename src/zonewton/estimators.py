@@ -10,7 +10,11 @@ from the previous iterate's estimate.
 
 A probe batch along a Stiefel set is applied one orthonormal frame at a
 time, each frame as one symmetrised block update; sets of i.i.d.
-directions are applied one rank-one update at a time.
+directions are applied one rank-one update at a time. Both formulas are
+written once, as the private routines ``_rank_one`` and ``_frame_update``,
+which broadcast over leading axes: the verification gates apply them to a
+stack of one estimate per trial, and :class:`HessianEstimate` to a single
+d x d matrix.
 
 The gradient is estimated along the first frame of d orthonormal probe
 directions by central differences, reusing the Hessian probe values at no
@@ -84,9 +88,7 @@ class HessianEstimate:
         nrm = np.linalg.norm(u)
         if abs(nrm - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction must be unit norm, got ||u|| = {nrm!r}")
-        residual = float(curvature) - float(u @ self.matrix @ u)
-        self.matrix += residual * np.outer(u, u)
-        return residual
+        return float(_rank_one(self.matrix, u, float(curvature)))
 
     def apply_probe(self, probe: ProbeResult) -> np.ndarray:
         """Apply a probe batch's r rank-one updates in direction order and
@@ -105,15 +107,36 @@ class HessianEstimate:
         k = probe.directions.frame_size
         if k == 1:
             return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
-        residuals = np.empty(len(v))
-        for start in range(0, len(v), k):
-            frame = slice(start, start + k)
-            u = v[frame]
-            res = curvatures[frame] - np.sum((u @ self.matrix) * u, axis=1)
-            increment = (u.T * res) @ u
-            self.matrix += 0.5 * (increment + increment.T)
-            residuals[frame] = res
-        return residuals
+        return np.concatenate([
+            _frame_update(self.matrix, v[start:start + k],
+                          curvatures[start:start + k])
+            for start in range(0, len(v), k)])
+
+
+def _rank_one(h, u, c):
+    """H <- H + (c - u^T H u) u u^T in place, for every index of the leading
+    axes; returns the residuals c - u^T H u.
+
+    ``h`` is (..., d, d), ``u`` (..., d) with unit rows and ``c`` (...); the
+    leading axes broadcast as in numpy. Nothing is checked.
+    """
+    residual = c - (u[..., None, :] @ h @ u[..., None])[..., 0, 0]
+    h += (u[..., :, None] * u[..., None, :]) * residual[..., None, None]
+    return residual
+
+
+def _frame_update(h, v, c):
+    """Apply one orthonormal frame of updates to H as the symmetrised block
+    H + V^T diag(c - diag(V H V^T)) V, in place, for every index of the
+    leading axes; returns the residuals c - diag(V H V^T).
+
+    ``h`` is (..., d, d), ``v`` (..., k, d) with orthonormal rows and ``c``
+    (..., k). Nothing is checked.
+    """
+    residual = c - np.sum((v @ h) * v, axis=-1)
+    increment = (np.swapaxes(v, -1, -2) * residual[..., None, :]) @ v
+    h += 0.5 * (increment + np.swapaxes(increment, -1, -2))
+    return residual
 
 
 @dataclass
@@ -134,8 +157,15 @@ def directional_curvature(probe: ProbeResult, j: Optional[int] = None):
         j = slice(None)
     elif not 0 <= j < probe.r:
         raise IndexError(f"direction index {j} out of range for r={probe.r}")
-    return (probe.plus_values[j] - 2.0 * probe.center_value
-            + probe.minus_values[j]) / probe.mu**2
+    return _second_difference(probe.plus_values[j], probe.center_value,
+                              probe.minus_values[j], probe.mu)
+
+
+def _second_difference(plus, center, minus, mu):
+    """(plus - 2 center + minus) / mu^2, elementwise. mu^2 is a numpy
+    float64 power: the value Python's ``mu**2`` gives, but an overflow
+    gives inf instead of raising ``OverflowError``."""
+    return (plus - 2.0 * center + minus) / np.float64(mu) ** 2
 
 
 def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,

@@ -15,14 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .estimators import (
-    HessianEstimate,
-    directional_curvature,
+    _frame_update,
+    _rank_one,
+    _second_difference,
     estimate_gradient,
-    estimate_hessian,
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import Oracle
+from .oracle import Oracle, _check_mu
 from .problems import (
     logistic_gap_objective,
     make_cubic_box,
@@ -35,6 +35,7 @@ from .sampling import RngStream, gaussian_sphere_sample, stiefel_sample
 from .solver import (
     FixedDirections,
     SolverConfig,
+    STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
     contraction_gamma,
     optimal_stepsize,
@@ -55,6 +56,46 @@ __all__ = [
     "sampling_comparison",
     "stopping_criterion_check",
 ]
+
+
+# ---------------------------------------------------------------------------
+# The rate and sampling gates run their trials in blocks. A block's probe
+# points fit in _BLOCK_BYTES: without blocks the two gates' allocation peaks
+# grow with the trial count (to 7-8 MB at the CLI defaults).
+
+_BLOCK_BYTES = 2**18
+
+
+def _block_trials(points_per_trial: int, d: int) -> int:
+    """Trials per block: as many as fit their probe points, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * points_per_trial * d))
+
+
+def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
+                       gate: str) -> np.ndarray:
+    """Second central differences at the origin along every direction of a
+    stack ``vectors`` (trials, k, d), as an array (trials, k).
+
+    Each trial's 2k+1 points are laid out as its own probe batch would lay
+    them out (center, then x + mu u_j, x - mu u_j), and one
+    :meth:`Oracle.evaluate_points` call charges and evaluates them all.
+    Raises ``FloatingPointError``, naming ``gate`` and mu, if a curvature
+    is not finite.
+    """
+    _check_mu(mu)
+    trials, k, d = vectors.shape
+    points = np.zeros((trials, 2 * k + 1, d))
+    np.multiply(mu, vectors, out=points[:, 1::2])
+    np.negative(points[:, 1::2], out=points[:, 2::2])
+    values = oracle.evaluate_points(points.reshape(-1, d))
+    values = values.reshape(trials, 2 * k + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curvatures = _second_difference(values[:, 1::2], values[:, :1],
+                                        values[:, 2::2], mu)
+    if not np.all(np.isfinite(curvatures)):
+        raise FloatingPointError(
+            f"{gate}: non-finite directional curvature at mu={mu!r}")
+    return curvatures
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +128,38 @@ def rate_verification(d: int, trials: int, seed: int, mu: float = 1e-6,
     quadratic and compare against the 1 - 2/(d^2+2d) bound.
 
     Directions are i.i.d. uniform on the sphere (the distribution the bound
-    assumes). Each trial probes all updates' curvatures in a single batch at
-    the origin; mean squared Frobenius errors are averaged across trials and
-    every consecutive ratio must stay below eta * (1 + slack).
+    assumes), drawn for trial t from its own ``RngStream(seed + 1 + t)``.
+    Each trial probes all updates' curvatures in a single batch of
+    2 n_updates + 1 points at the origin; mean squared Frobenius errors are
+    averaged across trials and every consecutive ratio must stay below
+    eta * (1 + slack).
+
+    The trials run in blocks whose probe points fit in 256 KiB: one
+    oracle call evaluates a block's points, each trial still charged its
+    own 2 n_updates + 1, and each update is one ``_rank_one`` step on the
+    block's stack of estimates. Raises ``FloatingPointError`` if a
+    curvature is not finite (mu too large or too small for the objective's
+    floating-point range).
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
     eta = update_rate_bound(d)
     a = random_spd(d, cond=3.0, rng=RngStream(seed))
-    problem = make_quadratic(a, np.zeros(d))
-    x0 = np.zeros(d)
+    oracle = make_quadratic(a, np.zeros(d)).make_oracle()
     sq_errors = np.empty((trials, n_updates + 1))
-    for t in range(trials):
-        stream = RngStream(seed + 1 + t)
-        directions = gaussian_sphere_sample(d, n_updates, stream)
-        oracle = problem.make_oracle()
-        probe = oracle.probe_batch(x0, directions, mu)
-        est = HessianEstimate.zero(d)
-        sq_errors[t, 0] = np.linalg.norm(est.matrix - a) ** 2
+    sq_errors[:, 0] = np.linalg.norm(a) ** 2
+    block = _block_trials(2 * n_updates + 1, d)
+    for first in range(0, trials, block):
+        rows = slice(first, first + block)
+        ts = range(trials)[rows]
+        v = np.array([gaussian_sphere_sample(d, n_updates,
+                                             RngStream(seed + 1 + t)).vectors
+                      for t in ts])
+        c = _origin_curvatures(oracle, v, mu, "rate_verification")
+        h = np.zeros((len(ts), d, d))
         for k in range(n_updates):
-            est.update(directions.vectors[k], directional_curvature(probe, k))
-            sq_errors[t, k + 1] = np.linalg.norm(est.matrix - a) ** 2
+            _rank_one(h, v[:, k], c[:, k])
+            sq_errors[rows, k + 1] = np.linalg.norm(h - a, axis=(1, 2)) ** 2
     mse = sq_errors.mean(axis=0)
     ratios = mse[1:] / mse[:-1]
     max_ratio = float(np.max(ratios))
@@ -209,7 +261,8 @@ def linear_rate_verification(seed: int, d: int = 10, cond: float = 100.0,
                              max_iterations: int = 2500) -> LinearRateReport:
     """Run the solver with the rate-optimal stepsize on a conditioned
     quadratic and check that every f-gap contraction down to the floor stays
-    within (1 - gamma*) + 1e-3, gamma* = m lambda_min / (L1 lambda_max)."""
+    within (1 - gamma*) + 1e-3, gamma* = m lambda_min / (L1 lambda_max).
+    Raises ``FloatingPointError`` if the run ends ``stopped_numerical``."""
     problem_stream = RngStream(seed)
     a = random_spd(d, cond, problem_stream)
     b = problem_stream.generator.standard_normal(d)
@@ -227,6 +280,10 @@ def linear_rate_verification(seed: int, d: int = 10, cond: float = 100.0,
     oracle = problem.make_oracle()
     trace = run(x0, oracle, config, RngStream(seed + 1),
                 x_star=problem.known.x_star, f_star=problem.known.f_star)
+    if trace.status == STOPPED_NUMERICAL:
+        raise FloatingPointError(
+            f"linear_rate_verification: the run ended {trace.status} after "
+            f"{len(trace.records)} iterations at mu={mu!r}")
     gaps = np.array([rec.f_gap for rec in trace.records])
     above = np.nonzero(gaps <= gap_floor)[0]
     iters_to_floor = int(above[0]) if len(above) else None
@@ -434,21 +491,42 @@ def sampling_comparison(d: int, r: int, trials: int, seed: int,
     built from Stiefel frames vs independent sphere directions on a seeded
     random SPD quadratic. Passes when the Stiefel mean is at most
     ``ratio_threshold`` times the Gaussian mean and the gap between the means
-    exceeds three combined standard errors."""
+    exceeds three combined standard errors.
+
+    Trial t draws its Stiefel set and then its Gaussian set from its own
+    ``RngStream(seed + 1 + t)``. The trials run in blocks whose probe
+    points fit in 256 KiB: one oracle call evaluates both halves of a
+    block, each trial still charged 2r+1 per sampler at the origin. The
+    Stiefel estimates take one ``_frame_update`` per frame (r > d gives
+    several), the Gaussian ones r ``_rank_one`` steps, each over the
+    block's stack. Raises ``FloatingPointError`` if a curvature is not
+    finite."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials, got {trials}")
     a = random_spd(d, cond=10.0, rng=RngStream(seed))
-    problem = make_quadratic(a, np.zeros(d))
-    x0 = np.zeros(d)
-    err_stiefel = np.empty(trials)
-    err_gauss = np.empty(trials)
-    for t in range(trials):
-        stream = RngStream(seed + 1 + t)
-        for sampler, out in ((stiefel_sample, err_stiefel),
-                             (gaussian_sphere_sample, err_gauss)):
-            directions = sampler(d, r, stream)
-            est, _ = estimate_hessian(problem.make_oracle(), x0, directions, mu)
-            out[t] = np.linalg.norm(est.matrix - a)
+    oracle = make_quadratic(a, np.zeros(d)).make_oracle()
+    errors = np.empty((2, trials))
+    block = _block_trials(2 * (2 * r + 1), d)
+    for first in range(0, trials, block):
+        rows = slice(first, first + block)
+        ts = range(trials)[rows]
+        draws = []
+        for t in ts:
+            stream = RngStream(seed + 1 + t)
+            draws.append([sampler(d, r, stream).vectors
+                          for sampler in (stiefel_sample,
+                                          gaussian_sphere_sample)])
+        v = np.array(draws)
+        c = _origin_curvatures(oracle, v.reshape(-1, r, d), mu,
+                               "sampling_comparison").reshape(len(ts), 2, r)
+        h = np.zeros((len(ts), 2, d, d))
+        for start in range(0, r, d):
+            _frame_update(h[:, 0], v[:, 0, start:start + d],
+                          c[:, 0, start:start + d])
+        for j in range(r):
+            _rank_one(h[:, 1], v[:, 1, j], c[:, 1, j])
+        errors[:, rows] = np.linalg.norm(h - a, axis=(2, 3)).T
+    err_stiefel, err_gauss = errors
     s_mean = float(err_stiefel.mean())
     g_mean = float(err_gauss.mean())
     s_stderr = float(err_stiefel.std(ddof=1) / math.sqrt(trials))

@@ -174,8 +174,7 @@ class Oracle:
         partial results are discarded, and the raised error's ``consumed``
         attribute reports how many evaluations the batch charged.
         """
-        if mu <= 0 or not np.isfinite(mu):
-            raise ValueError(f"mu must be a positive finite real, got {mu}")
+        _check_mu(mu)
         x = self._check_point(x)
         if directions.dimension != self.dimension:
             raise ValueError(
@@ -196,6 +195,11 @@ class Oracle:
             mu=float(mu),
             directions=directions,
         )
+
+
+def _check_mu(mu: float):
+    if mu <= 0 or not np.isfinite(mu):
+        raise ValueError(f"mu must be a positive finite real, got {mu}")
 
 
 def deterministic_fd_costs(d: int) -> tuple[int, int]:

@@ -311,3 +311,31 @@ class TestTraceCsv:
         write_trace_csv(RunTrace([rec], "stopped_max_iter", np.zeros(1)), path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[3] == "" and row[-1] == ""
+
+
+@pytest.mark.parametrize("mu", ["2e154", "1e-300"])
+def test_verify_rate_numerical_failure_exits_3(capsys, mu):
+    # mu^2 overflows, or underflows to 0: the curvatures are not finite
+    assert main(["verify-rate", "--trials", "40", "--mu", mu]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "error: rate_verification" in captured.err
+    assert f"mu={float(mu)!r}" in captured.err
+
+
+@pytest.mark.parametrize("mu", ["1e300", "1e-300"])
+def test_compare_sampling_numerical_failure_exits_3(capsys, mu):
+    assert main(["compare-sampling", "--trials", "30", "--mu", mu]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "error: sampling_comparison" in captured.err
+
+
+@pytest.mark.parametrize("mu", ["1e300", "1e-300"])
+def test_verify_linear_numerical_failure_exits_3(capsys, mu):
+    # the solver run ends stopped_numerical after one iteration
+    assert main(["verify-linear", "--mu", mu]) == 3
+    captured = capsys.readouterr()
+    assert "floor NOT reached" not in captured.out
+    assert "error: linear_rate_verification" in captured.err
+    assert "stopped_numerical" in captured.err

@@ -21,6 +21,7 @@ from zonewton import (
     stiefel_sample,
     update_rate_bound,
 )
+from zonewton.estimators import _frame_update, _rank_one
 
 
 def quad_oracle(a):
@@ -336,3 +337,68 @@ def test_many_updates_converge_to_true_hessian():
         if np.linalg.norm(est.matrix - a) / norm_a <= 1e-2:
             hits += 1
     assert hits >= 99
+
+
+@st.composite
+def rank_one_stacks(draw):
+    """A stack of symmetric warm starts over leading shape (T,) or (T1, T2),
+    and for each of them a few unit directions and curvatures."""
+    lead = draw(st.sampled_from([(1,), (4,), (7,), (1, 3), (2, 3), (3, 2)]))
+    d = draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 5))
+    values = st.floats(-100.0, 100.0)
+    w = draw(arrays(float, lead + (d, d), elements=values))
+    c = draw(arrays(float, lead + (steps,), elements=values))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = gen.standard_normal(lead + (steps, d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return w + np.swapaxes(w, -1, -2), u, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_one_stacks())
+def test_stacked_rank_one_matches_sequential_updates(case):
+    warm, u, c = case
+    h = warm.copy()
+    residuals = np.stack([_rank_one(h, u[..., j, :], c[..., j])
+                          for j in range(c.shape[-1])], axis=-1)
+    for idx in np.ndindex(warm.shape[:-2]):
+        est = HessianEstimate(warm[idx])
+        want = [est.update(uj, cj) for uj, cj in zip(u[idx], c[idx])]
+        scale = 1.0 + np.linalg.norm(warm[idx]) + np.linalg.norm(c[idx])
+        np.testing.assert_allclose(residuals[idx], want,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(h[idx], est.matrix,
+                                   rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(h[idx], h[idx].T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.data())
+def test_stacked_frame_update_matches_apply_probe(trials, d, data):
+    # up to three frames per set, so r > d applies several frames in turn
+    r = data.draw(st.integers(1, 3 * d))
+    values = st.floats(-100.0, 100.0)
+    w = data.draw(arrays(float, (trials, d, d), elements=values))
+    warm = w + np.swapaxes(w, -1, -2)
+    c = data.draw(arrays(float, (trials, r), elements=values))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    sets = [stiefel_sample(d, r, RngStream(seed + t)) for t in range(trials)]
+    v = np.array([s.vectors for s in sets])
+    h = warm.copy()
+    residuals = np.concatenate([
+        _frame_update(h, v[:, start:start + d], c[:, start:start + d])
+        for start in range(0, r, d)], axis=1)
+    for t, directions in enumerate(sets):
+        # mu = 1 and f0 = 0 make the second differences exactly c
+        probe = ProbeResult(center_value=0.0, plus_values=c[t] / 2,
+                            minus_values=c[t] / 2, mu=1.0,
+                            directions=directions)
+        est = HessianEstimate(warm[t])
+        want = est.apply_probe(probe)
+        scale = 1.0 + np.linalg.norm(warm[t]) + np.linalg.norm(c[t])
+        np.testing.assert_allclose(residuals[t], want,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(h[t], est.matrix,
+                                   rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(h[t], h[t].T)
