@@ -33,10 +33,11 @@ print(f"expected squared-error contraction per update: "
 # one probe batch of 120 sphere directions, updates applied one at a time
 directions = gaussian_sphere_sample(d, 120, rng)
 probe = oracle.probe_batch(np.zeros(d), directions, mu=1e-6)
+curvatures = directional_curvature(probe)
 est = HessianEstimate.zero(d)
 print("update   ||H - A||_F")
 for k in range(directions.r):
-    est.update(directions.vectors[k], directional_curvature(probe, k))
+    est.update(directions.vectors[k], curvatures[k])
     if (k + 1) % 20 == 0:
         print(f"{k + 1:6d}   {np.linalg.norm(est.matrix - a):10.6f}")
 

@@ -3,11 +3,12 @@
 Subcommands: ``run`` and ``fedrun`` execute solver runs and write CSV
 traces; the ``verify-*`` subcommands and ``compare-sampling`` run the
 empirical verification experiments and signal pass/fail through the exit
-code; ``costs`` prints the deterministic finite-difference evaluation
-counts. Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
-3 numerical failure (a run that ends ``stopped_numerical``: a non-finite
-objective value, or an iterate so large that rounding swallows the probe
-step; or a gate that raises ``FloatingPointError``). The run summary
+code, each with one flag per parameter of its gate, typed and defaulted by
+the gate's signature; ``costs`` prints the deterministic finite-difference
+evaluation counts. Exit codes: 0 success/pass, 1 verification failure,
+2 usage error, 3 numerical failure (a run that ends ``stopped_numerical``:
+a non-finite objective value, or an iterate so large that rounding swallows
+the probe step; or a gate that raises ``FloatingPointError``). The run summary
 prints ``evals=``, the evaluations of the last complete iteration, and
 ``spent=``, the evaluations actually charged (for ``fedrun`` the largest
 per-client count, since the budget is per client).
@@ -22,6 +23,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
@@ -86,6 +88,32 @@ _CHOICES = {
     "problem": ("quadratic", "cubic", "logistic"),
     "r_policy": ("fixed", "adaptive"),
 }
+
+# Parameter name -> flag, where the flag is not the name dash-separated.
+# One map for the run flags and the gate flags.
+_FLAG_NAMES = {"out_path": "--out", "n_points": "--points"}
+
+# Gate subcommand -> (gate, help). A gate's parameters are its flags; their
+# types and defaults are read from its signature.
+_GATES = {
+    "verify-rate": (experiments.rate_verification,
+                    "per-update contraction rate of the Hessian estimator"),
+    "verify-lemma1": (experiments.gradient_bound_verification,
+                      "deterministic gradient-error bound on the cubic box"),
+    "verify-linear": (experiments.linear_rate_verification,
+                      "global linear f-gap contraction on a quadratic"),
+    "verify-quadratic": (experiments.quadratic_rate_verification,
+                         "local quadratic rate on regularized logistic regression"),
+    "compare-sampling": (experiments.sampling_comparison,
+                         "Stiefel frames vs normalized Gaussian directions"),
+}
+
+# verify-rate takes --d repeatedly and runs its gate once per value.
+_REPEATED = ("verify-rate", "d")
+
+
+def _flag(key: str) -> str:
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
 def parse_config_file(path) -> dict:
@@ -195,16 +223,14 @@ def _solver_config(cfg: ExperimentConfig, problem) -> SolverConfig:
     lambda_min = cfg.lambda_min
     lambda_max = cfg.lambda_max
     if lambda_min is None:
-        lambda_min = known.m if (known and known.m) else 1e-6
+        lambda_min = known.m or 1e-6
     if lambda_max is None:
-        lambda_max = known.L1 if (known and known.L1) else 1e6
+        lambda_max = known.L1 or 1e6
     return SolverConfig(
         mu=cfg.mu, r_policy=policy, alpha=cfg.alpha,
         lambda_min=lambda_min, lambda_max=lambda_max,
         max_iterations=cfg.max_iters,
-        L1=known.L1 if known else None,
-        L2=known.L2 if known else None,
-        m=known.m if known else None)
+        L1=known.L1, L2=known.L2, m=known.m)
 
 
 def _cmd_run(args) -> int:
@@ -214,9 +240,8 @@ def _cmd_run(args) -> int:
     known = problem.known
     oracle = problem.make_oracle(budget=cfg.budget)
     trace = run(x0, oracle, config, RngStream(cfg.seed),
-                x_star=known.x_star if known else None,
-                f_star=known.f_star if known else None,
-                hessian_fn=known.hessian if known else None)
+                x_star=known.x_star, f_star=known.f_star,
+                hessian_fn=known.hessian)
     return _finish_run(trace, cfg.out_path or "run_trace.csv",
                        spent=oracle.eval_count)
 
@@ -230,9 +255,8 @@ def _cmd_fedrun(args) -> int:
     clients = _build_clients(cfg, problem, data)
     config = _solver_config(cfg, problem)
     trace = federated_run(x0, clients, config, RngStream(cfg.seed),
-                          x_star=known.x_star if known else None,
-                          f_star=known.f_star if known else None,
-                          hessian_fn=known.hessian if known else None)
+                          x_star=known.x_star, f_star=known.f_star,
+                          hessian_fn=known.hessian)
     return _finish_run(trace, cfg.out_path or "fedrun_trace.csv",
                        spent=max(trace.extra["client_eval_counts"]))
 
@@ -286,42 +310,31 @@ def _finish_run(trace, out_path, spent: int) -> int:
     return 3 if trace.status == STOPPED_NUMERICAL else 0
 
 
-def _report_exit(report) -> int:
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+def _gate_params(gate) -> dict:
+    """Parameter -> (type, default) from the gate's signature."""
+    hints = get_type_hints(gate)
+    return {key: (hints[key], param.default)
+            for key, param in inspect.signature(gate).parameters.items()}
 
 
-def _cmd_verify_rate(args) -> int:
+def _cmd_gate(args) -> int:
+    """Run the subcommand's gate (once per --d for verify-rate), print each
+    report and return 0 if every report passed, else 1."""
+    gate, _ = _GATES[args.command]
+    params = _gate_params(gate)
+    kwargs = {key: getattr(args, key) for key in params}
+    runs = [kwargs]
+    command, key = _REPEATED
+    if args.command == command:
+        runs = [{**kwargs, key: value}
+                for value in kwargs[key] or [params[key][1]]]
     code = 0
-    for d in args.dims:
-        report = experiments.rate_verification(
-            d=d, trials=args.trials, seed=args.seed, mu=args.mu)
-        code = max(code, _report_exit(report))
+    for run_kwargs in runs:
+        report = gate(**run_kwargs)
+        for line in report.lines():
+            print(line)
+        code = max(code, 0 if report.passed else 1)
     return code
-
-
-def _cmd_verify_lemma1(args) -> int:
-    report = experiments.gradient_bound_verification(
-        seed=args.seed, d=args.d, n_points=args.points)
-    return _report_exit(report)
-
-
-def _cmd_verify_linear(args) -> int:
-    report = experiments.linear_rate_verification(
-        seed=args.seed, d=args.d, cond=args.cond, mu=args.mu)
-    return _report_exit(report)
-
-
-def _cmd_verify_quadratic(args) -> int:
-    report = experiments.quadratic_rate_verification(seed=args.seed)
-    return _report_exit(report)
-
-
-def _cmd_compare_sampling(args) -> int:
-    report = experiments.sampling_comparison(
-        d=args.d, r=args.r, trials=args.trials, seed=args.seed, mu=args.mu)
-    return _report_exit(report)
 
 
 def _cmd_costs(args) -> int:
@@ -333,9 +346,19 @@ def _cmd_costs(args) -> int:
 def _add_run_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
     for key, parse in _CONFIG_KEYS.items():
-        flag = "--out" if key == "out_path" else "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=parse,
+        parser.add_argument(_flag(key), dest=key, type=parse,
                             choices=_CHOICES.get(key))
+
+
+def _add_gate_flags(parser, command, gate):
+    for key, (parse, default) in _gate_params(gate).items():
+        if (command, key) == _REPEATED:
+            parser.add_argument(
+                _flag(key), dest=key, type=parse, action="append",
+                help=f"repeat for several (default: {default})")
+        else:
+            parser.add_argument(_flag(key), dest=key, type=parse,
+                                default=default, help=f"default: {default}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,43 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.set_defaults(handler=_cmd_fedrun)
 
-    p = sub.add_parser("verify-rate",
-                       help="per-update contraction rate of the Hessian estimator")
-    p.add_argument("--d", dest="dims", type=int, action="append",
-                   help="dimension; repeat for several (default: 5)")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--mu", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_rate)
-
-    p = sub.add_parser("verify-lemma1",
-                       help="deterministic gradient-error bound on the cubic box")
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_lemma1)
-
-    p = sub.add_parser("verify-linear",
-                       help="global linear f-gap contraction on a quadratic")
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--cond", type=float, default=100.0)
-    p.add_argument("--mu", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_linear)
-
-    p = sub.add_parser("verify-quadratic",
-                       help="local quadratic rate on regularized logistic regression")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_quadratic)
-
-    p = sub.add_parser("compare-sampling",
-                       help="Stiefel frames vs normalized Gaussian directions")
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--r", type=int, default=20)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--mu", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_compare_sampling)
+    for command, (gate, text) in _GATES.items():
+        p = sub.add_parser(command, help=text)
+        _add_gate_flags(p, command, gate)
+        p.set_defaults(handler=_cmd_gate)
 
     p = sub.add_parser("costs",
                        help="deterministic finite-difference Hessian costs")
@@ -401,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dims", "absent") is None:
-        args.dims = [5]
     try:
         return args.handler(args)
     except UsageError as exc:

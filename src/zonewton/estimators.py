@@ -150,15 +150,11 @@ class GradientEstimate:
         return float(np.linalg.norm(self.g))
 
 
-def directional_curvature(probe: ProbeResult, j: Optional[int] = None):
-    """Second central difference (f+ - 2 f0 + f-) / mu^2 along direction j,
-    or the array of them along every direction when j is None."""
-    if j is None:
-        j = slice(None)
-    elif not 0 <= j < probe.r:
-        raise IndexError(f"direction index {j} out of range for r={probe.r}")
-    return _second_difference(probe.plus_values[j], probe.center_value,
-                              probe.minus_values[j], probe.mu)
+def directional_curvature(probe: ProbeResult) -> np.ndarray:
+    """Second central differences (f+ - 2 f0 + f-) / mu^2, one per probed
+    direction, in direction order."""
+    return _second_difference(probe.plus_values, probe.center_value,
+                              probe.minus_values, probe.mu)
 
 
 def _second_difference(plus, center, minus, mu):

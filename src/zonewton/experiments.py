@@ -1,9 +1,12 @@
 """Empirical verification experiments.
 
 Each experiment checks one of the toolkit's guarantees at desk scale and
-returns a small report with a ``passed`` flag and printable lines. The CLI
-verify-* subcommands and the acceptance test suite both call these
-functions, so the gate and the command line can never drift apart.
+returns a small report with a ``passed`` flag and printable lines. A gate's
+parameters are exactly what a caller may vary: the CLI builds each
+verify-* subcommand's flags, types and defaults from the gate's signature,
+so the gate and the command line cannot drift apart. Everything else a
+gate uses (update counts, slacks, floors, iteration caps, problem sizes)
+is a constant in its body, named in its docstring.
 """
 
 from __future__ import annotations
@@ -122,27 +125,32 @@ class RateReport:
         ]
 
 
-def rate_verification(d: int, trials: int, seed: int, mu: float = 1e-6,
-                      n_updates: int = 15, slack: float = 0.02) -> RateReport:
+def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
+                      mu: float = 1e-6) -> RateReport:
     """Measure the per-update contraction of E||H_k - A||_F^2 on an exact
     quadratic and compare against the 1 - 2/(d^2+2d) bound.
 
     Directions are i.i.d. uniform on the sphere (the distribution the bound
     assumes), drawn for trial t from its own ``RngStream(seed + 1 + t)``.
-    Each trial probes all updates' curvatures in a single batch of
-    2 n_updates + 1 points at the origin; mean squared Frobenius errors are
-    averaged across trials and every consecutive ratio must stay below
-    eta * (1 + slack).
+    Each trial probes all 15 updates' curvatures in a single batch of 31
+    points at the origin; mean squared Frobenius errors are averaged across
+    trials and every consecutive ratio must stay below eta * 1.02.
 
     The trials run in blocks whose probe points fit in 256 KiB: one
     oracle call evaluates a block's points, each trial still charged its
-    own 2 n_updates + 1, and each update is one ``_rank_one`` step on the
-    block's stack of estimates. Raises ``FloatingPointError`` if a
-    curvature is not finite (mu too large or too small for the objective's
-    floating-point range).
+    own 31, and each update is one ``_rank_one`` step on the block's stack
+    of estimates. Raises ``ValueError`` for d < 2, where the first update
+    recovers the Hessian exactly and leaves no contraction to measure, and
+    ``FloatingPointError`` if a curvature is not finite (mu too large or
+    too small for the objective's floating-point range).
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
+    if d < 2:
+        raise ValueError(
+            f"rate_verification needs d >= 2, got d={d}: at d = 1 the first "
+            "update recovers the Hessian exactly")
+    n_updates = 15
     eta = update_rate_bound(d)
     a = random_spd(d, cond=3.0, rng=RngStream(seed))
     oracle = make_quadratic(a, np.zeros(d)).make_oracle()
@@ -164,7 +172,7 @@ def rate_verification(d: int, trials: int, seed: int, mu: float = 1e-6,
     ratios = mse[1:] / mse[:-1]
     max_ratio = float(np.max(ratios))
     geomean = float((mse[-1] / mse[0]) ** (1.0 / n_updates))
-    threshold = eta * (1.0 + slack)
+    threshold = eta * 1.02
     return RateReport(d=d, trials=trials, eta=eta, threshold=threshold,
                       step_ratios=ratios, max_ratio=max_ratio,
                       geomean_ratio=geomean, passed=max_ratio <= threshold)
@@ -193,17 +201,17 @@ class GradientBoundReport:
         ]
 
 
-def gradient_bound_verification(seed: int, d: int = 4,
-                                mus: tuple = (1e-1, 1e-2, 1e-3),
-                                n_points: int = 100,
-                                box_radius: float = 1.0) -> GradientBoundReport:
+def gradient_bound_verification(seed: int = 0, d: int = 4,
+                                n_points: int = 100) -> GradientBoundReport:
     """Check ||grad f - g|| <= d L2 mu^2 / 6 deterministically on the cubic
-    box problem (L2 = 2 everywhere), over random points and orthonormal
-    bases. Zero violations are allowed; a rounding slack of
-    1e-12 * (1 + ||grad f||) absorbs floating-point noise.
+    box problem with R = 1 (L2 = 2 everywhere), at mu = 0.1, 0.01 and
+    0.001, over random points and orthonormal bases. Zero violations are
+    allowed; a rounding slack of 1e-12 * (1 + ||grad f||) absorbs
+    floating-point noise.
     """
     if n_points < 1:
         raise ValueError(f"need at least 1 point, got {n_points}")
+    mus, box_radius = (1e-1, 1e-2, 1e-3), 1.0
     problem = make_cubic_box(d, box_radius)
     grad = problem.known.gradient
     L2 = problem.known.L2
@@ -225,7 +233,7 @@ def gradient_bound_verification(seed: int, d: int = 4,
             worst = max(worst, err / allowance)
             if err > allowance:
                 violations += 1
-    return GradientBoundReport(d=d, L2=L2, mus=tuple(mus), n_points=n_points,
+    return GradientBoundReport(d=d, L2=L2, mus=mus, n_points=n_points,
                                violations=violations, worst_slack=worst,
                                passed=violations == 0)
 
@@ -256,13 +264,13 @@ class LinearRateReport:
         ]
 
 
-def linear_rate_verification(seed: int, d: int = 10, cond: float = 100.0,
-                             mu: float = 1e-6, gap_floor: float = 1e-9,
-                             max_iterations: int = 2500) -> LinearRateReport:
+def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
+                             mu: float = 1e-6) -> LinearRateReport:
     """Run the solver with the rate-optimal stepsize on a conditioned
-    quadratic and check that every f-gap contraction down to the floor stays
-    within (1 - gamma*) + 1e-3, gamma* = m lambda_min / (L1 lambda_max).
-    Raises ``FloatingPointError`` if the run ends ``stopped_numerical``."""
+    quadratic for at most 2500 iterations and check that every f-gap
+    contraction down to the 1e-9 floor stays within (1 - gamma*) + 1e-3,
+    gamma* = m lambda_min / (L1 lambda_max). Raises ``FloatingPointError``
+    if the run ends ``stopped_numerical``."""
     problem_stream = RngStream(seed)
     a = random_spd(d, cond, problem_stream)
     b = problem_stream.generator.standard_normal(d)
@@ -274,7 +282,7 @@ def linear_rate_verification(seed: int, d: int = 10, cond: float = 100.0,
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d), alpha=alpha,
         lambda_min=lambda_min, lambda_max=lambda_max,
-        max_iterations=max_iterations, L1=L1, L2=0.0, m=m)
+        max_iterations=2500, L1=L1, L2=0.0, m=m)
     v = problem_stream.generator.standard_normal(d)
     x0 = problem.known.x_star + v / np.linalg.norm(v)
     oracle = problem.make_oracle()
@@ -285,7 +293,7 @@ def linear_rate_verification(seed: int, d: int = 10, cond: float = 100.0,
             f"linear_rate_verification: the run ended {trace.status} after "
             f"{len(trace.records)} iterations at mu={mu!r}")
     gaps = np.array([rec.f_gap for rec in trace.records])
-    above = np.nonzero(gaps <= gap_floor)[0]
+    above = np.nonzero(gaps <= 1e-9)[0]
     iters_to_floor = int(above[0]) if len(above) else None
     last = iters_to_floor if iters_to_floor is not None else len(gaps) - 1
     ratios = gaps[1:last + 1] / gaps[:last]
@@ -375,15 +383,11 @@ def _quadratic_window(errors, floor: float, k_bound: float, usable,
     return best[0], best[1], float(max(run_qs))
 
 
-def quadratic_rate_verification(seed: int, n: int = 200, d: int = 10,
-                                ridge: float = 0.1, mu: float = 1e-7,
-                                start_distance: float = 0.1,
-                                max_iterations: int = 25,
-                                lambda_min: float = 0.01,
-                                feature_scale: float = 2.0,
-                                ) -> QuadraticRateReport:
+def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     """Check local quadratic convergence and the per-iteration local bound on
-    synthetic ridge-regularized logistic regression with r = d^2 directions.
+    synthetic ridge-regularized logistic regression (n = 200, d = 10,
+    features scaled by 2, ridge 0.1) with r = d^2 directions, mu = 1e-7 and
+    lambda_min = 0.01, over 25 iterations from distance 0.1 to x*.
 
     The solver sees the objective in optimum-centered form (values are
     f(x) - f*, computed cancellation-free): at mu = 1e-7 the curvature signal
@@ -404,7 +408,8 @@ def quadratic_rate_verification(seed: int, n: int = 200, d: int = 10,
     minimizer's own accuracy (||grad|| <= 1e-13, i.e. distance <= 1e-13/m):
     below it the measured distance says nothing about the algorithm.
     """
-    data = make_synthetic_dataset(n, d, RngStream(seed), scale=feature_scale)
+    n, d, ridge, mu, lambda_min = 200, 10, 0.1, 1e-7, 0.01
+    data = make_synthetic_dataset(n, d, RngStream(seed), scale=2.0)
     problem = make_logistic(data, ridge)
     known = problem.known
     gap_fn = logistic_gap_objective(data, ridge, known.x_star)
@@ -412,12 +417,12 @@ def quadratic_rate_verification(seed: int, n: int = 200, d: int = 10,
 
     direction_stream = RngStream(seed + 1)
     u = direction_stream.generator.standard_normal(d)
-    x0 = known.x_star + start_distance * u / np.linalg.norm(u)
+    x0 = known.x_star + 0.1 * u / np.linalg.norm(u)
 
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d * d), alpha=1.0,
         lambda_min=lambda_min, lambda_max=1e4,
-        max_iterations=max_iterations, L1=known.L1)
+        max_iterations=25, L1=known.L1)
     trace = run(x0, oracle, config, RngStream(seed + 2),
                 x_star=known.x_star, f_star=0.0, hessian_fn=known.hessian)
 
@@ -450,8 +455,10 @@ def quadratic_rate_verification(seed: int, n: int = 200, d: int = 10,
 # ---------------------------------------------------------------------------
 # Stiefel-frame vs normalized-Gaussian direction sampling.
 
-# The Gaussian mean must exceed the Stiefel mean by this many combined
-# standard errors, so an advantage the trials cannot resolve never passes.
+# The Stiefel mean must be at most _SAMPLING_RATIO times the Gaussian mean,
+# and below it by this many combined standard errors, so an advantage the
+# trials cannot resolve never passes.
+_SAMPLING_RATIO = 0.95
 _SAMPLING_MIN_Z = 3.0
 
 
@@ -484,14 +491,13 @@ class SamplingReport:
         ]
 
 
-def sampling_comparison(d: int, r: int, trials: int, seed: int,
-                        mu: float = 1e-6,
-                        ratio_threshold: float = 0.95) -> SamplingReport:
+def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
+                        seed: int = 0, mu: float = 1e-6) -> SamplingReport:
     """Compare mean Frobenius error ||H^r - A||_F of cold-start estimates
     built from Stiefel frames vs independent sphere directions on a seeded
-    random SPD quadratic. Passes when the Stiefel mean is at most
-    ``ratio_threshold`` times the Gaussian mean and the gap between the means
-    exceeds three combined standard errors.
+    random SPD quadratic. Passes when the Stiefel mean is at most 0.95
+    times the Gaussian mean and the gap between the means exceeds three
+    combined standard errors.
 
     Trial t draws its Stiefel set and then its Gaussian set from its own
     ``RngStream(seed + 1 + t)``. The trials run in blocks whose probe
@@ -536,8 +542,8 @@ def sampling_comparison(d: int, r: int, trials: int, seed: int,
         d=d, r=r, trials=trials,
         stiefel_mean=s_mean, stiefel_stderr=s_stderr,
         gaussian_mean=g_mean, gaussian_stderr=g_stderr,
-        ratio_threshold=ratio_threshold,
-        passed=s_mean <= ratio_threshold * g_mean and resolved)
+        ratio_threshold=_SAMPLING_RATIO,
+        passed=s_mean <= _SAMPLING_RATIO * g_mean and resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +568,18 @@ class StoppingReport:
         ]
 
 
-def stopping_criterion_check(seed: int, d: int = 4, box_radius: float = 0.4,
-                             mu: float = 1e-3,
-                             max_iterations: int = 50) -> StoppingReport:
-    """Run the solver on the cubic box problem with known (m, L2) until the
+def stopping_criterion_check(seed: int = 0) -> StoppingReport:
+    """Run the solver on the cubic box problem (d = 4, R = 0.4, so m and L2
+    are known) at mu = 1e-3 for at most 50 iterations until the
     zeroth-order floor fires, then verify the suboptimality guarantee
     ||x - x*|| <= d L2 mu^2 / (3 m) against the true minimizer."""
+    d, box_radius, mu = 4, 0.4, 1e-3
     problem = make_cubic_box(d, box_radius)
     known = problem.known
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d), alpha=1.0,
         lambda_min=known.m, lambda_max=known.L1,
-        max_iterations=max_iterations,
+        max_iterations=50,
         L1=known.L1, L2=known.L2, m=known.m)
     # The cubic is only convex near the origin; an isotropic positive start
     # keeps every iterate inside the box.

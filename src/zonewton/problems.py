@@ -170,7 +170,7 @@ class KnownInfo:
 class ProblemSpec:
     dimension: int
     fn: Callable[[np.ndarray], float]
-    known: Optional[KnownInfo] = None
+    known: KnownInfo
     name: str = "problem"
 
     def make_oracle(self, budget: Optional[int] = None) -> Oracle:
@@ -182,8 +182,6 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
     """Cross-check closed-form gradient and Hessian diagonal against central
     differences at seeded random points; raises on disagreement."""
     known = problem.known
-    if known is None or known.gradient is None:
-        return
     gen = np.random.default_rng(seed)
     d = problem.dimension
     oracle = Oracle(problem.fn, d)
@@ -197,13 +195,12 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
             raise ValueError(
                 f"{problem.name}: closed-form gradient disagrees with finite "
                 "differences")
-        if known.hessian is not None:
-            h_diag = np.diag(np.asarray(known.hessian(x), dtype=float))
-            if not np.allclose(directional_curvature(probe), h_diag,
-                               rtol=1e-3, atol=1e-5):
-                raise ValueError(
-                    f"{problem.name}: closed-form Hessian diagonal disagrees "
-                    "with finite differences")
+        h_diag = np.diag(np.asarray(known.hessian(x), dtype=float))
+        if not np.allclose(directional_curvature(probe), h_diag,
+                           rtol=1e-3, atol=1e-5):
+            raise ValueError(
+                f"{problem.name}: closed-form Hessian diagonal disagrees "
+                "with finite differences")
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -463,8 +460,8 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
 def random_spd(d: int, cond: float, rng: RngStream) -> np.ndarray:
     """Random SPD matrix with spectrum linspace(1, cond, d) in a uniformly
     random orthonormal eigenbasis; lambda_min = 1 and lambda_max = cond."""
-    if cond < 1:
-        raise ValueError(f"cond must be at least 1, got {cond}")
+    if not 1 <= cond < np.inf:
+        raise ValueError(f"cond must be finite and at least 1, got {cond}")
     eigs = np.linspace(1.0, float(cond), d)
     q = stiefel_sample(d, d, rng).vectors.T  # columns orthonormal
     a = (q * eigs) @ q.T

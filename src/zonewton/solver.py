@@ -100,8 +100,9 @@ class SolverConfig:
             raise ValueError(
                 f"need 0 < lambda_min <= lambda_max, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be finite and positive, got {self.alpha}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, config files, CSV traces."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from zonewton import cli
+from zonewton import cli, experiments
 from zonewton.cli import main, parse_config_file, UsageError
 from zonewton.solver import RunTrace, TraceRecord
 from zonewton.traceio import CSV_HEADER, write_trace_csv
@@ -102,6 +104,16 @@ def test_budget_stop_reports_spent_evaluations(tmp_path, capsys):
                  "--budget", "30", "--out", str(tmp_path / "trace.csv")])
     assert code == 0
     assert "evals=22 spent=30" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "fedrun"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_is_usage_error(tmp_path, capsys, command, alpha):
+    out = tmp_path / "trace.csv"
+    assert main([command, "--alpha", alpha, "--max-iters", "2",
+                 "--out", str(out)]) == 2
+    assert "alpha must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diverging_run_stops_numerical(tmp_path, capsys):
@@ -248,6 +260,71 @@ def test_verify_gate_with_nothing_to_check_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "nan" not in captured.out
     assert "error: need at least 1" in captured.err
+
+
+def test_verify_rate_at_d_1_is_usage_error(capsys):
+    # the first update recovers a 1x1 Hessian exactly: no contraction to
+    # measure, so the gate must not report a nan ratio as a FAIL
+    assert main(["verify-rate", "--d", "1", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no PASS/FAIL line, no nan ratio
+    assert "error: rate_verification needs d >= 2" in captured.err
+
+
+@pytest.mark.parametrize("cond", ["nan", "inf"])
+def test_verify_linear_non_finite_cond_is_usage_error(capsys, cond):
+    assert main(["verify-linear", "--cond", cond]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cond must be finite and at least 1, got {cond}" in (
+        captured.err)
+
+
+GATES = {
+    "verify-rate": experiments.rate_verification,
+    "verify-lemma1": experiments.gradient_bound_verification,
+    "verify-linear": experiments.linear_rate_verification,
+    "verify-quadratic": experiments.quadratic_rate_verification,
+    "compare-sampling": experiments.sampling_comparison,
+}
+
+
+def subcommand_flags(command):
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {flag.removeprefix("--")
+            for action in sub.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("verify-rate", {"d", "trials", "seed", "mu"}),
+    ("verify-lemma1", {"seed", "d", "points"}),
+    ("verify-linear", {"seed", "d", "cond", "mu"}),
+    ("verify-quadratic", {"seed"}),
+    ("compare-sampling", {"d", "r", "trials", "seed", "mu"}),
+])
+def test_gate_subcommand_flags_are_the_gate_parameters(command, flags):
+    assert subcommand_flags(command) == flags
+
+
+@pytest.mark.parametrize("command", GATES)
+def test_gate_subcommand_defaults_are_the_gate_defaults(capsys, command):
+    # with only --seed given, every other flag takes the gate's own default
+    report = GATES[command](seed=3)
+    assert main([command, "--seed", "3"]) == (0 if report.passed else 1)
+    assert capsys.readouterr().out == "\n".join(report.lines()) + "\n"
+
+
+def test_verify_rate_repeats_d(capsys):
+    reports = [experiments.rate_verification(d=d, trials=200, seed=4)
+               for d in (3, 4)]
+    assert main(["verify-rate", "--d", "3", "--d", "4", "--trials", "200",
+                 "--seed", "4"]) == 0
+    lines = [line for report in reports for line in report.lines()]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_compare_sampling_degenerate_case_completes(capsys):

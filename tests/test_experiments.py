@@ -54,7 +54,7 @@ def sequential_step_ratios(d, trials, seed, mu=1e-6, n_updates=15):
         est = HessianEstimate.zero(d)
         sq_errors[t, 0] = np.linalg.norm(est.matrix - a) ** 2
         for k in range(n_updates):
-            est.update(directions.vectors[k], directional_curvature(probe, k))
+            est.update(directions.vectors[k], directional_curvature(probe)[k])
             sq_errors[t, k + 1] = np.linalg.norm(est.matrix - a) ** 2
     mse = sq_errors.mean(axis=0)
     return mse[1:] / mse[:-1]

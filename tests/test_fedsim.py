@@ -136,7 +136,7 @@ class TestFederatedProbe:
         fed_est = HessianEstimate.zero(d)
         for j in range(directions.r):
             fed_est.update(directions.vectors[j],
-                           directional_curvature(fed_probe, j))
+                           directional_curvature(fed_probe)[j])
         assert np.max(np.abs(fed_est.matrix - central_est.matrix)) <= 1e-12
         # every client contributed 2r+1 scalars
         assert all(c.oracle.eval_count == 2 * directions.r + 1

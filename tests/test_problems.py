@@ -313,6 +313,12 @@ def test_random_spd_spectrum():
     np.testing.assert_allclose(w, np.linspace(1.0, 40.0, 5), rtol=1e-10)
 
 
+@pytest.mark.parametrize("cond", [float("nan"), float("inf"), 0.5])
+def test_random_spd_rejects_bad_cond_by_name(cond):
+    with pytest.raises(ValueError, match=f"cond must be .* got {cond}"):
+        random_spd(4, cond, RngStream(0))
+
+
 def test_closed_forms_agree_with_finite_differences():
     problems = [
         make_quadratic(random_spd(4, 20.0, RngStream(13)), np.ones(4)),

@@ -322,6 +322,12 @@ def test_config_validation():
         SolverConfig(mu=1e-4, r_policy=FixedDirections(3), max_iterations=0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_alpha_that_is_not_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        SolverConfig(mu=1e-4, r_policy=FixedDirections(3), alpha=alpha)
+
+
 def test_alpha_resolution_order():
     base = dict(mu=1e-4, r_policy=FixedDirections(3))
     assert SolverConfig(**base).resolved_alpha() == 1.0
