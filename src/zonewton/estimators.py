@@ -72,7 +72,11 @@ class HessianEstimate:
         return self.matrix.shape[0]
 
     def copy(self) -> "HessianEstimate":
-        return HessianEstimate(self.matrix.copy())
+        """A copy with its own matrix. A copy of a valid estimate is valid,
+        so unlike the constructor it re-runs no checks."""
+        clone = object.__new__(HessianEstimate)
+        clone.matrix = self.matrix.copy()
+        return clone
 
     def update(self, u, curvature: float) -> float:
         """Apply H <- H + (curvature - u^T H u) u u^T for a unit direction u

@@ -3,9 +3,11 @@
 Every factory returns a :class:`ProblemSpec` whose ``known`` record carries
 the minimizer, optimum value, closed-form derivatives, and the regularity
 constants (strong convexity m, gradient Lipschitz L1, Hessian Lipschitz L2)
-valid on the domain the factory's docstring states. Closed forms are
-cross-checked against finite differences at construction time to guard
-against transcription errors. Datasets hold their features as one dense
+valid on the domain the factory's docstring states. The factories do not
+re-check their own closed forms: the Tier-1 test suite runs
+:func:`check_known_derivatives` on every built-in problem, which guards
+against transcription errors without charging every construction its
+10 (2d + 1) objective evaluations. Datasets hold their features as one dense
 (samples, dimension) float array; the module needs numpy only.
 """
 
@@ -239,9 +241,7 @@ def make_quadratic(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         gradient=lambda x: a @ x - b,
         hessian=lambda x: a,
         m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0)
-    problem = ProblemSpec(d, fn, known, name="quadratic")
-    check_known_derivatives(problem)
-    return problem
+    return ProblemSpec(d, fn, known, name="quadratic")
 
 
 def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
@@ -265,9 +265,7 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
         gradient=lambda x: x**2 + x,
         hessian=lambda x: np.diag(2.0 * x + 1.0),
         m=m if m > 0 else None, L1=1.0 + 2.0 * r, L2=2.0)
-    problem = ProblemSpec(d, Objective(batch), known, name="cubic_box")
-    check_known_derivatives(problem)
-    return problem
+    return ProblemSpec(d, Objective(batch), known, name="cubic_box")
 
 
 def _block_rows(n: int) -> int:
@@ -421,9 +419,7 @@ def make_logistic(dataset: Dataset, ridge: float) -> ProblemSpec:
     known = KnownInfo(
         x_star=x_star, f_star=fn(x_star), gradient=gradient, hessian=hessian,
         m=ridge, L1=L1, L2=_estimate_hessian_lipschitz(fn, d, x_star))
-    problem = ProblemSpec(d, fn, known, name="logistic")
-    check_known_derivatives(problem)
-    return problem
+    return ProblemSpec(d, fn, known, name="logistic")
 
 
 def logistic_gap_objective(dataset: Dataset, ridge: float,

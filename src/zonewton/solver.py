@@ -194,14 +194,24 @@ def eigenvalue_clip(h: np.ndarray, lambda_min: float, lambda_max: float,
     fro = np.linalg.norm(h)
     if np.linalg.norm(h - h.T) > 1e-8 * (1.0 + fro):
         raise ValueError("matrix must be symmetric")
-    w, q = np.linalg.eigh(0.5 * (h + h.T))
+    z, info = _clip_inverse(0.5 * (h + h.T), lambda_min, lambda_max)
+    if return_info:
+        return z, info
+    return z
+
+
+def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float):
+    """The unchecked core of :func:`eigenvalue_clip`, for an exactly
+    symmetric float matrix ``h`` and valid bounds; returns Z and the info
+    dict. The solver calls it on its own estimate, which every update keeps
+    exactly symmetric, so symmetrising h here would return h bit for bit.
+    """
+    w, q = np.linalg.eigh(h)
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
     w_clamped = np.clip(w, lambda_min, lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
     z = 0.5 * (z + z.T)
-    if return_info:
-        return z, {"eigenvalues": w, "clipped": clipped}
-    return z
+    return z, {"eigenvalues": w, "clipped": clipped}
 
 
 def newton_step(x, z, g, alpha: float) -> np.ndarray:
@@ -381,9 +391,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
                                    probe.center_value, r_k)
         hess.apply_probe(probe2)
 
-    # (iv) clip, invert, step.
-    z, info = eigenvalue_clip(hess.matrix, config.lambda_min,
-                              config.lambda_max, return_info=True)
+    # (iv) clip, invert, step; SolverConfig has checked the bounds.
+    z, info = _clip_inverse(hess.matrix, config.lambda_min, config.lambda_max)
     x_new = newton_step(x, z, grad.g, alpha)
 
     new_state = SolverState(

@@ -1,6 +1,7 @@
 """Problem zoo: closed forms, constants, the LIBSVM parser, the reference
 minimizer."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -30,8 +31,10 @@ from zonewton import (
     stiefel_sample,
 )
 from zonewton import problems as problems_module
+from zonewton.cli import ExperimentConfig, _build_problem
 from zonewton.problems import Dataset, check_known_derivatives
 from zonewton.solver import STOPPED_NUMERICAL
+from tests.test_experiments import created_oracles
 
 
 class TestQuadratic:
@@ -319,14 +322,73 @@ def test_random_spd_rejects_bad_cond_by_name(cond):
         random_spd(4, cond, RngStream(0))
 
 
-def test_closed_forms_agree_with_finite_differences():
-    problems = [
-        make_quadratic(random_spd(4, 20.0, RngStream(13)), np.ones(4)),
-        make_cubic_box(4, 0.5),
-        make_logistic(make_synthetic_dataset(30, 4, RngStream(14)), 0.2),
-    ]
-    for p in problems:
-        check_known_derivatives(p, seed=15)
+def _seeded_quadratic(d, cond, seed):
+    """A random SPD quadratic with a Gaussian linear term, both drawn from
+    one stream, as the linear-rate gate and the benchmark build it."""
+    stream = RngStream(seed)
+    a = random_spd(d, cond, stream)
+    return make_quadratic(a, stream.generator.standard_normal(d))
+
+
+def _cli_problem(name):
+    return _build_problem(ExperimentConfig(problem=name))[0]
+
+
+# Every problem the package builds: (builder, check_known_derivatives
+# keywords). The factories do not check their own closed forms, so this is
+# where a transcription error in a gradient or Hessian shows.
+_BUILT_PROBLEMS = {
+    "quadratic_d4": (lambda: make_quadratic(
+        random_spd(4, 20.0, RngStream(13)), np.ones(4)), {"seed": 15}),
+    "cubic_d4_r0.5": (lambda: make_cubic_box(4, 0.5), {"seed": 15}),
+    "logistic_n30_d4": (lambda: make_logistic(
+        make_synthetic_dataset(30, 4, RngStream(14)), 0.2), {"seed": 15}),
+    # the run/fedrun defaults
+    "cli_quadratic_d10": (lambda: _cli_problem("quadratic"), {}),
+    "cli_cubic_d10": (lambda: _cli_problem("cubic"), {}),
+    "cli_logistic_n200_d10": (lambda: _cli_problem("logistic"), {}),
+    # each gate's problem at gate seed 0
+    "rate_gate_d5": (lambda: make_quadratic(
+        random_spd(5, 3.0, RngStream(0)), np.zeros(5)), {}),
+    "gradient_bound_gate_cubic_d4": (lambda: make_cubic_box(4, 1.0), {}),
+    "linear_gate_d10": (lambda: _seeded_quadratic(10, 100.0, 0), {}),
+    "quadratic_gate_logistic_n200_d10": (lambda: make_logistic(
+        make_synthetic_dataset(200, 10, RngStream(0), scale=2.0), 0.1), {}),
+    "sampling_gate_d20": (lambda: make_quadratic(
+        random_spd(20, 10.0, RngStream(0)), np.zeros(20)), {}),
+    "stopping_gate_cubic_d4": (lambda: make_cubic_box(4, 0.4), {}),
+    # the benchmark's workloads at benchmark seed 0
+    "logistic_n2000_d200": (lambda: make_logistic(
+        make_synthetic_dataset(2000, 200, RngStream(0)), 0.1), {}),
+    "quadratic_d100": (lambda: _seeded_quadratic(100, 100.0, 0), {}),
+}
+
+
+@pytest.mark.parametrize("build, check_kwargs", _BUILT_PROBLEMS.values(),
+                         ids=_BUILT_PROBLEMS.keys())
+def test_closed_forms_agree_with_finite_differences(build, check_kwargs):
+    check_known_derivatives(build(), **check_kwargs)
+
+
+def test_factories_construct_no_oracle():
+    with created_oracles() as created:
+        make_quadratic(random_spd(4, 20.0, RngStream(13)), np.ones(4))
+        make_cubic_box(4, 0.5)
+        make_logistic(make_synthetic_dataset(30, 4, RngStream(14)), 0.2)
+    assert created == []
+
+
+@pytest.mark.parametrize("field, scale, message", [
+    ("gradient", -1.0, "closed-form gradient disagrees"),
+    ("hessian", 2.0, "closed-form Hessian diagonal disagrees"),
+])
+def test_derivative_check_catches_a_wrong_closed_form(field, scale, message):
+    problem = make_logistic(make_synthetic_dataset(30, 4, RngStream(14)), 0.2)
+    exact = getattr(problem.known, field)
+    problem.known = dataclasses.replace(
+        problem.known, **{field: lambda x: scale * exact(x)})
+    with pytest.raises(ValueError, match=f"logistic: {message}"):
+        check_known_derivatives(problem)
 
 
 # Sample count at which a logistic batch is formed in blocks of 8 rows.

@@ -6,7 +6,9 @@ import pytest
 from zonewton import (
     AdaptiveDirections,
     FixedDirections,
+    HessianEstimate,
     Oracle,
+    ProbeResult,
     RngStream,
     SolverConfig,
     SolverState,
@@ -20,6 +22,7 @@ from zonewton import (
     optimal_stepsize,
     random_spd,
     run,
+    stiefel_sample,
     update_rate_bound,
     zo_floor_stop,
 )
@@ -29,6 +32,7 @@ from zonewton.solver import (
     STOPPED_MAX_ITER,
     STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
+    _clip_inverse,
 )
 
 
@@ -75,6 +79,24 @@ class TestEigenvalueClip:
         assert info["clipped"]
         _, info = eigenvalue_clip(np.eye(2), 0.5, 2.0, return_info=True)
         assert not info["clipped"]
+
+    @pytest.mark.parametrize("d", [1, 5, 40])
+    def test_solver_core_matches_public_function(self, d):
+        # the estimate the solver clips: built by frame updates, so exactly
+        # symmetric without being symmetrised
+        hess = HessianEstimate.zero(d)
+        frames = stiefel_sample(d, 3 * d, RngStream(d))
+        curvatures = np.random.default_rng(d).uniform(-5.0, 50.0, 3 * d)
+        hess.apply_probe(ProbeResult(
+            center_value=0.0, plus_values=curvatures / 2,
+            minus_values=curvatures / 2, mu=1.0, directions=frames))
+        assert np.array_equal(hess.matrix, hess.matrix.T)
+        z, info = _clip_inverse(hess.matrix, 0.5, 20.0)
+        z_public, info_public = eigenvalue_clip(hess.matrix, 0.5, 20.0,
+                                                return_info=True)
+        assert np.array_equal(z, z_public)
+        assert np.array_equal(info["eigenvalues"], info_public["eigenvalues"])
+        assert info["clipped"] == info_public["clipped"]
 
 
 class TestNewtonStep:
