@@ -36,7 +36,7 @@ for mu in (1e-1, 1e-2, 1e-3):
         grad = estimate_gradient(probe)             # reuses probe values
         assert oracle.eval_count == before          # zero extra evaluations
         assert oracle.eval_count == 2 * d + 1       # one batch, 2r+1 total
-        worst = max(worst, np.linalg.norm(problem.known.gradient(x) - grad.g))
+        worst = max(worst, np.linalg.norm(problem.known.gradient(x) - grad))
     bound = gradient_error_bound(d, problem.known.L2, mu)
     print(f"{mu:<8}  {worst:<20.3e}  {bound:.3e}")
 

@@ -8,7 +8,6 @@ that only ever exchange scalar function values.
 """
 
 from .estimators import (
-    GradientEstimate,
     HessianEstimate,
     directional_curvature,
     estimate_gradient,

@@ -33,7 +33,6 @@ from .oracle import Oracle, ProbeResult
 from .sampling import DirectionSet
 
 __all__ = [
-    "GradientEstimate",
     "HessianEstimate",
     "directional_curvature",
     "estimate_gradient",
@@ -143,17 +142,6 @@ def _frame_update(h, v, c):
     return residual
 
 
-@dataclass
-class GradientEstimate:
-    """Central-difference gradient along an orthonormal basis."""
-
-    g: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.g))
-
-
 def directional_curvature(probe: ProbeResult) -> np.ndarray:
     """Second central differences (f+ - 2 f0 + f-) / mu^2, one per probed
     direction, in direction order."""
@@ -190,7 +178,7 @@ def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
     return est, probe
 
 
-def estimate_gradient(probe: ProbeResult) -> GradientEstimate:
+def estimate_gradient(probe: ProbeResult) -> np.ndarray:
     """Gradient from the first frame of a probe batch, d orthonormal
     directions.
 
@@ -208,8 +196,7 @@ def estimate_gradient(probe: ProbeResult) -> GradientEstimate:
             f"least d={d} directions in orthonormal frames of d (got "
             f"r={ds.r}, frame_size={ds.frame_size})")
     coeffs = (probe.plus_values[:d] - probe.minus_values[:d]) / (2.0 * probe.mu)
-    g = coeffs @ ds.vectors[:d]
-    return GradientEstimate(g)
+    return coeffs @ ds.vectors[:d]
 
 
 def update_rate_bound(d: int) -> float:

@@ -37,10 +37,13 @@ from .problems import (
 from .sampling import RngStream, gaussian_sphere_sample, stiefel_sample
 from .solver import (
     FixedDirections,
+    RUNNING,
     SolverConfig,
+    SolverState,
     STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
     contraction_gamma,
+    iterate,
     optimal_stepsize,
     run,
 )
@@ -226,7 +229,7 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
             basis = stiefel_sample(d, d, stream)
             oracle = problem.make_oracle()
             probe = oracle.probe_batch(x, basis, mu)
-            g = estimate_gradient(probe).g
+            g = estimate_gradient(probe)
             exact = grad(x)
             err = float(np.linalg.norm(exact - g))
             allowance = bound + 1e-12 * (1.0 + float(np.linalg.norm(exact)))
@@ -267,10 +270,12 @@ class LinearRateReport:
 def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
                              mu: float = 1e-6) -> LinearRateReport:
     """Run the solver with the rate-optimal stepsize on a conditioned
-    quadratic for at most 2500 iterations and check that every f-gap
-    contraction down to the 1e-9 floor stays within (1 - gamma*) + 1e-3,
-    gamma* = m lambda_min / (L1 lambda_max). Raises ``FloatingPointError``
-    if the run ends ``stopped_numerical``."""
+    quadratic until the first f-gap <= 1e-9, the floor, and check that every
+    f-gap contraction down to it stays within (1 - gamma*) + 1e-3,
+    gamma* = m lambda_min / (L1 lambda_max). The run drives ``iterate``
+    itself and stops there, with 2500 iterations as a guard; if the guard
+    ends it first the floor is not reached and the gate fails. Raises
+    ``FloatingPointError`` if the run ends ``stopped_numerical``."""
     problem_stream = RngStream(seed)
     a = random_spd(d, cond, problem_stream)
     b = problem_stream.generator.standard_normal(d)
@@ -286,17 +291,22 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
     v = problem_stream.generator.standard_normal(d)
     x0 = problem.known.x_star + v / np.linalg.norm(v)
     oracle = problem.make_oracle()
-    trace = run(x0, oracle, config, RngStream(seed + 1),
-                x_star=problem.known.x_star, f_star=problem.known.f_star)
-    if trace.status == STOPPED_NUMERICAL:
+    rng = RngStream(seed + 1)
+    state = SolverState.initial(x0, d)
+    floor = 1e-9
+    gaps = []
+    for _ in range(config.max_iterations):
+        state, record = iterate(state, oracle, config, rng)
+        gaps.append(record.f_value - problem.known.f_star)
+        if gaps[-1] <= floor or state.status != RUNNING:
+            break
+    if state.status == STOPPED_NUMERICAL:
         raise FloatingPointError(
-            f"linear_rate_verification: the run ended {trace.status} after "
-            f"{len(trace.records)} iterations at mu={mu!r}")
-    gaps = np.array([rec.f_gap for rec in trace.records])
-    above = np.nonzero(gaps <= 1e-9)[0]
-    iters_to_floor = int(above[0]) if len(above) else None
-    last = iters_to_floor if iters_to_floor is not None else len(gaps) - 1
-    ratios = gaps[1:last + 1] / gaps[:last]
+            f"linear_rate_verification: the run ended {state.status} after "
+            f"{len(gaps)} iterations at mu={mu!r}")
+    iters_to_floor = len(gaps) - 1 if gaps[-1] <= floor else None
+    gaps = np.array(gaps)
+    ratios = gaps[1:] / gaps[:-1]
     max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
     bound = (1.0 - gamma_star) + 1e-3
     passed = iters_to_floor is not None and max_ratio <= bound
@@ -331,21 +341,21 @@ class QuadraticRateReport:
         ]
 
 
-def _quadratic_window(errors, floor: float, k_bound: float, usable,
-                      min_length: int = 3, sharpening: float = 0.75):
+def _quadratic_window(errors, floor: float, k_bound: float, usable):
     """Longest run of consecutive iterations whose errors contract at least
-    quadratically with the single constant ``k_bound``.
+    quadratically with the single constant ``k_bound``; a reported window
+    is at least 3 iterations long.
 
     A pair (e_k, e_{k+1}) qualifies when both errors sit above ``floor``
     (below it the measurement is dominated by the reference minimizer's own
     accuracy and the zeroth-order bias), the iteration is ``usable`` (no
     eigenvalue clamping, so the step used the exact inverse estimate), and
     e_{k+1} <= k_bound * e_k^2. Over the reported window the per-step
-    contraction must also sharpen, last <= ``sharpening`` * first: that is
-    the quadratic signature, and it rejects linear-rate sequences whose
-    early ratios can slip under ``k_bound`` while their contraction stays
-    flat.
+    contraction must also sharpen, last <= 0.75 * first: that is the
+    quadratic signature, and it rejects linear-rate sequences whose early
+    ratios can slip under ``k_bound`` while their contraction stays flat.
     """
+    min_length, sharpening = 3, 0.75
     qualifies = []
     for k in range(len(errors) - 1):
         e, e_next = errors[k], errors[k + 1]

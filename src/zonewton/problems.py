@@ -192,7 +192,7 @@ def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
         x = gen.standard_normal(d) / np.sqrt(d)
         g_exact = np.asarray(known.gradient(x), dtype=float)
         probe = oracle.probe_batch(x, identity, mu)
-        g_fd = estimate_gradient(probe).g
+        g_fd = estimate_gradient(probe)
         if not np.allclose(g_fd, g_exact, rtol=1e-4, atol=1e-6):
             raise ValueError(
                 f"{problem.name}: closed-form gradient disagrees with finite "
@@ -356,18 +356,19 @@ def _logistic_parts(dataset: Dataset, ridge: float):
     return fn, gradient, hessian
 
 
-def _estimate_hessian_lipschitz(fn: Objective, d: int, center: np.ndarray,
-                                radius: float = 0.5, n_samples: int = 200,
-                                h: float = 1e-2, seed: int = 20240501) -> float:
+def _estimate_hessian_lipschitz(fn: Objective, d: int,
+                                center: np.ndarray) -> float:
     """Empirical Hessian-Lipschitz constant from directional third differences.
 
-    Samples (x, u) pairs in a ball around ``center`` and takes 1.5 times the
-    largest third central difference; for symmetric third-derivative tensors
-    the directional form attains the operator norm, so this is a usable (not
-    worst-case) estimate. Logged in the returned value only; callers should
-    treat it as an estimate. Each sample draws u, then the offset of x; all
-    4 * n_samples points are evaluated as one batch.
+    Samples 200 (x, u) pairs in the ball of radius 0.5 around ``center``,
+    drawn from ``default_rng(20240501)``, and takes 1.5 times the largest
+    third central difference at step h = 1e-2; for symmetric
+    third-derivative tensors the directional form attains the operator norm,
+    so this is a usable (not worst-case) estimate. Logged in the returned
+    value only; callers should treat it as an estimate. Each sample draws u,
+    then the offset of x; all 800 points are evaluated as one batch.
     """
+    radius, n_samples, h, seed = 0.5, 200, 1e-2, 20240501
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, d))
     u = draws[:, 0]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -379,18 +380,17 @@ def _estimate_hessian_lipschitz(fn: Objective, d: int, center: np.ndarray,
     return 1.5 * float(np.max(np.abs(third)))
 
 
-def _reference_minimizer(gradient, hessian, d: int,
-                         gtol: float = 1e-13) -> np.ndarray:
-    """Deterministic Newton solve from the origin to ||grad|| <= gtol.
+def _reference_minimizer(gradient, hessian, d: int) -> np.ndarray:
+    """Deterministic Newton solve from the origin to ||grad|| <= 1e-13.
 
     Full steps on the closed-form Hessian, with no line search: near the
     minimizer f changes by less than its own rounding error, so a decrease
-    test on f stalls there before the gradient reaches gtol.
+    test on f stalls there before the gradient reaches 1e-13.
     """
     x = np.zeros(d)
     for _ in range(100):
         g = gradient(x)
-        if np.linalg.norm(g) <= gtol:
+        if np.linalg.norm(g) <= 1e-13:
             return x
         x = x - np.linalg.solve(hessian(x), g)
     raise RuntimeError("reference minimizer failed to reach the target "

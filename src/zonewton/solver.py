@@ -351,8 +351,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     if _probe_failed(x, probe):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, d)
-    grad = estimate_gradient(probe)
-    g_norm = grad.norm
+    g = estimate_gradient(probe)
+    g_norm = float(np.linalg.norm(g))
 
     hess = state.hessian.copy()
     residuals = hess.apply_probe(probe)
@@ -393,7 +393,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
 
     # (iv) clip, invert, step; SolverConfig has checked the bounds.
     z, info = _clip_inverse(hess.matrix, config.lambda_min, config.lambda_max)
-    x_new = newton_step(x, z, grad.g, alpha)
+    x_new = newton_step(x, z, g, alpha)
 
     new_state = SolverState(
         x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING)

@@ -206,7 +206,7 @@ class TestEstimateGradient:
         oracle = Oracle(lambda x: float(c @ x), 3)
         basis = stiefel_sample(3, 3, RngStream(9))
         probe = oracle.probe_batch(np.array([0.2, 0.4, -0.6]), basis, mu=0.05)
-        g = estimate_gradient(probe).g
+        g = estimate_gradient(probe)
         np.testing.assert_allclose(g, c, atol=1e-12)
 
     def test_cubic_error_matches_bound_exactly(self):
@@ -215,7 +215,7 @@ class TestEstimateGradient:
         oracle = Oracle(lambda x: float(x[0] ** 3), 1)
         basis = DirectionSet(np.array([[1.0]]), frame_size=1)
         probe = oracle.probe_batch(np.array([1.0]), basis, mu=0.1)
-        g = estimate_gradient(probe).g[0]
+        g = estimate_gradient(probe)[0]
         assert g == pytest.approx(3.01, abs=1e-12)
         assert abs(g - 3.0) == pytest.approx(
             gradient_error_bound(1, 6.0, 0.1), abs=1e-12)
@@ -224,7 +224,7 @@ class TestEstimateGradient:
         oracle = Oracle(lambda x: 2.5, 2)
         basis = stiefel_sample(2, 2, RngStream(10))
         probe = oracle.probe_batch(np.zeros(2), basis, mu=0.1)
-        np.testing.assert_array_equal(estimate_gradient(probe).g, np.zeros(2))
+        np.testing.assert_array_equal(estimate_gradient(probe), np.zeros(2))
 
     def test_requires_orthonormal_basis(self):
         oracle = Oracle(lambda x: 0.0, 3)
@@ -241,10 +241,10 @@ class TestEstimateGradient:
         probe = Oracle(fn, d).probe_batch(x, directions, mu=0.1)
         first = DirectionSet(directions.vectors[:d], frame_size=d)
         want = estimate_gradient(Oracle(fn, d).probe_batch(x, first, mu=0.1))
-        np.testing.assert_allclose(estimate_gradient(probe).g, want.g,
+        np.testing.assert_allclose(estimate_gradient(probe), want,
                                    rtol=1e-15, atol=0)
         # f has Hessian-Lipschitz constant 1
-        assert np.linalg.norm(want.g - np.cos(x)) <= gradient_error_bound(
+        assert np.linalg.norm(want - np.cos(x)) <= gradient_error_bound(
             d, 1.0, 0.1)
 
     def test_requires_full_dimension(self):
@@ -294,7 +294,7 @@ def test_gradient_bound_holds_on_pure_cubic():
             x = gen.uniform(-1.0, 1.0, size=d)
             oracle = Oracle(oracle_fn, d)
             probe = oracle.probe_batch(x, stiefel_sample(d, d, rng), mu)
-            g = estimate_gradient(probe).g
+            g = estimate_gradient(probe)
             exact = 3.0 * x**2
             err = np.linalg.norm(exact - g)
             assert err <= bound + 1e-12 * (1.0 + np.linalg.norm(exact))

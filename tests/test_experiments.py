@@ -1,9 +1,11 @@
-"""The rate and sampling gates in trial blocks against the per-trial loop.
+"""The gates against reference versions written the plain way.
 
-The reference functions below are the gates written one trial at a time:
-a fresh oracle and one probe batch per trial, then ``HessianEstimate``
-updates. The blocked gates must agree with them within 1e-12 and charge
-the same evaluations.
+The rate and sampling references are the gates written one trial at a
+time: a fresh oracle and one probe batch per trial, then
+``HessianEstimate`` updates. The blocked gates must agree with them within
+1e-12 and charge the same evaluations. The linear-rate reference runs the
+solver for all 2500 iterations and searches the trace for the first f-gap
+at the floor; the gate, which stops there, must give an equal report.
 """
 
 import math
@@ -13,17 +15,23 @@ import numpy as np
 import pytest
 
 from zonewton import (
+    FixedDirections,
     HessianEstimate,
     Oracle,
     RngStream,
+    SolverConfig,
+    contraction_gamma,
     directional_curvature,
     estimate_hessian,
     gaussian_sphere_sample,
     make_quadratic,
+    optimal_stepsize,
     random_spd,
+    run,
     stiefel_sample,
 )
 from zonewton import experiments
+from zonewton.solver import STOPPED_ZO_FLOOR
 
 
 @contextmanager
@@ -73,6 +81,34 @@ def sequential_sampling_errors(d, r, trials, seed, mu=1e-6):
     return errors
 
 
+def full_run_linear_report(seed, d=10, cond=100.0, mu=1e-6):
+    problem_stream = RngStream(seed)
+    a = random_spd(d, cond, problem_stream)
+    b = problem_stream.generator.standard_normal(d)
+    problem = make_quadratic(a, b)
+    m, L1 = problem.known.m, problem.known.L1
+    alpha = optimal_stepsize(m, L1)
+    gamma_star = contraction_gamma(alpha, m, L1, m, L1)
+    config = SolverConfig(
+        mu=mu, r_policy=FixedDirections(d), alpha=alpha, lambda_min=m,
+        lambda_max=L1, max_iterations=2500, L1=L1, L2=0.0, m=m)
+    v = problem_stream.generator.standard_normal(d)
+    x0 = problem.known.x_star + v / np.linalg.norm(v)
+    trace = run(x0, problem.make_oracle(), config, RngStream(seed + 1),
+                f_star=problem.known.f_star)
+    gaps = np.array([rec.f_gap for rec in trace.records])
+    above = np.nonzero(gaps <= 1e-9)[0]
+    iters_to_floor = int(above[0]) if len(above) else None
+    last = iters_to_floor if iters_to_floor is not None else len(gaps) - 1
+    ratios = gaps[1:last + 1] / gaps[:last]
+    max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
+    bound = (1.0 - gamma_star) + 1e-3
+    return experiments.LinearRateReport(
+        d=d, cond=cond, gamma_star=gamma_star, ratio_bound=bound,
+        max_ratio=max_ratio, iterations_to_floor=iters_to_floor,
+        passed=iters_to_floor is not None and max_ratio <= bound)
+
+
 @pytest.mark.parametrize("d,trials", [(3, 400), (5, 450)])
 def test_rate_gate_matches_per_trial_loop(d, trials):
     n_updates = 15
@@ -80,9 +116,9 @@ def test_rate_gate_matches_per_trial_loop(d, trials):
     assert trials > block and trials % block != 0
     with created_oracles() as created:
         report = experiments.rate_verification(d=d, trials=trials, seed=3)
-    # the last oracle is the gate's; make_quadratic builds one before it to
-    # check the problem's closed-form derivatives
-    assert created[-1].eval_count == trials * (2 * n_updates + 1)
+    # the gate's one oracle charges each trial one probe batch
+    assert len(created) == 1
+    assert created[0].eval_count == trials * (2 * n_updates + 1)
     want = sequential_step_ratios(d, trials, seed=3)
     np.testing.assert_allclose(report.step_ratios, want, rtol=0, atol=1e-12)
     assert report.max_ratio == pytest.approx(np.max(want), rel=1e-12)
@@ -96,11 +132,37 @@ def test_sampling_gate_matches_per_trial_loop(r):
     with created_oracles() as created:
         report = experiments.sampling_comparison(d=d, r=r, trials=trials,
                                                  seed=5)
-    # the gate's oracle charges each trial one probe batch per sampler
-    assert created[-1].eval_count == trials * 2 * (2 * r + 1)
+    # the gate's one oracle charges each trial one probe batch per sampler
+    assert len(created) == 1
+    assert created[0].eval_count == trials * 2 * (2 * r + 1)
     stiefel, gauss = sequential_sampling_errors(d, r, trials, seed=5)
     got = [report.stiefel_mean, report.stiefel_stderr,
            report.gaussian_mean, report.gaussian_stderr]
     want = [stiefel.mean(), stiefel.std(ddof=1) / math.sqrt(trials),
             gauss.mean(), gauss.std(ddof=1) / math.sqrt(trials)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"d": 30, "cond": 10.0},
+                                    {"cond": 1e4}],
+                         ids=["defaults", "d30_cond10", "cond1e4"])
+def test_linear_gate_stops_at_the_floor_with_the_full_run_report(kwargs):
+    with created_oracles() as created:
+        report = experiments.linear_rate_verification(seed=3, **kwargs)
+    assert report == full_run_linear_report(seed=3, **kwargs)
+    # the gate's one oracle charges one 2d+1 batch per iteration it ran:
+    # up to the floor, or the 2500-iteration guard when it is not reached
+    d = report.d
+    iterations = (2500 if report.iterations_to_floor is None
+                  else report.iterations_to_floor + 1)
+    assert len(created) == 1
+    assert created[0].eval_count == iterations * (2 * d + 1)
+
+
+@pytest.mark.parametrize("seed", [100 * k + 1 for k in range(20)])
+def test_stopping_gate_passes_on_the_sweep_seeds(seed):
+    # the gate seeds 100k + 1 that the verify_gates benchmark sweeps for
+    # the five gates with a command; this gate has none
+    report = experiments.stopping_criterion_check(seed=seed)
+    assert report.passed, report.lines()[0]
+    assert report.status == STOPPED_ZO_FLOOR
