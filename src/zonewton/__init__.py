@@ -60,7 +60,6 @@ from .solver import (
     contraction_gamma,
     eigenvalue_clip,
     iterate,
-    newton_step,
     optimal_stepsize,
     run,
     zo_floor_stop,

@@ -152,8 +152,11 @@ def directional_curvature(probe: ProbeResult) -> np.ndarray:
 def _second_difference(plus, center, minus, mu):
     """(plus - 2 center + minus) / mu^2, elementwise. mu^2 is a numpy
     float64 power: the value Python's ``mu**2`` gives, but an overflow
-    gives inf instead of raising ``OverflowError``."""
-    return (plus - 2.0 * center + minus) / np.float64(mu) ** 2
+    gives inf instead of raising ``OverflowError``. A non-finite result
+    (an overflow, a non-finite value, or mu^2 underflowing to 0) comes
+    without a warning, for the caller to test with ``np.isfinite``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (plus - 2.0 * center + minus) / np.float64(mu) ** 2
 
 
 def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,

@@ -95,9 +95,8 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
     np.negative(points[:, 1::2], out=points[:, 2::2])
     values = oracle.evaluate_points(points.reshape(-1, d))
     values = values.reshape(trials, 2 * k + 1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        curvatures = _second_difference(values[:, 1::2], values[:, :1],
-                                        values[:, 2::2], mu)
+    curvatures = _second_difference(values[:, 1::2], values[:, :1],
+                                    values[:, 2::2], mu)
     if not np.all(np.isfinite(curvatures)):
         raise FloatingPointError(
             f"{gate}: non-finite directional curvature at mu={mu!r}")

@@ -5,12 +5,15 @@ the gradient estimate from it, (ii) checks the zeroth-order stopping
 criterion when the problem constants are known, (iii) picks the iteration's
 direction count r_k (fixed or adaptive) and probes the remaining r_k - d
 directions, feeding all r_k curvatures to the warm-started incremental
-Hessian estimate, and (iv) clips the estimate's spectrum into
-[lambda_min, lambda_max], inverts it, and takes the damped Newton step
-x <- x - alpha * Z * g. The center value f(x) is shared between the two
-probe phases, so one iteration costs exactly 2 r_k + 1 evaluations. A
-probe batch that holds a non-finite value, or whose probe steps are lost to
-rounding at x, ends the run as stopped_numerical.
+Hessian estimate, and (iv) takes the damped Newton step
+x <- x - alpha * Z * g, where Z is the estimate's inverse with its spectrum
+clipped into [lambda_min, lambda_max]. When the spectrum already lies
+strictly inside the bounds, Z g is one linear solve with the estimate;
+otherwise it comes from an eigendecomposition. The center value f(x) is
+shared between the two probe phases, so one iteration costs exactly
+2 r_k + 1 evaluations. A probe batch that holds a non-finite value or
+second difference, or whose probe steps are lost to rounding at x, ends the
+run as stopped_numerical.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .estimators import (
     HessianEstimate,
+    directional_curvature,
     estimate_gradient,
     gradient_error_bound,
     update_rate_bound,
@@ -46,7 +50,6 @@ __all__ = [
     "contraction_gamma",
     "eigenvalue_clip",
     "iterate",
-    "newton_step",
     "optimal_stepsize",
     "run",
     "zo_floor_stop",
@@ -203,8 +206,10 @@ def eigenvalue_clip(h: np.ndarray, lambda_min: float, lambda_max: float,
 def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float):
     """The unchecked core of :func:`eigenvalue_clip`, for an exactly
     symmetric float matrix ``h`` and valid bounds; returns Z and the info
-    dict. The solver calls it on its own estimate, which every update keeps
-    exactly symmetric, so symmetrising h here would return h bit for bit.
+    dict. Symmetrising h here would return it bit for bit, because every
+    update keeps the solver's estimate exactly symmetric. The solver calls
+    it through :func:`_newton_direction`, when a Cholesky test finds an
+    eigenvalue of h outside the bounds or on one.
     """
     w, q = np.linalg.eigh(h)
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
@@ -214,14 +219,27 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float):
     return z, {"eigenvalues": w, "clipped": clipped}
 
 
-def newton_step(x, z, g, alpha: float) -> np.ndarray:
-    """Damped Newton update x - alpha * Z g."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if z.shape != (len(x), len(x)) or g.shape != x.shape:
-        raise ValueError("dimension mismatch in newton_step")
-    return x - alpha * (z @ g)
+def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
+                      lambda_max: float) -> tuple[np.ndarray, bool]:
+    """The direction Z g, with Z the clipped inverse of :func:`_clip_inverse`,
+    and whether any eigenvalue of h was clipped.
+
+    When h - lambda_min I and lambda_max I - h both have a Cholesky factor,
+    the spectrum of h lies strictly inside the bounds, so Z is h^(-1) and
+    one linear solve gives the direction. Otherwise it is
+    ``_clip_inverse(h, ...)[0] @ g`` with that function's verdict, so an
+    eigenvalue exactly on a bound is not clipped. ``h`` must be finite and
+    exactly symmetric: a Cholesky factorisation of a non-finite matrix need
+    not raise.
+    """
+    eye = np.eye(len(g))
+    try:
+        np.linalg.cholesky(h - lambda_min * eye)
+        np.linalg.cholesky(lambda_max * eye - h)
+    except np.linalg.LinAlgError:
+        z, info = _clip_inverse(h, lambda_min, lambda_max)
+        return z @ g, info["clipped"]
+    return np.linalg.solve(h, g), False
 
 
 def optimal_stepsize(lambda_min: float, L1: float) -> float:
@@ -302,16 +320,16 @@ def _validate_run_inputs(oracle: Oracle, config: SolverConfig):
 def _probe_failed(x: np.ndarray, probe) -> bool:
     """True when a probe batch cannot carry information about f.
 
-    Either it holds a non-finite value, or the probe step mu is no larger
-    than the rounding unit eps * ||x|| of the iterate. The probe points
-    x +/- mu*u are then lost to rounding (a point equal to x implies
-    eps * ||x|| > 2 mu), and a gradient estimate of exactly 0 would pass
-    the floor test.
+    Either a second difference is not finite, or the probe step mu is no
+    larger than the rounding unit eps * ||x|| of the iterate. The first
+    covers a non-finite function value, which always gives a non-finite
+    second difference, and a mu whose square underflows to 0. In the
+    second, the probe points x +/- mu*u are lost to rounding (a point equal
+    to x implies eps * ||x|| > 2 mu), and a gradient estimate of exactly 0
+    would pass the floor test.
     """
     # Written so that a non-finite x fails too.
-    return not (math.isfinite(probe.center_value)
-                and np.isfinite(probe.plus_values).all()
-                and np.isfinite(probe.minus_values).all()
+    return not (np.isfinite(directional_curvature(probe)).all()
                 and np.finfo(float).eps * np.linalg.norm(x) < probe.mu)
 
 
@@ -391,9 +409,11 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
                                    probe.center_value, r_k)
         hess.apply_probe(probe2)
 
-    # (iv) clip, invert, step; SolverConfig has checked the bounds.
-    z, info = _clip_inverse(hess.matrix, config.lambda_min, config.lambda_max)
-    x_new = newton_step(x, z, g, alpha)
+    # (iv) clip, invert, step; SolverConfig has checked the bounds, and the
+    # probe checks let only finite curvatures into the estimate.
+    direction, clipped = _newton_direction(
+        hess.matrix, g, config.lambda_min, config.lambda_max)
+    x_new = x - alpha * direction
 
     new_state = SolverState(
         x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING)
@@ -401,7 +421,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         iteration=state.iteration, evals=oracle.eval_count,
         f_value=probe.center_value, grad_norm_est=g_norm, r_used=r_k,
         alpha=alpha, step_norm=float(np.linalg.norm(x_new - x)),
-        x=x.copy(), clipped=info["clipped"])
+        x=x.copy(), clipped=clipped)
     return new_state, record
 
 

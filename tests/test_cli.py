@@ -127,6 +127,17 @@ def test_diverging_run_stops_numerical(tmp_path, capsys):
     assert len(out.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("command", ["run", "fedrun"])
+def test_underflowing_mu_squared_exits_3(tmp_path, capsys, command):
+    # the logistic run starts at x = 0, where the probe points stay
+    # distinct but mu^2 underflows to 0: every second difference is 0/0
+    out = tmp_path / "trace.csv"
+    code = main([command, "--problem", "logistic", "--d", "5", "--mu",
+                 "1e-300", "--max-iters", "5", "--out", str(out)])
+    assert code == 3
+    assert "status=stopped_numerical iters=1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags,config,dim", [
     (["--d", "8"], "", 8),
     ([], "d = 8\n", 8),

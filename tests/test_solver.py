@@ -18,7 +18,6 @@ from zonewton import (
     iterate,
     make_cubic_box,
     make_quadratic,
-    newton_step,
     optimal_stepsize,
     random_spd,
     run,
@@ -26,6 +25,7 @@ from zonewton import (
     update_rate_bound,
     zo_floor_stop,
 )
+from zonewton import solver as solver_module
 from zonewton.solver import (
     RUNNING,
     STOPPED_BUDGET,
@@ -33,6 +33,7 @@ from zonewton.solver import (
     STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
     _clip_inverse,
+    _newton_direction,
 )
 
 
@@ -99,20 +100,85 @@ class TestEigenvalueClip:
         assert info["clipped"] == info_public["clipped"]
 
 
-class TestNewtonStep:
-    def test_exact_newton_on_isotropic_quadratic(self):
-        x = np.array([2.0, -3.0])
-        assert np.array_equal(newton_step(x, np.eye(2), x, 1.0), np.zeros(2))
+def _symmetric_with_spectrum(w, gen):
+    """Q diag(w) Q^T for a random orthogonal Q, exactly symmetric."""
+    q, _ = np.linalg.qr(gen.standard_normal((len(w), len(w))))
+    h = (q * w) @ q.T
+    return 0.5 * (h + h.T)
 
-    def test_zero_gradient_keeps_iterate(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(
-            newton_step(x, np.diag([2.0, 3.0]), np.zeros(2), 0.7), x)
 
-    def test_arithmetic_example(self):
-        out = newton_step(np.array([1.0, 0.0]), np.diag([0.5, 1.0]),
-                          np.array([2.0, 0.0]), 1.0)
-        np.testing.assert_array_equal(out, np.zeros(2))
+class TestNewtonDirection:
+    LO, HI = 0.5, 20.0
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 30])
+    def test_inside_the_bounds_solves_with_the_inverse(self, d):
+        gen = np.random.default_rng(d)
+        # relative margin 1e-6 to either bound, both margins taken when d > 1
+        lo, hi = self.LO * (1 + 1e-6), self.HI * (1 - 1e-6)
+        w = np.concatenate([[lo, hi][:d], gen.uniform(lo, hi, max(d - 2, 0))])
+        h = _symmetric_with_spectrum(w, gen)
+        g = gen.standard_normal(d)
+        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        assert clipped is False
+        np.testing.assert_allclose(
+            direction, eigenvalue_clip(h, self.LO, self.HI) @ g, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 30])
+    @pytest.mark.parametrize("outside", ["below", "above"])
+    def test_outside_the_bounds_is_the_clipped_inverse_bit_for_bit(
+            self, d, outside):
+        gen = np.random.default_rng(100 + d)
+        w = gen.uniform(-5.0, 2.0 * self.HI, d)
+        w[0] = -1.0 if outside == "below" else 3.0 * self.HI
+        h = _symmetric_with_spectrum(w, gen)
+        g = gen.standard_normal(d)
+        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        assert clipped is True
+        assert np.array_equal(
+            direction, _clip_inverse(h, self.LO, self.HI)[0] @ g)
+
+    def test_eigenvalue_on_a_bound_takes_the_fallback_unclipped(self):
+        h = np.diag([self.LO, 2.0 * self.LO])
+        g = np.array([1.0, -3.0])
+        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        assert clipped is False
+        assert np.array_equal(
+            direction, _clip_inverse(h, self.LO, self.HI)[0] @ g)
+
+    def test_clip_flag_matches_the_eigenvalues_along_a_run(self, monkeypatch):
+        # the linear-rate gate's setting (d = 10, cond 100, gate seed 1):
+        # the bounds are the true Hessian's extreme eigenvalues, so the
+        # estimate's spectrum sits on both sides of them
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _clip_inverse(*args)
+
+        monkeypatch.setattr(solver_module, "_clip_inverse", counted)
+        d, seed = 10, 1
+        stream = RngStream(seed)
+        problem = make_quadratic(random_spd(d, 100.0, stream),
+                                 stream.generator.standard_normal(d))
+        m, L1 = problem.known.m, problem.known.L1
+        config = SolverConfig(
+            mu=1e-6, r_policy=FixedDirections(d),
+            alpha=optimal_stepsize(m, L1), lambda_min=m, lambda_max=L1,
+            max_iterations=300)
+        v = stream.generator.standard_normal(d)
+        state = SolverState.initial(
+            problem.known.x_star + v / np.linalg.norm(v), d)
+        oracle, rng = problem.make_oracle(), RngStream(seed + 1)
+        verdicts = []
+        for _ in range(config.max_iterations):
+            state, record = iterate(state, oracle, config, rng)
+            w = np.linalg.eigh(state.hessian.matrix)[0]
+            assert record.clipped == bool(w[0] < m or w[-1] > L1)
+            verdicts.append(record.clipped)
+        assert state.status == RUNNING
+        # both branches: some steps took the linear solve, some the fallback
+        assert 0 < len(calls) < len(verdicts)
+        assert any(verdicts)
 
 
 def test_optimal_stepsize_and_gamma():
@@ -317,6 +383,18 @@ class TestRun:
         assert trace.status == STOPPED_NUMERICAL
         assert len(trace.records) == 1
         np.testing.assert_array_equal(trace.records[0].x, np.ones(d))
+        assert oracle.eval_count == 2 * d + 1
+
+    def test_underflowing_mu_squared_stops_numerical(self):
+        # at x = 0 the probe points are distinct, but mu^2 underflows to 0,
+        # so every second difference is 0/0
+        d = 3
+        oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+        config = SolverConfig(mu=1e-300, r_policy=FixedDirections(d),
+                              max_iterations=5)
+        trace = run(np.zeros(d), oracle, config, RngStream(13))
+        assert trace.status == STOPPED_NUMERICAL
+        assert len(trace.records) == 1
         assert oracle.eval_count == 2 * d + 1
 
     def test_fixed_r_below_d_rejected(self):
