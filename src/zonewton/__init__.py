@@ -58,7 +58,6 @@ from .solver import (
     TraceRecord,
     adaptive_direction_count,
     contraction_gamma,
-    eigenvalue_clip,
     iterate,
     optimal_stepsize,
     run,

@@ -93,9 +93,12 @@ class HessianEstimate:
             raise ValueError(f"direction must be unit norm, got ||u|| = {nrm!r}")
         return float(_rank_one(self.matrix, u, float(curvature)))
 
-    def apply_probe(self, probe: ProbeResult) -> np.ndarray:
-        """Apply a probe batch's r rank-one updates in direction order and
-        return their residuals c_j - u_j^T H u_j.
+    def apply_probe(self, directions: DirectionSet,
+                    curvatures: np.ndarray) -> np.ndarray:
+        """Apply the r rank-one updates of a probe batch, given its
+        directions and its second differences c_j
+        (:func:`directional_curvature`), in direction order, and return
+        their residuals c_j - u_j^T H u_j.
 
         Within an orthonormal frame the updates do not interact: update j
         leaves u_k^T H u_k unchanged for every other k of the frame. So
@@ -105,9 +108,8 @@ class HessianEstimate:
         order. A set with ``frame_size`` 1 is applied one :meth:`update` at
         a time.
         """
-        curvatures = directional_curvature(probe)
-        v = probe.directions.vectors
-        k = probe.directions.frame_size
+        v = directions.vectors
+        k = directions.frame_size
         if k == 1:
             return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
         return np.concatenate([
@@ -177,7 +179,7 @@ def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
             raise ValueError("warm start dimension does not match the oracle")
         est = warm_start.copy()
     probe = oracle.probe_batch(x, directions, mu)
-    est.apply_probe(probe)
+    est.apply_probe(directions, directional_curvature(probe))
     return est, probe
 
 

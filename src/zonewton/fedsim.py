@@ -172,6 +172,5 @@ def federated_run(x0, clients, config: SolverConfig, rng: RngStream,
         scalars = 2 * record.r_used + 1
         record.up_scalars = n * scalars
         record.down_scalars = scalars * d
-    trace.extra["n_clients"] = n
     trace.extra["client_eval_counts"] = objective.client_eval_counts()
     return trace

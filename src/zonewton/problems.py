@@ -44,6 +44,9 @@ __all__ = [
 # raise the peak memory by the size of the whole margin matrix.
 _BLOCK_BYTES = 1 << 20
 
+# np.exp and np.expm1 overflow to inf exactly above this argument.
+_EXP_MAX = float(np.log(np.finfo(float).max))
+
 
 @dataclass
 class Dataset:
@@ -436,14 +439,25 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     objective; its optimum value is exactly 0.
     """
     x_star = np.asarray(x_star, dtype=float)
-    s_star = _sigmoid(-dataset.labels * (dataset.features @ x_star))
+    z_star = dataset.labels * (dataset.features @ x_star)
+    s_star = _sigmoid(-z_star)
 
     def loss(dz, _scratch):
-        # log(1 + sigma(-z*) (exp(-dz) - 1)), in place
+        # log(1 + sigma(-z*) (exp(a) - 1)) with a = -dz, in place. Where
+        # exp(a) overflows, the equal softplus difference
+        # log(1 + exp(a - z*)) - log(1 + exp(-z*)): a + log sigma(-z*) to
+        # rounding, and finite even where sigma(-z*) underflows to 0.
         np.negative(dz, out=dz)
+        overflow = dz.max() > _EXP_MAX
+        if overflow:
+            rows, cols = np.nonzero(dz > _EXP_MAX)
+            a, zs = dz[rows, cols], z_star[cols]
+            dz[rows, cols] = 0.0
         np.expm1(dz, out=dz)
         dz *= s_star
         np.log1p(dz, out=dz)
+        if overflow:
+            dz[rows, cols] = np.logaddexp(0.0, a - zs) - np.logaddexp(0.0, -zs)
 
     def batch(points):
         w = points - x_star

@@ -48,7 +48,6 @@ __all__ = [
     "STOPPED_ZO_FLOOR",
     "adaptive_direction_count",
     "contraction_gamma",
-    "eigenvalue_clip",
     "iterate",
     "optimal_stepsize",
     "run",
@@ -178,45 +177,26 @@ class RunTrace:
         return self.records[-1].evals if self.records else 0
 
 
-def eigenvalue_clip(h: np.ndarray, lambda_min: float, lambda_max: float,
-                    return_info: bool = False):
-    """Clamp the spectrum of a symmetric matrix into [lambda_min, lambda_max]
-    and invert: Z = Q clamp(Lambda)^(-1) Q^T.
+def _clip_inverse(h: np.ndarray, lambda_min: float,
+                  lambda_max: float) -> tuple[np.ndarray, bool]:
+    """Clamp the spectrum of h into [lambda_min, lambda_max] and invert:
+    Z = Q clamp(Lambda)^(-1) Q^T. Returns Z and whether any eigenvalue was
+    clamped.
 
-    Every eigenvalue of Z then lies in [1/lambda_max, 1/lambda_min], and when
-    the input spectrum already sits inside the bounds Z is exactly the
-    inverse. With ``return_info`` also returns a dict with the raw
-    eigenvalues and whether any clamping occurred.
-    """
-    if not 0 < lambda_min <= lambda_max:
-        raise ValueError(f"need 0 < lambda_min <= lambda_max, got "
-                         f"[{lambda_min}, {lambda_max}]")
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    fro = np.linalg.norm(h)
-    if np.linalg.norm(h - h.T) > 1e-8 * (1.0 + fro):
-        raise ValueError("matrix must be symmetric")
-    z, info = _clip_inverse(0.5 * (h + h.T), lambda_min, lambda_max)
-    if return_info:
-        return z, info
-    return z
-
-
-def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float):
-    """The unchecked core of :func:`eigenvalue_clip`, for an exactly
-    symmetric float matrix ``h`` and valid bounds; returns Z and the info
-    dict. Symmetrising h here would return it bit for bit, because every
-    update keeps the solver's estimate exactly symmetric. The solver calls
-    it through :func:`_newton_direction`, when a Cholesky test finds an
-    eigenvalue of h outside the bounds or on one.
+    Every eigenvalue of Z lies in [1/lambda_max, 1/lambda_min], and when the
+    spectrum of h already sits inside the bounds Z is exactly the inverse.
+    Nothing is checked: ``h`` must be an exactly symmetric float matrix, as
+    every update keeps the solver's estimate, and the bounds must satisfy
+    0 < lambda_min <= lambda_max, as :class:`SolverConfig` checks. The
+    solver calls it through :func:`_newton_direction`, when a Cholesky test
+    finds an eigenvalue of h outside the bounds or on one.
     """
     w, q = np.linalg.eigh(h)
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
     w_clamped = np.clip(w, lambda_min, lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
     z = 0.5 * (z + z.T)
-    return z, {"eigenvalues": w, "clipped": clipped}
+    return z, clipped
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
@@ -237,8 +217,8 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
         np.linalg.cholesky(h - lambda_min * eye)
         np.linalg.cholesky(lambda_max * eye - h)
     except np.linalg.LinAlgError:
-        z, info = _clip_inverse(h, lambda_min, lambda_max)
-        return z @ g, info["clipped"]
+        z, clipped = _clip_inverse(h, lambda_min, lambda_max)
+        return z @ g, clipped
     return np.linalg.solve(h, g), False
 
 
@@ -317,8 +297,9 @@ def _validate_run_inputs(oracle: Oracle, config: SolverConfig):
         raise TypeError(f"unknown r policy {policy!r}")
 
 
-def _probe_failed(x: np.ndarray, probe) -> bool:
-    """True when a probe batch cannot carry information about f.
+def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
+    """True when a probe batch, with second differences ``curvatures`` at
+    step ``mu``, cannot carry information about f.
 
     Either a second difference is not finite, or the probe step mu is no
     larger than the rounding unit eps * ||x|| of the iterate. The first
@@ -329,8 +310,8 @@ def _probe_failed(x: np.ndarray, probe) -> bool:
     would pass the floor test.
     """
     # Written so that a non-finite x fails too.
-    return not (np.isfinite(directional_curvature(probe)).all()
-                and np.finfo(float).eps * np.linalg.norm(x) < probe.mu)
+    return not (np.isfinite(curvatures).all()
+                and np.finfo(float).eps * np.linalg.norm(x) < mu)
 
 
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
@@ -366,14 +347,15 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     # (i) one orthonormal frame: gradient + the first d Hessian updates.
     frame = stiefel_sample(d, d, rng)
     probe = oracle.probe_batch(x, frame, config.mu)
-    if _probe_failed(x, probe):
+    curvatures = directional_curvature(probe)
+    if _probe_failed(x, curvatures, config.mu):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, d)
     g = estimate_gradient(probe)
     g_norm = float(np.linalg.norm(g))
 
     hess = state.hessian.copy()
-    residuals = hess.apply_probe(probe)
+    residuals = hess.apply_probe(frame, curvatures)
 
     # (ii) zeroth-order floor check, when the constants are known.
     if config.L2 is not None and config.m is not None:
@@ -404,10 +386,11 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         extra = stiefel_sample(d, r_k - d, rng)
         probe2 = oracle.probe_batch(x, extra, config.mu,
                                     center=probe.center_value)
-        if _probe_failed(x, probe2):
+        curvatures = directional_curvature(probe2)
+        if _probe_failed(x, curvatures, config.mu):
             return _numerical_stop(state, oracle.eval_count,
                                    probe.center_value, r_k)
-        hess.apply_probe(probe2)
+        hess.apply_probe(extra, curvatures)
 
     # (iv) clip, invert, step; SolverConfig has checked the bounds, and the
     # probe checks let only finite curvatures into the estimate.

@@ -125,7 +125,8 @@ class TestApplyProbe:
     def test_frame_update_matches_every_direction(self, case):
         warm, c, probe = case
         est = HessianEstimate(warm)
-        residuals = est.apply_probe(probe)
+        residuals = est.apply_probe(probe.directions,
+                                    directional_curvature(probe))
         h = est.matrix
         v = probe.directions.vectors
         k = probe.directions.frame_size
@@ -153,7 +154,8 @@ class TestApplyProbe:
         directions = gaussian_sphere_sample(3, 5, RngStream(20))
         probe = quad_oracle(a).probe_batch(np.zeros(3), directions, mu=1e-3)
         est = HessianEstimate.zero(3)
-        residuals = est.apply_probe(probe)
+        residuals = est.apply_probe(probe.directions,
+                                    directional_curvature(probe))
         want = HessianEstimate.zero(3)
         want_residuals = [want.update(directions.vectors[j],
                                       directional_curvature(probe)[j])
@@ -390,12 +392,8 @@ def test_stacked_frame_update_matches_apply_probe(trials, d, data):
         _frame_update(h, v[:, start:start + d], c[:, start:start + d])
         for start in range(0, r, d)], axis=1)
     for t, directions in enumerate(sets):
-        # mu = 1 and f0 = 0 make the second differences exactly c
-        probe = ProbeResult(center_value=0.0, plus_values=c[t] / 2,
-                            minus_values=c[t] / 2, mu=1.0,
-                            directions=directions)
         est = HessianEstimate(warm[t])
-        want = est.apply_probe(probe)
+        want = est.apply_probe(directions, c[t])
         scale = 1.0 + np.linalg.norm(warm[t]) + np.linalg.norm(c[t])
         np.testing.assert_allclose(residuals[t], want,
                                    rtol=0, atol=1e-12 * scale)

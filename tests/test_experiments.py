@@ -1,4 +1,5 @@
-"""The gates against reference versions written the plain way.
+"""The gates against reference versions written the plain way, and against
+the faults they exist to catch.
 
 The rate and sampling references are the gates written one trial at a
 time: a fresh oracle and one probe batch per trial, then
@@ -6,6 +7,9 @@ time: a fresh oracle and one probe batch per trial, then
 1e-12 and charge the same evaluations. The linear-rate reference runs the
 solver for all 2500 iterations and searches the trace for the first f-gap
 at the floor; the gate, which stops there, must give an equal report.
+
+The fault matrix plants one bug per gate and checks that the gate, which
+passes on gate seed 1 without it, rejects it there.
 """
 
 import math
@@ -22,6 +26,7 @@ from zonewton import (
     SolverConfig,
     contraction_gamma,
     directional_curvature,
+    estimate_gradient,
     estimate_hessian,
     gaussian_sphere_sample,
     make_quadratic,
@@ -30,8 +35,9 @@ from zonewton import (
     run,
     stiefel_sample,
 )
-from zonewton import experiments
-from zonewton.solver import STOPPED_ZO_FLOOR
+from zonewton import estimators, experiments, solver
+from zonewton.estimators import _rank_one, gradient_error_bound
+from zonewton.solver import STOPPED_ZO_FLOOR, _newton_direction
 
 
 @contextmanager
@@ -166,3 +172,66 @@ def test_stopping_gate_passes_on_the_sweep_seeds(seed):
     report = experiments.stopping_criterion_check(seed=seed)
     assert report.passed, report.lines()[0]
     assert report.status == STOPPED_ZO_FLOOR
+
+
+def _flipped_rank_one(h, u, c):
+    # H - (c - u^T H u) u u^T: the correction subtracted instead of added
+    uhu = (u[..., None, :] @ h @ u[..., None])[..., 0, 0]
+    return _rank_one(h, u, 2.0 * uhu - c)
+
+
+def _frozen_frame_update(h, v, c):
+    # the residuals of a frame update, with H left as it was
+    return c - np.sum((v @ h) * v, axis=-1)
+
+
+def _scaled_floor(*args):
+    return 100.0 * gradient_error_bound(*args)
+
+
+def _ascent_direction(*args):
+    direction, clipped = _newton_direction(*args)
+    return -direction, clipped
+
+
+# gate -> (its planted faults as (module, name, replacement), the verdict)
+FAULT_MATRIX = {
+    "rate": (experiments.rate_verification,
+             [(experiments, "_rank_one", _flipped_rank_one)], "FAIL"),
+    "lemma1": (experiments.gradient_bound_verification,
+               [(experiments, "estimate_gradient",
+                 lambda probe: 1.5 * estimate_gradient(probe))], "FAIL"),
+    "sampling": (experiments.sampling_comparison,
+                 [(experiments, "stiefel_sample", gaussian_sphere_sample)],
+                 "FAIL"),
+    # the floor constant is defined once and imported by both modules
+    "stopping": (experiments.stopping_criterion_check,
+                 [(solver, "gradient_error_bound", _scaled_floor),
+                  (experiments, "gradient_error_bound", _scaled_floor)],
+                 "FAIL"),
+    "quadratic": (experiments.quadratic_rate_verification,
+                  [(estimators, "_frame_update", _frozen_frame_update)],
+                  "FAIL"),
+    # the f-gap grows until the run ends stopped_numerical, which the CLI
+    # reports with exit code 3
+    "linear": (experiments.linear_rate_verification,
+               [(solver, "_newton_direction", _ascent_direction)],
+               "FloatingPointError"),
+}
+
+
+def _verdict(gate):
+    try:
+        report = gate(seed=1)
+    except FloatingPointError:
+        return "FloatingPointError"
+    return "PASS" if report.passed else "FAIL"
+
+
+@pytest.mark.parametrize("name", list(FAULT_MATRIX))
+def test_gate_rejects_the_fault_it_exists_to_catch(name, monkeypatch):
+    gate, faults, verdict = FAULT_MATRIX[name]
+    assert _verdict(gate) == "PASS"
+    for module, attribute, replacement in faults:
+        monkeypatch.setattr(module, attribute, replacement)
+    assert _verdict(gate) == verdict

@@ -198,7 +198,6 @@ class TestFederatedRun:
         for rec in trace.records:
             assert rec.up_scalars == n * (2 * r + 1)
             assert rec.down_scalars == (2 * r + 1) * d
-        assert trace.extra["n_clients"] == n
         assert trace.extra["client_eval_counts"] == [6 * (2 * r + 1)] * n
 
     def test_partitioned_logistic_converges_to_global_minimizer(self):

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,28 @@ class TestGapObjective:
             x = p.known.x_star + gen.standard_normal(5)
             assert gap(x) == pytest.approx(p.fn(x) - p.known.f_star,
                                            rel=1e-9, abs=1e-12)
+
+    def test_matches_raw_difference_where_exp_overflows(self):
+        # the quadratic-rate gate's problem; a margin shift of 1000 is past
+        # the overflow of exp at about 709
+        data_set = make_synthetic_dataset(200, 10, RngStream(1), scale=2.0)
+        p = make_logistic(data_set, ridge=0.1)
+        gap = logistic_gap_objective(data_set, 0.1, p.known.x_star)
+        u = np.random.default_rng(1).standard_normal(10)
+        x = p.known.x_star + 1000.0 * u / np.linalg.norm(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = gap(x)
+        assert value == pytest.approx(p.fn(x) - p.known.f_star, rel=1e-12)
+
+    def test_overflowing_loss_with_a_vanishing_reference_sigmoid(self):
+        # sigma(-800) is 0 in double precision; the loss at margin -800 is
+        # softplus(800) - softplus(-800) = 800
+        data_set = Dataset(np.array([1.0]), np.array([[1.0]]))
+        gap = logistic_gap_objective(data_set, 0.0, np.array([800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gap(np.array([-800.0])) == 800.0
 
     def test_keeps_relative_accuracy_near_optimum(self):
         # the raw difference loses all digits at distance 1e-8; the gap
