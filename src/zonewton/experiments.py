@@ -270,7 +270,7 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
                              mu: float = 1e-6) -> LinearRateReport:
     """Run the solver with the rate-optimal stepsize on a conditioned
     quadratic until the first f-gap <= 1e-9, the floor, and check that every
-    f-gap contraction down to it stays within (1 - gamma*) + 1e-3,
+    f-gap contraction down to it stays within the theorem's 1 - gamma*,
     gamma* = m lambda_min / (L1 lambda_max). The run drives ``iterate``
     itself and stops there, with 2500 iterations as a guard; if the guard
     ends it first the floor is not reached and the gate fails. Raises
@@ -307,7 +307,7 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
     gaps = np.array(gaps)
     ratios = gaps[1:] / gaps[:-1]
     max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
-    bound = (1.0 - gamma_star) + 1e-3
+    bound = 1.0 - gamma_star
     passed = iters_to_floor is not None and max_ratio <= bound
     return LinearRateReport(d=d, cond=cond, gamma_star=gamma_star,
                             ratio_bound=bound, max_ratio=max_ratio,
@@ -329,7 +329,7 @@ class QuadraticRateReport:
 
     def lines(self):
         window = ("no quadratic window found"
-                  if self.window_start is None or self.fitted_K is None else
+                  if self.window_start is None else
                   f"window at k={self.window_start} length="
                   f"{self.window_length} K={self.fitted_K:.3g}")
         return [
@@ -340,56 +340,27 @@ class QuadraticRateReport:
         ]
 
 
-def _quadratic_window(errors, floor: float, k_bound: float, usable):
-    """Longest run of consecutive iterations whose errors contract at least
-    quadratically with the single constant ``k_bound``; a reported window
-    is at least 3 iterations long.
+def _quadratic_window(errors, qualifies):
+    """The longest window of at least 3 consecutive pairs (e_k, e_{k+1})
+    that all ``qualifies`` and whose per-step contraction sharpens, last
+    <= 0.75 * first; the earliest among windows of equal length.
 
-    A pair (e_k, e_{k+1}) qualifies when both errors sit above ``floor``
-    (below it the measurement is dominated by the reference minimizer's own
-    accuracy and the zeroth-order bias), the iteration is ``usable`` (no
-    eigenvalue clamping, so the step used the exact inverse estimate), and
-    e_{k+1} <= k_bound * e_k^2. Over the reported window the per-step
-    contraction must also sharpen, last <= 0.75 * first: that is the
-    quadratic signature, and it rejects linear-rate sequences whose early
-    ratios can slip under ``k_bound`` while their contraction stays flat.
+    Sharpening is the quadratic signature: it rejects a linear-rate
+    sequence whose flat ratios slip under the gate's constant. Returns
+    (start, length, max e_{k+1} / e_k^2 over the window), or
+    (None, 0, None) when no window exists.
     """
-    min_length, sharpening = 3, 0.75
-    qualifies = []
-    for k in range(len(errors) - 1):
-        e, e_next = errors[k], errors[k + 1]
-        qualifies.append(e > floor and e_next > floor and e_next < e
-                         and usable[k] and e_next <= k_bound * e * e)
-
-    runs = []
-    run_start = None
-    for i, ok in enumerate(qualifies + [False]):
-        if ok and run_start is None:
-            run_start = i
-        elif not ok and run_start is not None:
-            runs.append((run_start, i - run_start))
-            run_start = None
-
-    def sharpens(start, length):
-        first = errors[start + 1] / errors[start]
-        last = errors[start + length] / errors[start + length - 1]
-        return last <= sharpening * first
-
-    best = (None, 0)
-    longest_basic = 0
-    for start0, run_len in runs:
-        longest_basic = max(longest_basic, run_len)
-        for length in range(run_len, max(best[1], min_length - 1), -1):
-            hits = [s for s in range(start0, start0 + run_len - length + 1)
-                    if sharpens(s, length)]
-            if hits:
-                best = (hits[0], length)
-                break
-    if best[0] is None:
-        return None, longest_basic, None
-    run_qs = [errors[k + 1] / errors[k] ** 2
-              for k in range(best[0], best[0] + best[1])]
-    return best[0], best[1], float(max(run_qs))
+    n = len(qualifies)
+    windows = [(start, length)
+               for start in range(n) for length in range(3, n - start + 1)
+               if all(qualifies[start:start + length])
+               and errors[start + length] / errors[start + length - 1]
+               <= 0.75 * (errors[start + 1] / errors[start])]
+    if not windows:
+        return None, 0, None
+    start, length = max(windows, key=lambda w: (w[1], -w[0]))
+    return start, length, float(max(errors[k + 1] / errors[k] ** 2
+                                    for k in range(start, start + length)))
 
 
 def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
@@ -404,18 +375,21 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     centered values keep full relative accuracy near the optimum. Centering
     changes no derivative, minimizer, or constant.
 
-    Two gates: (1) at least three consecutive iterations contract at least
-    quadratically, e_{k+1} <= K e_k^2 with the single analysis constant
-    K = (L2 + 2) / (2 lambda_min), with strictly sharpening per-step
-    contraction, before the measurement floor; (2) on every pre-floor
-    iteration where the clipping was inactive (so the step used the exact
-    inverse estimate), the measured error never exceeds
+    A pair (e_k, e_{k+1}) is measurable when its iteration did not clip
+    (so the step used the exact inverse estimate) and both errors sit above
+    the measurement floor. Two gates: (1) a window of at least three
+    consecutive measurable pairs that contract at least quadratically,
+    e_{k+1} < e_k and e_{k+1} <= K e_k^2 with the single analysis constant
+    K = (L2 + 2) / (2 lambda_min), and whose per-step contraction sharpens
+    (see ``_quadratic_window``); (2) on every measurable pair, of which
+    there must be at least one, the measured error never exceeds
     (L2/(2 lm)) e_k^2 + (||H_k - hess(x_k)||/lm) e_k + d L2 mu^2/(6 lm)
     by more than 1e-10 relative.
 
     The floor combines the zeroth-order bias bound with the reference
     minimizer's own accuracy (||grad|| <= 1e-13, i.e. distance <= 1e-13/m):
     below it the measured distance says nothing about the algorithm.
+    Raises ``FloatingPointError`` if the run ends ``stopped_numerical``.
     """
     n, d, ridge, mu, lambda_min = 200, 10, 0.1, 1e-7, 0.01
     data = make_synthetic_dataset(n, d, RngStream(seed), scale=2.0)
@@ -434,27 +408,32 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
         max_iterations=25, L1=known.L1)
     trace = run(x0, oracle, config, RngStream(seed + 2),
                 x_star=known.x_star, f_star=0.0, hessian_fn=known.hessian)
+    if trace.status == STOPPED_NUMERICAL:
+        raise FloatingPointError(
+            f"quadratic_rate_verification: the run ended {trace.status} after "
+            f"{len(trace.records)} iterations at mu={mu!r}")
 
     errors = np.array([rec.x_err for rec in trace.records]
                       + [float(np.linalg.norm(trace.x_final - known.x_star))])
     floor = max(d * known.L2 * mu * mu / (3.0 * known.m),
                 10.0 * 1e-13 / known.m)
     k_bound = (known.L2 + 2.0) / (2.0 * lambda_min)
-    usable = [not rec.clipped for rec in trace.records]
-    start, length, fitted_k = _quadratic_window(errors, floor, k_bound, usable)
+    measurable = [bool(not rec.clipped and errors[k] > floor
+                       and errors[k + 1] > floor)
+                  for k, rec in enumerate(trace.records)]
+    qualifies = [ok and errors[k + 1] < errors[k]
+                 and errors[k + 1] <= k_bound * errors[k] * errors[k]
+                 for k, ok in enumerate(measurable)]
+    start, length, fitted_k = _quadratic_window(errors, qualifies)
 
-    checks = 0
-    violations = 0
-    for k, rec in enumerate(trace.records):
-        if rec.clipped or errors[k] <= floor or errors[k + 1] <= floor:
-            continue
-        bound = (known.L2 / (2.0 * lambda_min) * errors[k] ** 2
-                 + rec.hess_err_spec / lambda_min * errors[k]
-                 + d * known.L2 * mu * mu / (6.0 * lambda_min))
-        checks += 1
-        if errors[k + 1] > bound * (1.0 + 1e-10):
-            violations += 1
-    passed = length >= 3 and violations == 0 and checks > 0
+    checks = sum(measurable)
+    violations = int(sum(
+        errors[k + 1] > (known.L2 / (2.0 * lambda_min) * errors[k] ** 2
+                         + rec.hess_err_spec / lambda_min * errors[k]
+                         + d * known.L2 * mu * mu / (6.0 * lambda_min))
+        * (1.0 + 1e-10)
+        for k, rec in enumerate(trace.records) if measurable[k]))
+    passed = start is not None and violations == 0 and checks > 0
     return QuadraticRateReport(errors=errors,
                                window_start=start, window_length=length,
                                fitted_K=fitted_k, bound_checks=checks,

@@ -336,8 +336,11 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     :class:`BudgetExhaustedError`; the caller keeps the trace collected so
     far and marks the run stopped_budget. A probe batch that fails
     :func:`_probe_failed` stops the run as stopped_numerical before any
-    Hessian update.
+    Hessian update. A direction policy that does not fit the oracle (a fixed
+    r below d, an adaptive r_max below d or no L1) raises ``ValueError``
+    before any evaluation.
     """
+    _validate_run_inputs(oracle, config)
     if state.status != RUNNING:
         raise ValueError(f"cannot iterate a solver in status {state.status!r}")
     d = oracle.dimension
@@ -419,7 +422,6 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
     fills the x_err column, ``f_star`` the f_gap column, and ``hessian_fn``
     the Frobenius/spectral Hessian-error fields.
     """
-    _validate_run_inputs(oracle, config)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
     state = SolverState.initial(x0, oracle.dimension)

@@ -99,7 +99,7 @@ def test_criterion_4_evaluation_accounting():
 
 
 def test_criterion_5_global_linear_rate():
-    """f-gap contraction within (1 - gamma*) + 1e-3 down to the 1e-9 floor
+    """f-gap contraction within 1 - gamma* down to the 1e-9 floor
     on a conditioned quadratic with the rate-optimal stepsize."""
     report = experiments.linear_rate_verification(seed=11, d=10, cond=100.0,
                                                   mu=1e-6)

@@ -9,7 +9,8 @@ solver for all 2500 iterations and searches the trace for the first f-gap
 at the floor; the gate, which stops there, must give an equal report.
 
 The fault matrix plants one bug per gate and checks that the gate, which
-passes on gate seed 1 without it, rejects it there.
+passes on gate seed 1 without it, rejects it there. The quadratic gate's
+window search is checked on hand-built error sequences.
 """
 
 import math
@@ -108,7 +109,7 @@ def full_run_linear_report(seed, d=10, cond=100.0, mu=1e-6):
     last = iters_to_floor if iters_to_floor is not None else len(gaps) - 1
     ratios = gaps[1:last + 1] / gaps[:last]
     max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
-    bound = (1.0 - gamma_star) + 1e-3
+    bound = 1.0 - gamma_star
     return experiments.LinearRateReport(
         d=d, cond=cond, gamma_star=gamma_star, ratio_bound=bound,
         max_ratio=max_ratio, iterations_to_floor=iters_to_floor,
@@ -209,11 +210,11 @@ FAULT_MATRIX = {
                  [(solver, "gradient_error_bound", _scaled_floor),
                   (experiments, "gradient_error_bound", _scaled_floor)],
                  "FAIL"),
+    # the run ends stopped_numerical, which the CLI reports with exit code 3
     "quadratic": (experiments.quadratic_rate_verification,
                   [(estimators, "_frame_update", _frozen_frame_update)],
-                  "FAIL"),
-    # the f-gap grows until the run ends stopped_numerical, which the CLI
-    # reports with exit code 3
+                  "FloatingPointError"),
+    # the f-gap grows until the run ends stopped_numerical, as above
     "linear": (experiments.linear_rate_verification,
                [(solver, "_newton_direction", _ascent_direction)],
                "FloatingPointError"),
@@ -235,3 +236,42 @@ def test_gate_rejects_the_fault_it_exists_to_catch(name, monkeypatch):
     for module, attribute, replacement in faults:
         monkeypatch.setattr(module, attribute, replacement)
     assert _verdict(gate) == verdict
+
+
+def _errors_from_ratios(ratios, e0=0.1):
+    # e_0 = e0 and e_{k+1} = ratios[k] * e_k
+    return e0 * np.cumprod([1.0] + list(ratios))
+
+
+def test_quadratic_window_rejects_a_flat_geometric_sequence():
+    # every pair qualifies, but the contraction never sharpens
+    errors = 0.1 * 0.5 ** np.arange(8)
+    assert experiments._quadratic_window(errors, [True] * 7) == (None, 0, None)
+
+
+def test_quadratic_window_on_a_quadratic_sequence():
+    # e_{k+1} = 5 e_k^2 from e_0 = 0.1: ratios 0.5, 0.25, 0.0625, ...
+    errors = [0.1]
+    for _ in range(4):
+        errors.append(5.0 * errors[-1] ** 2)
+    start, length, fitted_k = experiments._quadratic_window(
+        np.array(errors), [True] * 4)
+    assert (start, length) == (0, 4)
+    assert fitted_k == pytest.approx(5.0, rel=1e-12)
+
+
+def test_quadratic_window_picks_the_earlier_of_equal_windows():
+    errors = _errors_from_ratios([0.5, 0.25, 0.1, 1.0, 0.5, 0.25, 0.1])
+    qualifies = [True, True, True, False, True, True, True]
+    start, length, fitted_k = experiments._quadratic_window(errors, qualifies)
+    assert (start, length) == (0, 3)
+    assert fitted_k == max(errors[k + 1] / errors[k] ** 2 for k in range(3))
+
+
+def test_quadratic_window_prefers_a_longer_later_window():
+    errors = _errors_from_ratios([0.5, 0.25, 0.1, 1.0, 0.5, 0.4, 0.3, 0.1])
+    qualifies = [True, True, True, False, True, True, True, True]
+    start, length, fitted_k = experiments._quadratic_window(errors, qualifies)
+    assert (start, length) == (4, 4)
+    assert fitted_k == max(errors[k + 1] / errors[k] ** 2
+                           for k in range(4, 8))

@@ -261,6 +261,20 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(state, problem.make_oracle(), config, RngStream(3))
 
+    @pytest.mark.parametrize("policy,match", [
+        (FixedDirections(2), "below d"),
+        (AdaptiveDirections(r_max=9), "L1"),
+    ], ids=["fixed_r_below_d", "adaptive_without_l1"])
+    def test_rejects_a_policy_that_does_not_fit_before_evaluating(
+            self, policy, match):
+        d = 5
+        oracle = make_quadratic(np.eye(d), np.zeros(d)).make_oracle()
+        config = SolverConfig(mu=1e-4, r_policy=policy, max_iterations=1)
+        with pytest.raises(ValueError, match=match):
+            iterate(SolverState.initial(np.ones(d), d), oracle, config,
+                    RngStream(4))
+        assert oracle.eval_count == 0
+
 
 class TestRun:
     def test_single_iteration_cap(self):
