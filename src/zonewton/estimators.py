@@ -19,7 +19,9 @@ d x d matrix.
 The gradient is estimated along the first frame of d orthonormal probe
 directions by central differences, reusing the Hessian probe values at no
 extra evaluation cost, with deterministic error at most d * L2 * mu^2 / 6
-for an L2-Hessian-Lipschitz objective.
+for an L2-Hessian-Lipschitz objective. Its formula is written once too, as
+the broadcasting ``_gradient``, which the Lemma 1 gate applies to a stack
+of probe batches.
 """
 
 from __future__ import annotations
@@ -200,8 +202,20 @@ def estimate_gradient(probe: ProbeResult) -> np.ndarray:
             "gradient reuse needs a full orthonormal basis: probe along at "
             f"least d={d} directions in orthonormal frames of d (got "
             f"r={ds.r}, frame_size={ds.frame_size})")
-    coeffs = (probe.plus_values[:d] - probe.minus_values[:d]) / (2.0 * probe.mu)
-    return coeffs @ ds.vectors[:d]
+    return _gradient(probe.plus_values[:d], probe.minus_values[:d],
+                     probe.mu, ds.vectors[:d])
+
+
+def _gradient(plus, minus, mu, v):
+    """sum_j (plus_j - minus_j) / (2 mu) u_j for every index of the leading
+    axes.
+
+    ``plus`` and ``minus`` are (..., d), ``mu`` a scalar or (...) and ``v``
+    (..., d, d) with orthonormal rows u_j; the leading axes broadcast as in
+    numpy. Nothing is checked.
+    """
+    coeffs = (plus - minus) / (2.0 * np.asarray(mu)[..., None])
+    return (coeffs[..., None, :] @ v)[..., 0, :]
 
 
 def update_rate_bound(d: int) -> float:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .estimators import (
     _frame_update,
+    _gradient,
     _rank_one,
     _second_difference,
-    estimate_gradient,
     gradient_error_bound,
     update_rate_bound,
 )
@@ -34,7 +34,13 @@ from .problems import (
     make_synthetic_dataset,
     random_spd,
 )
-from .sampling import RngStream, gaussian_sphere_sample, stiefel_sample
+from .sampling import (
+    RngStream,
+    _frame_normals,
+    _frame_rows,
+    _haar_frames,
+    _unit_rows,
+)
 from .solver import (
     FixedDirections,
     RUNNING,
@@ -65,9 +71,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The rate and sampling gates run their trials in blocks. A block's probe
-# points fit in _BLOCK_BYTES: without blocks the two gates' allocation peaks
-# grow with the trial count (to 7-8 MB at the CLI defaults).
+# The rate, Lemma 1 and sampling gates run their trials in blocks, each
+# trial one probe batch. A block's probe points fit in _BLOCK_BYTES: without
+# blocks the gates' allocation peaks grow with the trial count (to 7-8 MB
+# at the CLI defaults). Each trial draws its raw normals from its own
+# stream; a block's normals are then orthonormalised (``_haar_frames``) or
+# normalised (``_unit_rows``) in one call, to exactly the directions the
+# public samplers would give each trial.
 
 _BLOCK_BYTES = 2**18
 
@@ -77,24 +87,35 @@ def _block_trials(points_per_trial: int, d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * points_per_trial * d))
 
 
+def _probe_values(oracle: Oracle, centers: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """The values of one probe batch per trial, as an array (trials, 2k+1):
+    ``centers`` (trials, d) or (1, d) are the trials' centers x and
+    ``steps`` (trials, k, d) their displacements mu u_j.
+
+    Each trial's 2k+1 points are laid out as its own probe batch would lay
+    them out (x, then x + mu u_j, x - mu u_j), and one
+    :meth:`Oracle.evaluate_points` call charges and evaluates them all.
+    """
+    trials, k, d = steps.shape
+    points = np.empty((trials, 2 * k + 1, d))
+    points[:, 0] = centers
+    np.add(centers[:, None], steps, out=points[:, 1::2])
+    np.subtract(centers[:, None], steps, out=points[:, 2::2])
+    values = oracle.evaluate_points(points.reshape(-1, d))
+    return values.reshape(trials, 2 * k + 1)
+
+
 def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
                        gate: str) -> np.ndarray:
     """Second central differences at the origin along every direction of a
-    stack ``vectors`` (trials, k, d), as an array (trials, k).
-
-    Each trial's 2k+1 points are laid out as its own probe batch would lay
-    them out (center, then x + mu u_j, x - mu u_j), and one
-    :meth:`Oracle.evaluate_points` call charges and evaluates them all.
-    Raises ``FloatingPointError``, naming ``gate`` and mu, if a curvature
-    is not finite.
+    stack ``vectors`` (trials, k, d), as an array (trials, k), from one
+    :func:`_probe_values` call. Raises ``FloatingPointError``, naming
+    ``gate`` and mu, if a curvature is not finite.
     """
     _check_mu(mu)
-    trials, k, d = vectors.shape
-    points = np.zeros((trials, 2 * k + 1, d))
-    np.multiply(mu, vectors, out=points[:, 1::2])
-    np.negative(points[:, 1::2], out=points[:, 2::2])
-    values = oracle.evaluate_points(points.reshape(-1, d))
-    values = values.reshape(trials, 2 * k + 1)
+    values = _probe_values(oracle, np.zeros((1, vectors.shape[-1])),
+                           mu * vectors)
     curvatures = _second_difference(values[:, 1::2], values[:, :1],
                                     values[:, 2::2], mu)
     if not np.all(np.isfinite(curvatures)):
@@ -133,16 +154,18 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     quadratic and compare against the 1 - 2/(d^2+2d) bound.
 
     Directions are i.i.d. uniform on the sphere (the distribution the bound
-    assumes), drawn for trial t from its own ``RngStream(seed + 1 + t)``.
+    assumes): trial t's are those ``gaussian_sphere_sample`` draws from its
+    own ``RngStream(seed + 1 + t)``.
     Each trial probes all 15 updates' curvatures in a single batch of 31
     points at the origin; mean squared Frobenius errors are averaged across
     trials and every consecutive ratio must stay below eta * 1.02.
 
     The trials run in blocks whose probe points fit in 256 KiB: one
-    oracle call evaluates a block's points, each trial still charged its
-    own 31, and each update is one ``_rank_one`` step on the block's stack
-    of estimates. Raises ``ValueError`` for d < 2, where the first update
-    recovers the Hessian exactly and leaves no contraction to measure, and
+    ``_unit_rows`` call normalises a block's directions, one oracle call
+    evaluates its points, each trial still charged its own 31, and each
+    update is one ``_rank_one`` step on the block's stack of estimates.
+    Raises ``ValueError`` for d < 2, where the first update recovers the
+    Hessian exactly and leaves no contraction to measure, and
     ``FloatingPointError`` if a curvature is not finite (mu too large or
     too small for the objective's floating-point range).
     """
@@ -161,12 +184,12 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     block = _block_trials(2 * n_updates + 1, d)
     for first in range(0, trials, block):
         rows = slice(first, first + block)
-        ts = range(trials)[rows]
-        v = np.array([gaussian_sphere_sample(d, n_updates,
-                                             RngStream(seed + 1 + t)).vectors
-                      for t in ts])
+        gens = [RngStream(seed + 1 + t).generator
+                for t in range(trials)[rows]]
+        v = _unit_rows(np.array([gen.standard_normal((n_updates, d))
+                                 for gen in gens]), gens)
         c = _origin_curvatures(oracle, v, mu, "rate_verification")
-        h = np.zeros((len(ts), d, d))
+        h = np.zeros((len(gens), d, d))
         for k in range(n_updates):
             _rank_one(h, v[:, k], c[:, k])
             sq_errors[rows, k + 1] = np.linalg.norm(h - a, axis=(1, 2)) ** 2
@@ -203,6 +226,12 @@ class GradientBoundReport:
         ]
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the rows of a stack, each from the dot
+    product ``np.linalg.norm`` takes of one vector, so the bits match."""
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+
+
 def gradient_bound_verification(seed: int = 0, d: int = 4,
                                 n_points: int = 100) -> GradientBoundReport:
     """Check ||grad f - g|| <= d L2 mu^2 / 6 deterministically on the cubic
@@ -210,31 +239,41 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
     0.001, over random points and orthonormal bases. Zero violations are
     allowed; a rounding slack of 1e-12 * (1 + ||grad f||) absorbs
     floating-point noise.
+
+    The n_points points and bases of each mu, mu by mu, are those drawn one
+    at a time by ``uniform`` from ``default_rng(seed + 777)`` and by
+    ``stiefel_sample(d, d)`` from ``RngStream(seed)``; here each is one
+    draw. The probe batches run in blocks whose points fit in 256 KiB: one
+    ``_haar_frames`` call orthonormalises a block's bases, one oracle call
+    evaluates its points, each point still charged 2d+1, and one
+    ``_gradient`` call, the formula ``estimate_gradient`` applies, reads
+    its gradients.
     """
     if n_points < 1:
         raise ValueError(f"need at least 1 point, got {n_points}")
     mus, box_radius = (1e-1, 1e-2, 1e-3), 1.0
     problem = make_cubic_box(d, box_radius)
-    grad = problem.known.gradient
     L2 = problem.known.L2
-    violations = 0
-    worst = 0.0
-    stream = RngStream(seed)
-    gen = np.random.default_rng(seed + 777)
-    for mu in mus:
-        bound = gradient_error_bound(d, L2, mu)
-        for _ in range(n_points):
-            x = gen.uniform(-box_radius, box_radius, size=d)
-            basis = stiefel_sample(d, d, stream)
-            oracle = problem.make_oracle()
-            probe = oracle.probe_batch(x, basis, mu)
-            g = estimate_gradient(probe)
-            exact = grad(x)
-            err = float(np.linalg.norm(exact - g))
-            allowance = bound + 1e-12 * (1.0 + float(np.linalg.norm(exact)))
-            worst = max(worst, err / allowance)
-            if err > allowance:
-                violations += 1
+    n = len(mus) * n_points
+    xs = np.random.default_rng(seed + 777).uniform(
+        -box_radius, box_radius, size=(n, d))
+    normals = RngStream(seed).generator.standard_normal((n, d, d))
+    mu = np.repeat(mus, n_points)
+    bound = np.repeat([gradient_error_bound(d, L2, m) for m in mus], n_points)
+    oracle = problem.make_oracle()
+    error = np.empty(n)
+    allowance = np.empty(n)
+    block = _block_trials(2 * d + 1, d)
+    for first in range(0, n, block):
+        rows = slice(first, first + block)
+        v = _haar_frames(normals[rows]).swapaxes(-1, -2)
+        values = _probe_values(oracle, xs[rows], mu[rows, None, None] * v)
+        g = _gradient(values[:, 1::2], values[:, 2::2], mu[rows], v)
+        exact = problem.known.gradient(xs[rows])
+        error[rows] = _norms(exact - g)
+        allowance[rows] = bound[rows] + 1e-12 * (1.0 + _norms(exact))
+    violations = int(np.count_nonzero(error > allowance))
+    worst = max(0.0, float(np.max(error / allowance)))
     return GradientBoundReport(d=d, L2=L2, mus=mus, n_points=n_points,
                                violations=violations, worst_slack=worst,
                                passed=violations == 0)
@@ -487,14 +526,17 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     times the Gaussian mean and the gap between the means exceeds three
     combined standard errors.
 
-    Trial t draws its Stiefel set and then its Gaussian set from its own
+    Trial t's Stiefel set and then its Gaussian set are those
+    ``stiefel_sample`` and ``gaussian_sphere_sample`` draw from its own
     ``RngStream(seed + 1 + t)``. The trials run in blocks whose probe
-    points fit in 256 KiB: one oracle call evaluates both halves of a
-    block, each trial still charged 2r+1 per sampler at the origin. The
-    Stiefel estimates take one ``_frame_update`` per frame (r > d gives
-    several), the Gaussian ones r ``_rank_one`` steps, each over the
-    block's stack. Raises ``FloatingPointError`` if a curvature is not
-    finite."""
+    points fit in 256 KiB: one ``_haar_frames`` call orthonormalises a
+    block's full Stiefel frames, one its last frames, and one
+    ``_unit_rows`` call normalises its Gaussian directions; one oracle
+    call evaluates both halves, each trial still charged 2r+1 per sampler
+    at the origin. The Stiefel estimates take one ``_frame_update`` per
+    frame (r > d gives several), the Gaussian ones r ``_rank_one`` steps,
+    each over the block's stack. Raises ``FloatingPointError`` if a
+    curvature is not finite."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials, got {trials}")
     a = random_spd(d, cond=10.0, rng=RngStream(seed))
@@ -503,17 +545,18 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     block = _block_trials(2 * (2 * r + 1), d)
     for first in range(0, trials, block):
         rows = slice(first, first + block)
-        ts = range(trials)[rows]
-        draws = []
-        for t in ts:
-            stream = RngStream(seed + 1 + t)
-            draws.append([sampler(d, r, stream).vectors
-                          for sampler in (stiefel_sample,
-                                          gaussian_sphere_sample)])
-        v = np.array(draws)
+        gens = [RngStream(seed + 1 + t).generator
+                for t in range(trials)[rows]]
+        # each trial's Stiefel normals, then its sphere normals
+        full, last, sphere = map(np.array, zip(*[
+            (*_frame_normals(d, r, gen), gen.standard_normal((r, d)))
+            for gen in gens]))
+        v = np.empty((len(gens), 2, r, d))
+        v[:, 0] = _frame_rows(_haar_frames(full), _haar_frames(last))
+        v[:, 1] = _unit_rows(sphere, gens)
         c = _origin_curvatures(oracle, v.reshape(-1, r, d), mu,
-                               "sampling_comparison").reshape(len(ts), 2, r)
-        h = np.zeros((len(ts), 2, d, d))
+                               "sampling_comparison").reshape(len(gens), 2, r)
+        h = np.zeros((len(gens), 2, d, d))
         for start in range(0, r, d):
             _frame_update(h[:, 0], v[:, 0, start:start + d],
                           c[:, 0, start:start + d])

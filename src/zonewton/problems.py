@@ -441,23 +441,38 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     x_star = np.asarray(x_star, dtype=float)
     z_star = dataset.labels * (dataset.features @ x_star)
     s_star = _sigmoid(-z_star)
+    saturated = np.flatnonzero(s_star == 1.0)
 
     def loss(dz, _scratch):
         # log(1 + sigma(-z*) (exp(a) - 1)) with a = -dz, in place. Where
         # exp(a) overflows, the equal softplus difference
         # log(1 + exp(a - z*)) - log(1 + exp(-z*)): a + log sigma(-z*) to
-        # rounding, and finite even where sigma(-z*) underflows to 0.
+        # rounding, and finite even where sigma(-z*) underflows to 0. Where
+        # sigma(-z*) rounds to 1 and exp(a) - 1 to -1, the sum cancels to
+        # 0; there the equal log(sigma(z*) + sigma(-z*) exp(a)), as a
+        # logaddexp of log-sigmoids.
         np.negative(dz, out=dz)
         overflow = dz.max() > _EXP_MAX
         if overflow:
             rows, cols = np.nonzero(dz > _EXP_MAX)
             a, zs = dz[rows, cols], z_star[cols]
             dz[rows, cols] = 0.0
+        if saturated.size:
+            a_saturated = dz[:, saturated]
         np.expm1(dz, out=dz)
         dz *= s_star
+        if saturated.size:
+            c_rows, c_k = np.nonzero(dz[:, saturated] == -1.0)
+            c_cols = saturated[c_k]
+            dz[c_rows, c_cols] = 0.0
         np.log1p(dz, out=dz)
         if overflow:
             dz[rows, cols] = np.logaddexp(0.0, a - zs) - np.logaddexp(0.0, -zs)
+        if saturated.size:
+            zc = z_star[c_cols]
+            dz[c_rows, c_cols] = np.logaddexp(
+                -np.logaddexp(0.0, -zc),
+                a_saturated[c_rows, c_k] - np.logaddexp(0.0, zc))
 
     def batch(points):
         w = points - x_star

@@ -5,6 +5,13 @@ uniformly from the Stiefel manifold (the default, giving evenly spread
 directions), and independent normalized Gaussians as a baseline for
 comparison experiments. Both are driven by an explicitly seeded stream so
 every draw is reproducible bit-for-bit.
+
+Each sampler's formula is written once, as a private routine that
+broadcasts over leading axes: ``_haar_frames`` orthonormalises a stack of
+normal matrices in one QR call and ``_unit_rows`` normalises a stack of
+trials' normal rows. The verification gates apply them to a block of
+trials' raw normals, each drawn from the trial's own stream, and get
+exactly the directions the public samplers would give each trial.
 """
 
 from __future__ import annotations
@@ -98,15 +105,54 @@ class DirectionSet:
         return self.vectors.shape[1]
 
 
-def _orthonormal_frame(d: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    """One uniform (d, k) orthonormal frame: the Q factor of a standard
-    normal (d, k) matrix with each column signed by its diag(R) entry, which
-    makes the frame Haar-distributed (Mezzadri 2007, arXiv:math-ph/0609050).
+def _haar_frames(normals: np.ndarray) -> np.ndarray:
+    """Uniform orthonormal frames from a (..., d, k) stack of standard
+    normals, k <= d: the Q factor of each matrix with each column signed by
+    its diag(R) entry, which makes the frame Haar-distributed (Mezzadri
+    2007, arXiv:math-ph/0609050). One QR call takes the whole stack; each
+    matrix comes out exactly as it would alone. An empty stack is returned
+    as it is, without the QR call.
     """
-    q, r = np.linalg.qr(gen.standard_normal((d, k)))
-    signs = np.sign(np.diag(r))
+    if not normals.size:
+        return normals
+    q, r = np.linalg.qr(normals)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def _frame_normals(d: int, r: int, gen: np.random.Generator):
+    """The standard normals behind ``stiefel_sample(d, r)``, in drawing
+    order: a (r // d, d, d) stack for the full frames, then a (d, r % d)
+    matrix for the last frame. Either may be empty."""
+    full = gen.standard_normal((r // d, d, d))
+    return full, gen.standard_normal((d, r % d))
+
+
+def _frame_rows(full: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The columns of n full frames (n, d, d) followed by those of a last
+    frame (d, k), in order, as the rows of one (n d + k, d) array; or the
+    same for every trial of a stack, from (trials, n, d, d) and
+    (trials, d, k) to (trials, n d + k, d)."""
+    return np.concatenate([*full.swapaxes(0, -3), last],
+                          axis=-1).swapaxes(-1, -2)
+
+
+def _unit_rows(normals: np.ndarray, generators) -> np.ndarray:
+    """The rows of a (trials, r, d) stack of standard normals scaled to unit
+    norm, in place. A row of norm 0 in trial t is first redrawn from
+    ``generators[t]``, all that trial's zero rows in one draw, until none
+    is left, as ``gaussian_sphere_sample`` redraws on that generator.
+    Returns ``normals``."""
+    norms = np.linalg.norm(normals, axis=-1)
+    while not norms.all():
+        t = int(np.argmin(norms.all(axis=-1)))
+        bad = norms[t] == 0.0
+        normals[t, bad] = generators[t].standard_normal(
+            (int(np.sum(bad)), normals.shape[-1]))
+        norms[t] = np.linalg.norm(normals[t], axis=-1)
+    normals /= norms[..., None]
+    return normals
 
 
 def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -116,18 +162,19 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     each marginally uniform on the unit sphere. For r > d, ceil(r/d)
     independent frames are generated and concatenated in generation order,
     the last truncated to the remainder; orthogonality holds within each
-    frame, which the set records as ``frame_size`` d.
+    frame, which the set records as ``frame_size`` d. All full frames are
+    orthonormalised in one QR call.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
     gen = rng.generator
-    rows = []
-    remaining = r
-    while remaining > 0:
-        k = min(d, remaining)
-        rows.append(_orthonormal_frame(d, k, gen).T)
-        remaining -= k
-    return DirectionSet._owned(np.vstack(rows), frame_size=d)
+    if r <= d:
+        # the draw of _frame_normals, without a stack of one frame
+        rows = _haar_frames(gen.standard_normal((d, r))).T
+    else:
+        full, last = _frame_normals(d, r, gen)
+        rows = _frame_rows(_haar_frames(full), _haar_frames(last))
+    return DirectionSet._owned(rows, frame_size=d)
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
@@ -141,10 +188,5 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
     gen = rng.generator
-    vecs = gen.standard_normal((r, d))
-    norms = np.linalg.norm(vecs, axis=1)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        vecs[bad] = gen.standard_normal((int(np.sum(bad)), d))
-        norms = np.linalg.norm(vecs, axis=1)
-    return DirectionSet._owned(vecs / norms[:, None], frame_size=1)
+    vecs = _unit_rows(gen.standard_normal((1, r, d)), [gen])[0]
+    return DirectionSet._owned(vecs, frame_size=1)

@@ -4,9 +4,13 @@ the faults they exist to catch.
 The rate and sampling references are the gates written one trial at a
 time: a fresh oracle and one probe batch per trial, then
 ``HessianEstimate`` updates. The blocked gates must agree with them within
-1e-12 and charge the same evaluations. The linear-rate reference runs the
-solver for all 2500 iterations and searches the trace for the first f-gap
-at the floor; the gate, which stops there, must give an equal report.
+1e-12 and charge the same evaluations. The directions the rate, sampling
+and Lemma 1 gates orthonormalise or normalise a block at a time must be
+exactly the public samplers' per-trial draws, and the Lemma 1 gate's worst
+ratio exactly that of ``estimate_gradient`` on one probe per point. The
+linear-rate reference runs the solver for all 2500 iterations and searches
+the trace for the first f-gap at the floor; the gate, which stops there,
+must give an equal report.
 
 The fault matrix plants one bug per gate and checks that the gate, which
 passes on gate seed 1 without it, rejects it there. The quadratic gate's
@@ -37,7 +41,7 @@ from zonewton import (
     stiefel_sample,
 )
 from zonewton import estimators, experiments, solver
-from zonewton.estimators import _rank_one, gradient_error_bound
+from zonewton.estimators import _gradient, _rank_one, gradient_error_bound
 from zonewton.solver import STOPPED_ZO_FLOOR, _newton_direction
 
 
@@ -150,6 +154,84 @@ def test_sampling_gate_matches_per_trial_loop(r):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call the gates make to the
+    experiments-module function ``name``."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, spy)
+    return calls
+
+
+def test_rate_gate_directions_are_the_sphere_sampler_draws(monkeypatch):
+    d, trials, seed = 3, 400, 8
+    calls = _spy(monkeypatch, "_origin_curvatures")
+    experiments.rate_verification(d=d, trials=trials, seed=seed)
+    got = np.concatenate([vectors for _, vectors, _, _ in calls])
+    want = [gaussian_sphere_sample(d, 15, RngStream(seed + 1 + t)).vectors
+            for t in range(trials)]
+    assert len(calls) > 1
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [7, 20, 25])
+def test_sampling_gate_directions_are_the_samplers_draws(monkeypatch, r):
+    d, trials, seed = 20, 60, 9
+    calls = _spy(monkeypatch, "_origin_curvatures")
+    experiments.sampling_comparison(d=d, r=r, trials=trials, seed=seed)
+    got = np.concatenate([vectors for _, vectors, _, _ in calls])
+    want = []
+    for t in range(trials):
+        stream = RngStream(seed + 1 + t)
+        want += [stiefel_sample(d, r, stream).vectors,
+                 gaussian_sphere_sample(d, r, stream).vectors]
+    assert len(calls) > 1
+    np.testing.assert_array_equal(got, want)
+
+
+def test_lemma1_gate_probes_the_points_and_bases_drawn_one_at_a_time(
+        monkeypatch):
+    d, n_points, seed = 7, 30, 4
+    calls = _spy(monkeypatch, "_probe_values")
+    experiments.gradient_bound_verification(seed=seed, d=d, n_points=n_points)
+    centers = np.concatenate([c for _, c, _ in calls])
+    steps = np.concatenate([st for _, _, st in calls])
+    stream, gen = RngStream(seed), np.random.default_rng(seed + 777)
+    want_centers, want_steps = [], []
+    for mu in (1e-1, 1e-2, 1e-3):
+        for _ in range(n_points):
+            want_centers.append(gen.uniform(-1.0, 1.0, size=d))
+            want_steps.append(mu * stiefel_sample(d, d, stream).vectors)
+    np.testing.assert_array_equal(centers, want_centers)
+    np.testing.assert_array_equal(steps, want_steps)
+
+
+def test_lemma1_gate_reads_the_gradient_estimate_of_each_probe():
+    # the gate's worst ratio, from one probe per point and estimate_gradient
+    d, n_points, seed = 4, 20, 6
+    problem = experiments.make_cubic_box(d, 1.0)
+    stream, gen = RngStream(seed), np.random.default_rng(seed + 777)
+    worst = 0.0
+    for mu in (1e-1, 1e-2, 1e-3):
+        bound = gradient_error_bound(d, 2.0, mu)
+        for _ in range(n_points):
+            x = gen.uniform(-1.0, 1.0, size=d)
+            probe = problem.make_oracle().probe_batch(
+                x, stiefel_sample(d, d, stream), mu)
+            exact = problem.known.gradient(x)
+            err = np.linalg.norm(exact - estimate_gradient(probe))
+            worst = max(worst, err / (bound + 1e-12 * (
+                1.0 + np.linalg.norm(exact))))
+    report = experiments.gradient_bound_verification(
+        seed=seed, d=d, n_points=n_points)
+    assert report.worst_slack == worst
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"d": 30, "cond": 10.0},
                                     {"cond": 1e4}],
                          ids=["defaults", "d30_cond10", "cond1e4"])
@@ -186,6 +268,11 @@ def _frozen_frame_update(h, v, c):
     return c - np.sum((v @ h) * v, axis=-1)
 
 
+def _normalised_columns(normals):
+    # unit Gaussian columns, not orthogonal: sphere draws in frame clothing
+    return normals / np.linalg.norm(normals, axis=-2, keepdims=True)
+
+
 def _scaled_floor(*args):
     return 100.0 * gradient_error_bound(*args)
 
@@ -200,10 +287,10 @@ FAULT_MATRIX = {
     "rate": (experiments.rate_verification,
              [(experiments, "_rank_one", _flipped_rank_one)], "FAIL"),
     "lemma1": (experiments.gradient_bound_verification,
-               [(experiments, "estimate_gradient",
-                 lambda probe: 1.5 * estimate_gradient(probe))], "FAIL"),
+               [(experiments, "_gradient",
+                 lambda *args: 1.5 * _gradient(*args))], "FAIL"),
     "sampling": (experiments.sampling_comparison,
-                 [(experiments, "stiefel_sample", gaussian_sphere_sample)],
+                 [(experiments, "_haar_frames", _normalised_columns)],
                  "FAIL"),
     # the floor constant is defined once and imported by both modules
     "stopping": (experiments.stopping_criterion_check,

@@ -170,6 +170,18 @@ class TestGapObjective:
             warnings.simplefilter("error")
             assert gap(np.array([-800.0])) == 800.0
 
+    def test_cancelling_loss_with_a_saturated_reference_sigmoid(self):
+        # sigma(40) and exp(-40) - 1 round to 1 and -1, so the plain form's
+        # sum cancels to 0; the loss is log(sigma(-40) + sigma(40) e^-40)
+        # = log 2 - softplus(40), and the ridge term 0.05 (0 - 40^2)
+        data_set = Dataset(np.array([1.0]), np.array([[1.0]]))
+        gap = logistic_gap_objective(data_set, 0.1, np.array([-40.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = gap(np.array([0.0]))
+        want = np.log(2.0) - np.logaddexp(0.0, 40.0) - 0.05 * 1600.0
+        assert value == pytest.approx(want, rel=1e-12)
+
     def test_keeps_relative_accuracy_near_optimum(self):
         # the raw difference loses all digits at distance 1e-8; the gap
         # form must still agree with the quadratic model there

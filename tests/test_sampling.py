@@ -1,4 +1,7 @@
-"""Direction samplers: orthonormality, distribution, reproducibility."""
+"""Direction samplers: orthonormality, distribution, reproducibility, and
+the stacked draws against the same draws made one at a time."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from zonewton import (
     gaussian_sphere_sample,
     stiefel_sample,
 )
+from zonewton.sampling import _haar_frames, _unit_rows
 
 
 class TestStiefelSample:
@@ -54,6 +58,30 @@ class TestStiefelSample:
             block = v[start:start + size]
             assert np.linalg.norm(block @ block.T - np.eye(size)) <= 1e-10
 
+    @pytest.mark.parametrize("d,r", [(4, 11), (4, 8), (10, 90), (3, 2)])
+    def test_stacked_frames_equal_frames_drawn_one_at_a_time(self, d, r):
+        # the full frames are one draw and one QR call; the same stream
+        # drawn frame by frame through the r <= d path gives the same bits
+        stream = RngStream(23)
+        sizes = [d] * (r // d) + ([r % d] if r % d else [])
+        want = np.vstack([stiefel_sample(d, k, stream).vectors
+                          for k in sizes])
+        got = stiefel_sample(d, r, RngStream(23)).vectors
+        np.testing.assert_array_equal(got, want)
+        # F-ordered like the np.vstack result it replaced: the layout
+        # decides which BLAS kernel the solver's products take
+        assert got.flags.f_contiguous
+
+
+def test_haar_frames_of_a_stack_equal_per_matrix_calls():
+    gen = np.random.default_rng(31)
+    for shape in [(5, 6, 6), (3, 2, 6, 4), (4, 20, 20)]:
+        normals = gen.standard_normal(shape)
+        got = _haar_frames(normals)
+        flat = normals.reshape(-1, *shape[-2:])
+        want = np.array([_haar_frames(m) for m in flat]).reshape(got.shape)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestGaussianSphereSample:
     def test_unit_norms(self):
@@ -75,6 +103,45 @@ class TestGaussianSphereSample:
         a = gaussian_sphere_sample(4, 6, RngStream(9)).vectors
         b = gaussian_sphere_sample(4, 6, RngStream(9)).vectors
         assert np.array_equal(a, b)
+
+
+class _ZeroRowsFirst:
+    """A generator whose first ``standard_normal`` draw has the rows
+    ``zero`` set to 0; later draws pass through unchanged."""
+
+    def __init__(self, seed, zero):
+        self._gen = np.random.default_rng(seed)
+        self._zero = zero
+
+    def standard_normal(self, size):
+        out = self._gen.standard_normal(size)
+        if self._zero is not None:
+            out[..., self._zero, :] = 0.0
+            self._zero = None
+        return out
+
+
+def test_zero_norm_rows_are_redrawn_as_the_sphere_sampler_redraws_them():
+    d, r = 3, 5
+    gen = np.random.default_rng(41)
+    first = gen.standard_normal((r, d))
+    first[[1, 3]] = gen.standard_normal((2, d))
+    want = first / np.linalg.norm(first, axis=1)[:, None]
+    fake = SimpleNamespace(generator=_ZeroRowsFirst(41, [1, 3]))
+    np.testing.assert_array_equal(
+        gaussian_sphere_sample(d, r, fake).vectors, want)
+
+    # the same rows zeroed in the middle trial of a stack, its generator
+    # past its first draw; the other trials' generators are not drawn from
+    stack = np.random.default_rng(42).standard_normal((3, r, d))
+    gens = [np.random.default_rng(s) for s in (43, 41, 44)]
+    stack[1] = gens[1].standard_normal((r, d))
+    stack[1, [1, 3]] = 0.0
+    got = _unit_rows(stack, gens)
+    np.testing.assert_array_equal(got[1], want)
+    for g, seed in ((gens[0], 43), (gens[2], 44)):
+        fresh = np.random.default_rng(seed)
+        assert g.standard_normal() == fresh.standard_normal()
 
 
 def test_marginal_distributions_indistinguishable():
