@@ -25,7 +25,7 @@ from .estimators import (
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import Oracle, _check_mu
+from .oracle import Oracle, _check_mu, _probe_points
 from .problems import (
     logistic_gap_objective,
     make_cubic_box,
@@ -36,10 +36,10 @@ from .problems import (
 )
 from .sampling import (
     RngStream,
-    _frame_normals,
-    _frame_rows,
     _haar_frames,
     _unit_rows,
+    gaussian_sphere_sample,
+    stiefel_sample,
 )
 from .solver import (
     FixedDirections,
@@ -74,10 +74,10 @@ __all__ = [
 # The rate, Lemma 1 and sampling gates run their trials in blocks, each
 # trial one probe batch. A block's probe points fit in _BLOCK_BYTES: without
 # blocks the gates' allocation peaks grow with the trial count (to 7-8 MB
-# at the CLI defaults). Each trial draws its raw normals from its own
-# stream; a block's normals are then orthonormalised (``_haar_frames``) or
-# normalised (``_unit_rows``) in one call, to exactly the directions the
-# public samplers would give each trial.
+# at the CLI defaults). The rate and Lemma 1 gates draw a block's raw
+# normals as the public samplers would and normalise (``_unit_rows``) or
+# orthonormalise (``_haar_frames``) them in one call, to exactly the
+# directions those samplers would give.
 
 _BLOCK_BYTES = 2**18
 
@@ -93,16 +93,13 @@ def _probe_values(oracle: Oracle, centers: np.ndarray,
     ``centers`` (trials, d) or (1, d) are the trials' centers x and
     ``steps`` (trials, k, d) their displacements mu u_j.
 
-    Each trial's 2k+1 points are laid out as its own probe batch would lay
-    them out (x, then x + mu u_j, x - mu u_j), and one
-    :meth:`Oracle.evaluate_points` call charges and evaluates them all.
+    Each trial's 2k+1 points are laid out by ``_probe_points``, as its own
+    probe batch lays them out, and one :meth:`Oracle.evaluate_points` call
+    charges and evaluates them all.
     """
     trials, k, d = steps.shape
-    points = np.empty((trials, 2 * k + 1, d))
-    points[:, 0] = centers
-    np.add(centers[:, None], steps, out=points[:, 1::2])
-    np.subtract(centers[:, None], steps, out=points[:, 2::2])
-    values = oracle.evaluate_points(points.reshape(-1, d))
+    values = oracle.evaluate_points(
+        _probe_points(centers, steps).reshape(-1, d))
     return values.reshape(trials, 2 * k + 1)
 
 
@@ -242,12 +239,12 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
 
     The n_points points and bases of each mu, mu by mu, are those drawn one
     at a time by ``uniform`` from ``default_rng(seed + 777)`` and by
-    ``stiefel_sample(d, d)`` from ``RngStream(seed)``; here each is one
-    draw. The probe batches run in blocks whose points fit in 256 KiB: one
-    ``_haar_frames`` call orthonormalises a block's bases, one oracle call
-    evaluates its points, each point still charged 2d+1, and one
-    ``_gradient`` call, the formula ``estimate_gradient`` applies, reads
-    its gradients.
+    ``stiefel_sample(d, d)`` from ``RngStream(seed)``. The probe batches
+    run in blocks whose points fit in 256 KiB: a block's points and raw
+    bases are one draw each, one ``_haar_frames`` call orthonormalises the
+    bases, one oracle call evaluates the points, each point still charged
+    2d+1, and one ``_gradient`` call, the formula ``estimate_gradient``
+    applies, reads their gradients.
     """
     if n_points < 1:
         raise ValueError(f"need at least 1 point, got {n_points}")
@@ -255,9 +252,8 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
     problem = make_cubic_box(d, box_radius)
     L2 = problem.known.L2
     n = len(mus) * n_points
-    xs = np.random.default_rng(seed + 777).uniform(
-        -box_radius, box_radius, size=(n, d))
-    normals = RngStream(seed).generator.standard_normal((n, d, d))
+    point_gen = np.random.default_rng(seed + 777)
+    basis_gen = RngStream(seed).generator
     mu = np.repeat(mus, n_points)
     bound = np.repeat([gradient_error_bound(d, L2, m) for m in mus], n_points)
     oracle = problem.make_oracle()
@@ -266,10 +262,13 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
     block = _block_trials(2 * d + 1, d)
     for first in range(0, n, block):
         rows = slice(first, first + block)
-        v = _haar_frames(normals[rows]).swapaxes(-1, -2)
-        values = _probe_values(oracle, xs[rows], mu[rows, None, None] * v)
+        size = len(mu[rows])
+        x = point_gen.uniform(-box_radius, box_radius, size=(size, d))
+        v = _haar_frames(
+            basis_gen.standard_normal((size, d, d))).swapaxes(-1, -2)
+        values = _probe_values(oracle, x, mu[rows, None, None] * v)
         g = _gradient(values[:, 1::2], values[:, 2::2], mu[rows], v)
-        exact = problem.known.gradient(xs[rows])
+        exact = problem.known.gradient(x)
         error[rows] = _norms(exact - g)
         allowance[rows] = bound[rows] + 1e-12 * (1.0 + _norms(exact))
     violations = int(np.count_nonzero(error > allowance))
@@ -526,17 +525,14 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     times the Gaussian mean and the gap between the means exceeds three
     combined standard errors.
 
-    Trial t's Stiefel set and then its Gaussian set are those
-    ``stiefel_sample`` and ``gaussian_sphere_sample`` draw from its own
+    Trial t draws its Stiefel set and then its Gaussian set from its own
     ``RngStream(seed + 1 + t)``. The trials run in blocks whose probe
-    points fit in 256 KiB: one ``_haar_frames`` call orthonormalises a
-    block's full Stiefel frames, one its last frames, and one
-    ``_unit_rows`` call normalises its Gaussian directions; one oracle
-    call evaluates both halves, each trial still charged 2r+1 per sampler
-    at the origin. The Stiefel estimates take one ``_frame_update`` per
-    frame (r > d gives several), the Gaussian ones r ``_rank_one`` steps,
-    each over the block's stack. Raises ``FloatingPointError`` if a
-    curvature is not finite."""
+    points fit in 256 KiB: one oracle call evaluates both halves of a
+    block, each trial still charged 2r+1 per sampler at the origin. The
+    Stiefel estimates take one ``_frame_update`` per frame (r > d gives
+    several), the Gaussian ones r ``_rank_one`` steps, each over the
+    block's stack. Raises ``FloatingPointError`` if a curvature is not
+    finite."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials, got {trials}")
     a = random_spd(d, cond=10.0, rng=RngStream(seed))
@@ -545,18 +541,17 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     block = _block_trials(2 * (2 * r + 1), d)
     for first in range(0, trials, block):
         rows = slice(first, first + block)
-        gens = [RngStream(seed + 1 + t).generator
-                for t in range(trials)[rows]]
-        # each trial's Stiefel normals, then its sphere normals
-        full, last, sphere = map(np.array, zip(*[
-            (*_frame_normals(d, r, gen), gen.standard_normal((r, d)))
-            for gen in gens]))
-        v = np.empty((len(gens), 2, r, d))
-        v[:, 0] = _frame_rows(_haar_frames(full), _haar_frames(last))
-        v[:, 1] = _unit_rows(sphere, gens)
+        ts = range(trials)[rows]
+        draws = []
+        for t in ts:
+            stream = RngStream(seed + 1 + t)
+            draws.append([sampler(d, r, stream).vectors
+                          for sampler in (stiefel_sample,
+                                          gaussian_sphere_sample)])
+        v = np.array(draws)
         c = _origin_curvatures(oracle, v.reshape(-1, r, d), mu,
-                               "sampling_comparison").reshape(len(gens), 2, r)
-        h = np.zeros((len(gens), 2, d, d))
+                               "sampling_comparison").reshape(len(ts), 2, r)
+        h = np.zeros((len(ts), 2, d, d))
         for start in range(0, r, d):
             _frame_update(h[:, 0], v[:, 0, start:start + d],
                           c[:, 0, start:start + d])

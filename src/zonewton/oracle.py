@@ -181,13 +181,8 @@ class Oracle:
                 f"directions have dimension {directions.dimension}, "
                 f"oracle expects {self.dimension}")
         first = 1 if center is None else 0
-        steps = mu * directions.vectors
-        points = np.empty((2 * directions.r + first, self.dimension))
-        if center is None:
-            points[0] = x
-        np.add(x, steps, out=points[first::2])
-        np.subtract(x, steps, out=points[first + 1::2])
-        values = self.evaluate_points(points)
+        values = self.evaluate_points(
+            _probe_points(x, mu * directions.vectors, center is None))
         return ProbeResult(
             center_value=float(values[0] if center is None else center),
             plus_values=values[first::2],
@@ -195,6 +190,23 @@ class Oracle:
             mu=float(mu),
             directions=directions,
         )
+
+
+def _probe_points(x: np.ndarray, steps: np.ndarray,
+                  with_center: bool = True) -> np.ndarray:
+    """The points of a probe batch as the rows of one matrix: x (if
+    ``with_center``), x + s_1, x - s_1, x + s_2, ... for the rows s_j of
+    ``steps`` (k, d). A stack of batches broadcasts over the leading axes:
+    ``x`` (..., d) and ``steps`` (..., k, d) give (..., 2k + 1, d).
+    """
+    first = 1 if with_center else 0
+    *lead, k, d = steps.shape
+    points = np.empty((*lead, 2 * k + first, d))
+    if with_center:
+        points[..., 0, :] = x
+    np.add(x[..., None, :], steps, out=points[..., first::2, :])
+    np.subtract(x[..., None, :], steps, out=points[..., first + 1::2, :])
+    return points
 
 
 def _check_mu(mu: float):

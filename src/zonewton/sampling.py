@@ -9,9 +9,9 @@ every draw is reproducible bit-for-bit.
 Each sampler's formula is written once, as a private routine that
 broadcasts over leading axes: ``_haar_frames`` orthonormalises a stack of
 normal matrices in one QR call and ``_unit_rows`` normalises a stack of
-trials' normal rows. The verification gates apply them to a block of
-trials' raw normals, each drawn from the trial's own stream, and get
-exactly the directions the public samplers would give each trial.
+trials' normal rows. The Lemma 1 and rate gates apply them to a block of
+raw normals, drawn as the public samplers would draw them, and get exactly
+the directions those samplers would give.
 """
 
 from __future__ import annotations
@@ -110,32 +110,12 @@ def _haar_frames(normals: np.ndarray) -> np.ndarray:
     normals, k <= d: the Q factor of each matrix with each column signed by
     its diag(R) entry, which makes the frame Haar-distributed (Mezzadri
     2007, arXiv:math-ph/0609050). One QR call takes the whole stack; each
-    matrix comes out exactly as it would alone. An empty stack is returned
-    as it is, without the QR call.
+    matrix comes out exactly as it would alone.
     """
-    if not normals.size:
-        return normals
     q, r = np.linalg.qr(normals)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
-
-
-def _frame_normals(d: int, r: int, gen: np.random.Generator):
-    """The standard normals behind ``stiefel_sample(d, r)``, in drawing
-    order: a (r // d, d, d) stack for the full frames, then a (d, r % d)
-    matrix for the last frame. Either may be empty."""
-    full = gen.standard_normal((r // d, d, d))
-    return full, gen.standard_normal((d, r % d))
-
-
-def _frame_rows(full: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The columns of n full frames (n, d, d) followed by those of a last
-    frame (d, k), in order, as the rows of one (n d + k, d) array; or the
-    same for every trial of a stack, from (trials, n, d, d) and
-    (trials, d, k) to (trials, n d + k, d)."""
-    return np.concatenate([*full.swapaxes(0, -3), last],
-                          axis=-1).swapaxes(-1, -2)
 
 
 def _unit_rows(normals: np.ndarray, generators) -> np.ndarray:
@@ -162,19 +142,14 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     each marginally uniform on the unit sphere. For r > d, ceil(r/d)
     independent frames are generated and concatenated in generation order,
     the last truncated to the remainder; orthogonality holds within each
-    frame, which the set records as ``frame_size`` d. All full frames are
-    orthonormalised in one QR call.
+    frame, which the set records as ``frame_size`` d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
     gen = rng.generator
-    if r <= d:
-        # the draw of _frame_normals, without a stack of one frame
-        rows = _haar_frames(gen.standard_normal((d, r))).T
-    else:
-        full, last = _frame_normals(d, r, gen)
-        rows = _frame_rows(_haar_frames(full), _haar_frames(last))
-    return DirectionSet._owned(rows, frame_size=d)
+    frames = [_haar_frames(gen.standard_normal((d, min(d, r - start)))).T
+              for start in range(0, r, d)]
+    return DirectionSet._owned(np.vstack(frames), frame_size=d)
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:

@@ -4,10 +4,11 @@ the faults they exist to catch.
 The rate and sampling references are the gates written one trial at a
 time: a fresh oracle and one probe batch per trial, then
 ``HessianEstimate`` updates. The blocked gates must agree with them within
-1e-12 and charge the same evaluations. The directions the rate, sampling
-and Lemma 1 gates orthonormalise or normalise a block at a time must be
-exactly the public samplers' per-trial draws, and the Lemma 1 gate's worst
-ratio exactly that of ``estimate_gradient`` on one probe per point. The
+1e-12 and charge the same evaluations. The directions the rate and Lemma 1
+gates normalise or orthonormalise a block at a time must be exactly the
+public samplers' draws, the Lemma 1 gate's worst ratio exactly that of
+``estimate_gradient`` on one probe per point, and its allocation peak must
+not grow with the point count. The
 linear-rate reference runs the solver for all 2500 iterations and searches
 the trace for the first f-gap at the floor; the gate, which stops there,
 must give an equal report.
@@ -18,6 +19,7 @@ window search is checked on hand-built error sequences.
 """
 
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -179,26 +181,12 @@ def test_rate_gate_directions_are_the_sphere_sampler_draws(monkeypatch):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("r", [7, 20, 25])
-def test_sampling_gate_directions_are_the_samplers_draws(monkeypatch, r):
-    d, trials, seed = 20, 60, 9
-    calls = _spy(monkeypatch, "_origin_curvatures")
-    experiments.sampling_comparison(d=d, r=r, trials=trials, seed=seed)
-    got = np.concatenate([vectors for _, vectors, _, _ in calls])
-    want = []
-    for t in range(trials):
-        stream = RngStream(seed + 1 + t)
-        want += [stiefel_sample(d, r, stream).vectors,
-                 gaussian_sphere_sample(d, r, stream).vectors]
-    assert len(calls) > 1
-    np.testing.assert_array_equal(got, want)
-
-
 def test_lemma1_gate_probes_the_points_and_bases_drawn_one_at_a_time(
         monkeypatch):
-    d, n_points, seed = 7, 30, 4
+    d, n_points, seed = 20, 30, 4
     calls = _spy(monkeypatch, "_probe_values")
     experiments.gradient_bound_verification(seed=seed, d=d, n_points=n_points)
+    assert len(calls) > 1
     centers = np.concatenate([c for _, c, _ in calls])
     steps = np.concatenate([st for _, _, st in calls])
     stream, gen = RngStream(seed), np.random.default_rng(seed + 777)
@@ -209,6 +197,26 @@ def test_lemma1_gate_probes_the_points_and_bases_drawn_one_at_a_time(
             want_steps.append(mu * stiefel_sample(d, d, stream).vectors)
     np.testing.assert_array_equal(centers, want_centers)
     np.testing.assert_array_equal(steps, want_steps)
+
+
+def _peak_bytes(gate, **kwargs):
+    tracemalloc.start()
+    try:
+        gate(**kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lemma1_gate_allocation_peak_does_not_grow_with_the_points():
+    # 300 and 3000 probe batches, both several blocks; all points' bases
+    # drawn at once would take 3000 * 20 * 20 * 8 bytes = 9.6 MB
+    d = 20
+    assert experiments._block_trials(2 * d + 1, d) < 300
+    gate = experiments.gradient_bound_verification
+    small = _peak_bytes(gate, seed=1, d=d, n_points=100)
+    large = _peak_bytes(gate, seed=1, d=d, n_points=1000)
+    assert large < 2 * small
 
 
 def test_lemma1_gate_reads_the_gradient_estimate_of_each_probe():
@@ -268,11 +276,6 @@ def _frozen_frame_update(h, v, c):
     return c - np.sum((v @ h) * v, axis=-1)
 
 
-def _normalised_columns(normals):
-    # unit Gaussian columns, not orthogonal: sphere draws in frame clothing
-    return normals / np.linalg.norm(normals, axis=-2, keepdims=True)
-
-
 def _scaled_floor(*args):
     return 100.0 * gradient_error_bound(*args)
 
@@ -290,7 +293,7 @@ FAULT_MATRIX = {
                [(experiments, "_gradient",
                  lambda *args: 1.5 * _gradient(*args))], "FAIL"),
     "sampling": (experiments.sampling_comparison,
-                 [(experiments, "_haar_frames", _normalised_columns)],
+                 [(experiments, "stiefel_sample", gaussian_sphere_sample)],
                  "FAIL"),
     # the floor constant is defined once and imported by both modules
     "stopping": (experiments.stopping_criterion_check,

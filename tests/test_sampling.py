@@ -1,5 +1,5 @@
 """Direction samplers: orthonormality, distribution, reproducibility, and
-the stacked draws against the same draws made one at a time."""
+the stacked routines against the same draws made one at a time."""
 
 from types import SimpleNamespace
 
@@ -59,17 +59,17 @@ class TestStiefelSample:
             assert np.linalg.norm(block @ block.T - np.eye(size)) <= 1e-10
 
     @pytest.mark.parametrize("d,r", [(4, 11), (4, 8), (10, 90), (3, 2)])
-    def test_stacked_frames_equal_frames_drawn_one_at_a_time(self, d, r):
-        # the full frames are one draw and one QR call; the same stream
-        # drawn frame by frame through the r <= d path gives the same bits
+    def test_frames_equal_single_frames_drawn_one_at_a_time(self, d, r):
+        # the same stream drawn frame by frame through the r <= d path
+        # gives the same bits
         stream = RngStream(23)
         sizes = [d] * (r // d) + ([r % d] if r % d else [])
         want = np.vstack([stiefel_sample(d, k, stream).vectors
                           for k in sizes])
         got = stiefel_sample(d, r, RngStream(23)).vectors
         np.testing.assert_array_equal(got, want)
-        # F-ordered like the np.vstack result it replaced: the layout
-        # decides which BLAS kernel the solver's products take
+        # F-ordered, one frame or several: the layout decides which BLAS
+        # kernel the solver's products take
         assert got.flags.f_contiguous
 
 
