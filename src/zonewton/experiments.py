@@ -25,7 +25,7 @@ from .estimators import (
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import Oracle, _check_mu, _probe_points
+from .oracle import Oracle, _check_mu, _probe_points, _probe_sides
 from .problems import (
     logistic_gap_objective,
     make_cubic_box,
@@ -113,12 +113,21 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
     _check_mu(mu)
     values = _probe_values(oracle, np.zeros((1, vectors.shape[-1])),
                            mu * vectors)
-    curvatures = _second_difference(values[:, 1::2], values[:, :1],
-                                    values[:, 2::2], mu)
+    center, plus, minus = _probe_sides(values)
+    curvatures = _second_difference(plus, center, minus, mu)
     if not np.all(np.isfinite(curvatures)):
         raise FloatingPointError(
             f"{gate}: non-finite directional curvature at mu={mu!r}")
     return curvatures
+
+
+def _check_run(gate: str, status: str, iterations: int, mu: float):
+    """Raise ``FloatingPointError``, naming ``gate``, the iteration count
+    and mu, if the gate's solver run ended ``stopped_numerical``."""
+    if status == STOPPED_NUMERICAL:
+        raise FloatingPointError(
+            f"{gate}: the run ended {status} after {iterations} iterations "
+            f"at mu={mu!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +276,8 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
         v = _haar_frames(
             basis_gen.standard_normal((size, d, d))).swapaxes(-1, -2)
         values = _probe_values(oracle, x, mu[rows, None, None] * v)
-        g = _gradient(values[:, 1::2], values[:, 2::2], mu[rows], v)
+        _, plus, minus = _probe_sides(values)
+        g = _gradient(plus, minus, mu[rows], v)
         exact = problem.known.gradient(x)
         error[rows] = _norms(exact - g)
         allowance[rows] = bound[rows] + 1e-12 * (1.0 + _norms(exact))
@@ -337,10 +347,7 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
         gaps.append(record.f_value - problem.known.f_star)
         if gaps[-1] <= floor or state.status != RUNNING:
             break
-    if state.status == STOPPED_NUMERICAL:
-        raise FloatingPointError(
-            f"linear_rate_verification: the run ended {state.status} after "
-            f"{len(gaps)} iterations at mu={mu!r}")
+    _check_run("linear_rate_verification", state.status, len(gaps), mu)
     iters_to_floor = len(gaps) - 1 if gaps[-1] <= floor else None
     gaps = np.array(gaps)
     ratios = gaps[1:] / gaps[:-1]
@@ -446,10 +453,8 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
         max_iterations=25, L1=known.L1)
     trace = run(x0, oracle, config, RngStream(seed + 2),
                 x_star=known.x_star, f_star=0.0, hessian_fn=known.hessian)
-    if trace.status == STOPPED_NUMERICAL:
-        raise FloatingPointError(
-            f"quadratic_rate_verification: the run ended {trace.status} after "
-            f"{len(trace.records)} iterations at mu={mu!r}")
+    _check_run("quadratic_rate_verification", trace.status,
+               len(trace.records), mu)
 
     errors = np.array([rec.x_err for rec in trace.records]
                       + [float(np.linalg.norm(trace.x_final - known.x_star))])
@@ -598,7 +603,8 @@ def stopping_criterion_check(seed: int = 0) -> StoppingReport:
     """Run the solver on the cubic box problem (d = 4, R = 0.4, so m and L2
     are known) at mu = 1e-3 for at most 50 iterations until the
     zeroth-order floor fires, then verify the suboptimality guarantee
-    ||x - x*|| <= d L2 mu^2 / (3 m) against the true minimizer."""
+    ||x - x*|| <= d L2 mu^2 / (3 m) against the true minimizer. Raises
+    ``FloatingPointError`` if the run ends ``stopped_numerical``."""
     d, box_radius, mu = 4, 0.4, 1e-3
     problem = make_cubic_box(d, box_radius)
     known = problem.known
@@ -612,6 +618,8 @@ def stopping_criterion_check(seed: int = 0) -> StoppingReport:
     x0 = 0.75 * box_radius * np.ones(d)
     trace = run(x0, problem.make_oracle(), config, RngStream(seed),
                 x_star=known.x_star, f_star=known.f_star)
+    _check_run("stopping_criterion_check", trace.status, len(trace.records),
+               mu)
     final_error = float(np.linalg.norm(trace.x_final - known.x_star))
     guarantee = d * known.L2 * mu * mu / (3.0 * known.m)
     threshold = gradient_error_bound(d, known.L2, mu)

@@ -180,13 +180,13 @@ class Oracle:
             raise ValueError(
                 f"directions have dimension {directions.dimension}, "
                 f"oracle expects {self.dimension}")
-        first = 1 if center is None else 0
         values = self.evaluate_points(
             _probe_points(x, mu * directions.vectors, center is None))
+        centers, plus, minus = _probe_sides(values, center is None)
         return ProbeResult(
-            center_value=float(values[0] if center is None else center),
-            plus_values=values[first::2],
-            minus_values=values[first + 1::2],
+            center_value=float(centers[0] if center is None else center),
+            plus_values=plus,
+            minus_values=minus,
             mu=float(mu),
             directions=directions,
         )
@@ -207,6 +207,16 @@ def _probe_points(x: np.ndarray, steps: np.ndarray,
     np.add(x[..., None, :], steps, out=points[..., first::2, :])
     np.subtract(x[..., None, :], steps, out=points[..., first + 1::2, :])
     return points
+
+
+def _probe_sides(values: np.ndarray, with_center: bool = True):
+    """The inverse of :func:`_probe_points` on the points' values
+    (..., 2k + 1), or (..., 2k) without a center: the views (center
+    (..., 1) or (..., 0), plus (..., k), minus (..., k)) of f(x),
+    f(x + s_j) and f(x - s_j)."""
+    first = 1 if with_center else 0
+    return (values[..., :first], values[..., first::2],
+            values[..., first + 1::2])
 
 
 def _check_mu(mu: float):

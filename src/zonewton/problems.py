@@ -44,9 +44,6 @@ __all__ = [
 # raise the peak memory by the size of the whole margin matrix.
 _BLOCK_BYTES = 1 << 20
 
-# np.exp and np.expm1 overflow to inf exactly above this argument.
-_EXP_MAX = float(np.log(np.finfo(float).max))
-
 
 @dataclass
 class Dataset:
@@ -432,47 +429,45 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
 
     Near the optimum the raw objective is an O(1) constant plus a tiny gap,
     so second differences at very small mu drown in rounding error. This
-    variant routes every intermediate through w = x - x_star
-    (log1p/expm1 forms for the losses, a difference-of-squares form for the
-    ridge term), so the returned values carry precision relative to the gap
-    itself. Same minimizer, derivatives, and regularity constants as the raw
-    objective; its optimum value is exactly 0.
+    variant routes every intermediate through w = x - x_star (a
+    difference-of-squares form for the ridge term, and for each sample's
+    loss log(1 + t), t = sigma(-z*) (exp(a) - 1), at its margin shift a), so
+    the returned values carry precision relative to the gap itself. Where
+    log1p would lose digits or fail (t < -1/2, t infinite or NaN, or
+    sigma(-z*) below the smallest normal double) the loss is the equal
+    log(sigma(z*) + sigma(-z*) exp(a)), a logaddexp of log-sigmoids; a NaN
+    margin still gives NaN. Same minimizer, derivatives, and regularity
+    constants as the raw objective; its optimum value is exactly 0.
     """
     x_star = np.asarray(x_star, dtype=float)
     z_star = dataset.labels * (dataset.features @ x_star)
     s_star = _sigmoid(-z_star)
-    saturated = np.flatnonzero(s_star == 1.0)
+    # Below the smallest normal double sigma(-z*) carries few digits, or
+    # none at 0, into t; NaN sends those samples to the fallback.
+    s_star[s_star < np.finfo(float).tiny] = np.nan
+    log_s_pos = -np.logaddexp(0.0, -z_star)
+    log_s_neg = -np.logaddexp(0.0, z_star)
 
-    def loss(dz, _scratch):
-        # log(1 + sigma(-z*) (exp(a) - 1)) with a = -dz, in place. Where
-        # exp(a) overflows, the equal softplus difference
-        # log(1 + exp(a - z*)) - log(1 + exp(-z*)): a + log sigma(-z*) to
-        # rounding, and finite even where sigma(-z*) underflows to 0. Where
-        # sigma(-z*) rounds to 1 and exp(a) - 1 to -1, the sum cancels to
-        # 0; there the equal log(sigma(z*) + sigma(-z*) exp(a)), as a
-        # logaddexp of log-sigmoids.
-        np.negative(dz, out=dz)
-        overflow = dz.max() > _EXP_MAX
-        if overflow:
-            rows, cols = np.nonzero(dz > _EXP_MAX)
-            a, zs = dz[rows, cols], z_star[cols]
-            dz[rows, cols] = 0.0
-        if saturated.size:
-            a_saturated = dz[:, saturated]
-        np.expm1(dz, out=dz)
-        dz *= s_star
-        if saturated.size:
-            c_rows, c_k = np.nonzero(dz[:, saturated] == -1.0)
-            c_cols = saturated[c_k]
-            dz[c_rows, c_cols] = 0.0
-        np.log1p(dz, out=dz)
-        if overflow:
-            dz[rows, cols] = np.logaddexp(0.0, a - zs) - np.logaddexp(0.0, -zs)
-        if saturated.size:
-            zc = z_star[c_cols]
-            dz[c_rows, c_cols] = np.logaddexp(
-                -np.logaddexp(0.0, -zc),
-                a_saturated[c_rows, c_k] - np.logaddexp(0.0, zc))
+    def loss(dz, t):
+        # a = -dz. t is inf where exp(a) overflows, and NaN for a NaN
+        # margin or a marked sigma(-z*): each takes the fallback, and none
+        # of them warns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.negative(dz, out=dz)
+            np.expm1(dz, out=t)
+            t *= s_star
+            if t.min() >= -0.5 and t.max() < np.inf:
+                np.log1p(t, out=dz)
+                return
+            # flat indices: np.nonzero's (rows, cols) pair costs ten times
+            # as much to build
+            fallback = np.flatnonzero(~((t >= -0.5) & (t < np.inf)))
+            cols = fallback % t.shape[1]
+            a = dz.flat[fallback]
+            t.flat[fallback] = 0.0
+            np.log1p(t, out=dz)
+            dz.flat[fallback] = np.logaddexp(log_s_pos[cols],
+                                             a + log_s_neg[cols])
 
     def batch(points):
         w = points - x_star

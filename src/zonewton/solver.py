@@ -31,7 +31,7 @@ from .estimators import (
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import BudgetExhaustedError, Oracle
+from .oracle import BudgetExhaustedError, Oracle, _check_mu
 from .sampling import RngStream, stiefel_sample
 
 __all__ = [
@@ -96,11 +96,10 @@ class SolverConfig:
     m: Optional[float] = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not 0 < self.lambda_min <= self.lambda_max:
+        _check_mu(self.mu)
+        if not 0 < self.lambda_min <= self.lambda_max < math.inf:
             raise ValueError(
-                f"need 0 < lambda_min <= lambda_max, got "
+                f"need 0 < lambda_min <= lambda_max < inf, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
         if self.alpha is not None and not 0 < self.alpha < math.inf:
             raise ValueError(
@@ -187,7 +186,7 @@ def _clip_inverse(h: np.ndarray, lambda_min: float,
     spectrum of h already sits inside the bounds Z is exactly the inverse.
     Nothing is checked: ``h`` must be an exactly symmetric float matrix, as
     every update keeps the solver's estimate, and the bounds must satisfy
-    0 < lambda_min <= lambda_max, as :class:`SolverConfig` checks. The
+    0 < lambda_min <= lambda_max < inf, as :class:`SolverConfig` checks. The
     solver calls it through :func:`_newton_direction`, when a Cholesky test
     finds an eigenvalue of h outside the bounds or on one.
     """

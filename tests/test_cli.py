@@ -116,6 +116,20 @@ def test_non_finite_alpha_is_usage_error(tmp_path, capsys, command, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "fedrun"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda-max", "inf", "lambda_max < inf"),
+    ("--mu", "nan", "mu must be a positive finite real"),
+    ("--mu", "inf", "mu must be a positive finite real")])
+def test_non_finite_solver_parameter_is_usage_error(tmp_path, capsys, command,
+                                                    flag, value, message):
+    out = tmp_path / "trace.csv"
+    assert main([command, flag, value, "--max-iters", "2",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diverging_run_stops_numerical(tmp_path, capsys):
     # alpha = 5 throws the cubic's iterate to |x| ~ 1e15, where every probe
     # point x +/- mu*u rounds to x and the gradient estimate is exactly 0

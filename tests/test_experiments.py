@@ -28,6 +28,7 @@ import pytest
 from zonewton import (
     FixedDirections,
     HessianEstimate,
+    Objective,
     Oracle,
     RngStream,
     SolverConfig,
@@ -36,6 +37,7 @@ from zonewton import (
     estimate_gradient,
     estimate_hessian,
     gaussian_sphere_sample,
+    make_cubic_box,
     make_quadratic,
     optimal_stepsize,
     random_spd,
@@ -263,6 +265,21 @@ def test_stopping_gate_passes_on_the_sweep_seeds(seed):
     report = experiments.stopping_criterion_check(seed=seed)
     assert report.passed, report.lines()[0]
     assert report.status == STOPPED_ZO_FLOOR
+
+
+def test_stopping_gate_raises_when_its_run_ends_numerical(monkeypatch):
+    # a cubic box whose every value is NaN ends the run stopped_numerical
+    def nan_box(d, box_radius):
+        problem = make_cubic_box(d, box_radius)
+        problem.fn = Objective(lambda points: np.full(len(points), np.nan))
+        return problem
+
+    monkeypatch.setattr(experiments, "make_cubic_box", nan_box)
+    with pytest.raises(FloatingPointError,
+                       match="stopping_criterion_check: the run ended "
+                             "stopped_numerical after 1 iterations "
+                             "at mu=0.001"):
+        experiments.stopping_criterion_check(seed=1)
 
 
 def _flipped_rank_one(h, u, c):

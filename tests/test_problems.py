@@ -2,6 +2,7 @@
 minimizer."""
 
 import dataclasses
+import decimal
 import os
 import subprocess
 import sys
@@ -131,6 +132,27 @@ def _single_sample_dataset():
     return Dataset(np.array([1.0]), np.array([[1.0]]))
 
 
+def _exact_gap_loss(z_star: float, a: float) -> float:
+    """log(sigma(z*) + sigma(-z*) e^a), the gap loss at margin shift a, to
+    50 digits, as softplus(a - z*) - softplus(-z*)."""
+    def softplus(x):
+        e = x.exp()
+        return (1 + e).ln() if e > decimal.Decimal("1e-30") else e - e * e / 2
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        z, a = decimal.Decimal(z_star), decimal.Decimal(a)
+        return float(softplus(a - z) - softplus(-z))
+
+
+def _one_sample_gap(z_star: float):
+    """The gap objective of one sample (feature 1, label 1) with ridge 0 and
+    reference x* = z*: its value at x is the loss at margin shift
+    a = z* - x."""
+    return logistic_gap_objective(_single_sample_dataset(), 0.0,
+                                  np.array([z_star]))
+
+
 class TestGapObjective:
     def test_zero_at_reference(self):
         data_set = make_synthetic_dataset(40, 5, RngStream(5))
@@ -181,6 +203,57 @@ class TestGapObjective:
             value = gap(np.array([0.0]))
         want = np.log(2.0) - np.logaddexp(0.0, 40.0) - 0.05 * 1600.0
         assert value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("z_star, a",
+                             [(-36.0, -36.0), (-30.0, -38.0), (710.0, 709.0)])
+    def test_loss_where_the_reference_sigmoid_loses_digits(self, z_star, a):
+        # at z* = -36 and -30 sigma(-z*) is 1 - e^z*, and
+        # 1 + sigma(-z*) (e^a - 1) keeps only the digits left after its
+        # cancellation; at z* = 710, 1 / (1 + e^z*) is 0 in place of the
+        # subnormal e^-710, and the loss log(1 + e^-1) would read 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _one_sample_gap(z_star)(np.array([z_star - a]))
+        assert value == pytest.approx(_exact_gap_loss(z_star, a), rel=1e-12)
+
+    def test_loss_sweep_against_a_decimal_reference(self):
+        # each z* is one batch over every a, so a batch mixes both formulas;
+        # the loss's own margin shift is z* - x, with x = z* - a rounded
+        gen = np.random.default_rng(19)
+        z_stars = np.concatenate([gen.uniform(-60, 60, 12),
+                                  gen.uniform(-800, -37, 4),
+                                  gen.uniform(700, 800, 8)])
+        a = np.concatenate([gen.uniform(-60, 60, 20),
+                            gen.uniform(-1000, 1000, 10),
+                            gen.uniform(650, 1000, 10)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = 1.0 / (1.0 + np.exp(z_stars))  # sigma(-z*)
+            growth = np.expm1(a)
+            t = s[:, None] * growth
+        assert (s == 1.0).any() and (s == 0.0).any()
+        assert np.isinf(growth).any()
+        assert (t < -0.5).any() and ((t >= -0.5) & (t < np.inf)).any()
+        for z_star in z_stars:
+            x = z_star - a
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _one_sample_gap(z_star).batch(x[:, None])
+            want = [_exact_gap_loss(z_star, shift) for shift in z_star - x]
+            # below the smallest normal double a value holds fewer digits
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12,
+                atol=4 * np.finfo(float).smallest_subnormal)
+
+    def test_nan_point_gives_nan(self):
+        data_set = make_synthetic_dataset(40, 5, RngStream(5))
+        p = make_logistic(data_set, ridge=0.2)
+        gap = logistic_gap_objective(data_set, 0.2, p.known.x_star)
+        points = np.stack([p.known.x_star, np.full(5, np.nan)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gap.batch(points)
+        assert values[0] == 0.0
+        assert np.isnan(values[1])
 
     def test_keeps_relative_accuracy_near_optimum(self):
         # the raw difference loses all digits at distance 1e-8; the gap

@@ -415,6 +415,22 @@ def test_config_rejects_alpha_that_is_not_finite_and_positive(alpha):
         SolverConfig(mu=1e-4, r_policy=FixedDirections(3), alpha=alpha)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1e-4])
+def test_config_rejects_mu_that_is_not_finite_and_positive(mu):
+    with pytest.raises(ValueError, match="mu must be a positive finite real"):
+        SolverConfig(mu=mu, r_policy=FixedDirections(3))
+
+
+@pytest.mark.parametrize("lambda_min, lambda_max", [
+    (1.0, float("inf")), (float("inf"), float("inf")),
+    (float("nan"), 1.0), (1.0, float("nan"))])
+def test_config_rejects_spectral_bounds_that_are_not_finite(lambda_min,
+                                                            lambda_max):
+    with pytest.raises(ValueError, match="lambda_max < inf"):
+        SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
+                     lambda_min=lambda_min, lambda_max=lambda_max)
+
+
 def test_alpha_resolution_order():
     base = dict(mu=1e-4, r_policy=FixedDirections(3))
     assert SolverConfig(**base).resolved_alpha() == 1.0
