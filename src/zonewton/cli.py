@@ -7,8 +7,9 @@ code, each with one flag per parameter of its gate, typed and defaulted by
 the gate's signature; ``costs`` prints the deterministic finite-difference
 evaluation counts. Exit codes: 0 success/pass, 1 verification failure,
 2 usage error, 3 numerical failure (a run that ends ``stopped_numerical``:
-a non-finite objective value, or an iterate so large that rounding swallows
-the probe step; or a gate that raises ``FloatingPointError``). The run summary
+a non-finite objective value, an iterate so large that rounding swallows
+the probe step, or a step that is not finite; or a gate that raises
+``FloatingPointError``). The run summary
 prints ``evals=``, the evaluations of the last complete iteration, and
 ``spent=``, the evaluations actually charged (for ``fedrun`` the largest
 per-client count, since the budget is per client).

@@ -9,9 +9,10 @@ every draw is reproducible bit-for-bit.
 Each sampler's formula is written once, as a private routine that
 broadcasts over leading axes: ``_haar_frames`` orthonormalises a stack of
 normal matrices in one QR call and ``_unit_rows`` normalises a stack of
-trials' normal rows. The Lemma 1 and rate gates apply them to a block of
-raw normals, drawn as the public samplers would draw them, and get exactly
-the directions those samplers would give.
+trials' normal rows. The Lemma 1 and rate gates, and the solver under a
+fixed direction count, apply them to a block of raw normals, drawn as the
+public samplers would draw them, and get exactly the directions those
+samplers would give; such a caller consumes its stream a block ahead.
 """
 
 from __future__ import annotations

@@ -13,7 +13,19 @@ otherwise it comes from an eigendecomposition. The center value f(x) is
 shared between the two probe phases, so one iteration costs exactly
 2 r_k + 1 evaluations. A probe batch that holds a non-finite value or
 second difference, or whose probe steps are lost to rounding at x, ends the
-run as stopped_numerical.
+run as stopped_numerical, and so does a step whose direction, new iterate
+or length is not finite.
+
+Under a fixed policy the directions are drawn a block of iterations ahead:
+one normal draw of up to 64 KiB, capped by the iterations the run has left,
+holds exactly the normals that each iteration's ``stiefel_sample(d, d)``
+and ``stiefel_sample(d, r - d)`` would draw, in that order, and one stacked
+QR call per frame shape orthonormalises them, so every direction set is the
+one those calls would return. The state carries the rest of the block, so
+the direction stream is consumed in blocks: a caller that draws from it
+after ``run`` or ``iterate`` sees other numbers than with per-iteration
+draws (no caller in the package does). The adaptive policy's r_k depends
+on the state, so it draws per iteration.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from .estimators import (
     update_rate_bound,
 )
 from .oracle import BudgetExhaustedError, Oracle, _check_mu
-from .sampling import RngStream, stiefel_sample
+from .sampling import DirectionSet, RngStream, _haar_frames, stiefel_sample
 
 __all__ = [
     "AdaptiveDirections",
@@ -101,6 +113,9 @@ class SolverConfig:
             raise ValueError(
                 f"need 0 < lambda_min <= lambda_max < inf, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
+        if not math.isfinite(1.0 / self.lambda_min):
+            raise ValueError(
+                f"lambda_min={self.lambda_min} has no finite reciprocal")
         if self.alpha is not None and not 0 < self.alpha < math.inf:
             raise ValueError(
                 f"alpha must be finite and positive, got {self.alpha}")
@@ -117,12 +132,76 @@ class SolverConfig:
         return 1.0
 
 
+# Bytes of float64 normals a fixed policy draws at once: the directions of
+# as many iterations as fit, at least one.
+_BLOCK_BYTES = 64 * 1024
+
+
+@dataclass(frozen=True)
+class _DirectionBlock:
+    """Directions a fixed policy drew ahead, used from iteration ``next`` of
+    the block on. Iteration i's full frames are ``frames[i]``, its gradient
+    frame first, and its short last frame, when d does not divide r, is
+    ``tails[i]``; each frame holds its directions as columns, as
+    ``_haar_frames`` returns them."""
+
+    frames: np.ndarray
+    tails: Optional[np.ndarray]
+    next: int = 0
+
+    @classmethod
+    def draw(cls, d: int, r: int, count: int,
+             rng: RngStream) -> "_DirectionBlock":
+        """The directions of ``count`` iterations, from one normal draw that
+        is exactly what ``count`` rounds of ``stiefel_sample(d, d, rng)``
+        then ``stiefel_sample(d, r - d, rng)`` would draw."""
+        n_full, rem = divmod(r, d)
+        normals = rng.generator.standard_normal((count, d * r))
+        split = n_full * d * d
+        frames = _haar_frames(normals[:, :split].reshape(count, n_full, d, d))
+        tails = (_haar_frames(normals[:, split:].reshape(count, d, rem))
+                 if rem else None)
+        return cls(frames, tails)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The (d, r) of every iteration's directions."""
+        d = self.frames.shape[-1]
+        rem = 0 if self.tails is None else self.tails.shape[-1]
+        return d, self.frames.shape[1] * d + rem
+
+    def take(self) -> tuple[DirectionSet, Optional[DirectionSet],
+                            Optional["_DirectionBlock"]]:
+        """The next iteration's frame, its r - d extra directions (None when
+        r = d) and the rest of the block (None when it is used up). Each set
+        is F-ordered, as ``stiefel_sample`` lays it out; the frame is a view
+        of the block."""
+        i = self.next
+        d = self.frames.shape[-1]
+        frame = DirectionSet._owned(self.frames[i, 0].T, frame_size=d)
+        rows = [f.T for f in self.frames[i, 1:]]
+        if self.tails is not None:
+            rows.append(self.tails[i].T)
+        extra = (DirectionSet._owned(np.vstack(rows), frame_size=d)
+                 if rows else None)
+        rest = (_DirectionBlock(self.frames, self.tails, i + 1)
+                if i + 1 < len(self.frames) else None)
+        return frame, extra, rest
+
+
 @dataclass
 class SolverState:
+    """The iterate, the Hessian estimate and the iteration count of a run.
+
+    ``_block`` holds the directions a fixed policy drew ahead and has not
+    used yet; it belongs to the run, and ``iterate`` refuses a state whose
+    block does not fit its config."""
+
     x: np.ndarray
     hessian: HessianEstimate
     iteration: int
     status: str = RUNNING
+    _block: Optional[_DirectionBlock] = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, x0, d: int) -> "SolverState":
@@ -315,8 +394,9 @@ def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
 
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
                     r_used: int):
-    """Stopped state and trace record for a failed probe batch; the Hessian
-    estimate is left as it was and the record keeps the offending point."""
+    """Stopped state and trace record for a failed probe batch or step; the
+    Hessian estimate is left as it was and the record keeps the offending
+    point."""
     x = state.x
     new_state = SolverState(
         x=x.copy(), hessian=state.hessian,
@@ -327,6 +407,20 @@ def _numerical_stop(state: SolverState, evals: int, f_value: float,
     return new_state, record
 
 
+def _fixed_directions(state: SolverState, d: int, r: int,
+                      config: SolverConfig, rng: RngStream):
+    """This iteration's frame, its r - d extra directions (None when r = d)
+    and the block to carry on, drawing a new block when none is left: as
+    many iterations as fit in ``_BLOCK_BYTES`` of normals, at least one, and
+    no more than the config's iterations left."""
+    block = state._block
+    if block is None:
+        fit = _BLOCK_BYTES // (8 * d * r)
+        left = config.max_iterations - state.iteration
+        block = _DirectionBlock.draw(d, r, max(1, min(fit, left)), rng)
+    return block.take()
+
+
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
             rng: RngStream) -> tuple[SolverState, TraceRecord]:
     """Run one solver iteration; returns the new state and its trace record.
@@ -335,19 +429,38 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     :class:`BudgetExhaustedError`; the caller keeps the trace collected so
     far and marks the run stopped_budget. A probe batch that fails
     :func:`_probe_failed` stops the run as stopped_numerical before any
-    Hessian update. A direction policy that does not fit the oracle (a fixed
-    r below d, an adaptive r_max below d or no L1) raises ``ValueError``
-    before any evaluation.
+    Hessian update, and a step whose direction, new iterate or length is
+    not finite stops it as stopped_numerical at this iteration, with x kept.
+    A direction policy that does not fit the oracle (a fixed r below d, an
+    adaptive r_max below d or no L1), or a state carrying directions drawn
+    for another (d, r) or policy, raises ``ValueError`` before any
+    evaluation.
+
+    Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
+    normals, capped by ``config.max_iterations`` less the state's iteration,
+    and the returned state carries the rest of the block; pass the same
+    stream to every call of a run, and draw nothing else from it.
     """
     _validate_run_inputs(oracle, config)
     if state.status != RUNNING:
         raise ValueError(f"cannot iterate a solver in status {state.status!r}")
     d = oracle.dimension
+    policy = config.r_policy
+    fixed = isinstance(policy, FixedDirections)
+    if state._block is not None and (
+            not fixed or state._block.shape != (d, policy.r)):
+        raise ValueError(
+            f"the state carries directions drawn for (d, r) = "
+            f"{state._block.shape}, which do not fit {policy!r} at d={d}")
     x = state.x
     alpha = config.resolved_alpha()
 
     # (i) one orthonormal frame: gradient + the first d Hessian updates.
-    frame = stiefel_sample(d, d, rng)
+    if fixed:
+        frame, extra, block = _fixed_directions(state, d, policy.r, config,
+                                                rng)
+    else:
+        frame, block = stiefel_sample(d, d, rng), None
     probe = oracle.probe_batch(x, frame, config.mu)
     curvatures = directional_curvature(probe)
     if _probe_failed(x, curvatures, config.mu):
@@ -375,8 +488,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
 
     # (iii) direction count for this iteration; probe the remaining
     # r_k - d directions, sharing the already-known center value.
-    policy = config.r_policy
-    if isinstance(policy, FixedDirections):
+    if fixed:
         r_k = policy.r
     else:
         rho = math.sqrt(float(np.mean(residuals ** 2)))
@@ -384,8 +496,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         r_k = adaptive_direction_count(
             g_norm, d, config.L1, config.L2 if config.L2 is not None else 0.0,
             config.mu, update_rate_bound(d), proxy, policy.r_max)
-    if r_k > d:
-        extra = stiefel_sample(d, r_k - d, rng)
+        extra = stiefel_sample(d, r_k - d, rng) if r_k > d else None
+    if extra is not None:
         probe2 = oracle.probe_batch(x, extra, config.mu,
                                     center=probe.center_value)
         curvatures = directional_curvature(probe2)
@@ -395,18 +507,24 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         hess.apply_probe(extra, curvatures)
 
     # (iv) clip, invert, step; SolverConfig has checked the bounds, and the
-    # probe checks let only finite curvatures into the estimate.
-    direction, clipped = _newton_direction(
-        hess.matrix, g, config.lambda_min, config.lambda_max)
-    x_new = x - alpha * direction
+    # probe checks let only finite curvatures into the estimate. An
+    # overflow anywhere in the step shows as a non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction, clipped = _newton_direction(
+            hess.matrix, g, config.lambda_min, config.lambda_max)
+        x_new = x - alpha * direction
+        step_norm = float(np.linalg.norm(x_new - x))
+    if not (math.isfinite(step_norm) and np.isfinite(x_new).all()):
+        return _numerical_stop(state, oracle.eval_count,
+                               probe.center_value, r_k)
 
     new_state = SolverState(
-        x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING)
+        x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING,
+        _block=block)
     record = TraceRecord(
         iteration=state.iteration, evals=oracle.eval_count,
         f_value=probe.center_value, grad_norm_est=g_norm, r_used=r_k,
-        alpha=alpha, step_norm=float(np.linalg.norm(x_new - x)),
-        x=x.copy(), clipped=clipped)
+        alpha=alpha, step_norm=step_norm, x=x.copy(), clipped=clipped)
     return new_state, record
 
 
@@ -420,6 +538,11 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
     Ground-truth arguments are optional and only enrich the trace: ``x_star``
     fills the x_err column, ``f_star`` the f_gap column, and ``hessian_fn``
     the Frobenius/spectral Hessian-error fields.
+
+    Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
+    normals, capped by the iterations left (see :func:`iterate`), so a run
+    capped at N iterations draws at most N iterations' directions; the
+    stream is the run's, and nothing else should draw from it.
     """
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)

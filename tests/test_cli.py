@@ -441,3 +441,56 @@ def test_verify_linear_numerical_failure_exits_3(capsys, mu):
     assert "floor NOT reached" not in captured.out
     assert "error: linear_rate_verification" in captured.err
     assert "stopped_numerical" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--alpha", "1e300"),
+    ("run", "--lambda-min", "1e-320"),
+    ("fedrun", "--alpha", "1e300"),
+    ("fedrun", "--lambda-min", "1e-320"),
+])
+def test_overflowing_step_parameter_exits_without_a_warning(
+        tmp_path, capsys, command, flag, value):
+    # alpha = 1e300 overflows the first step's length: the run stops
+    # numerical at that iteration. 1/lambda_min overflows: a usage error.
+    out = tmp_path / "trace.csv"
+    code = main([command, flag, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    if flag == "--alpha":
+        assert code == 3
+        assert "status=stopped_numerical iters=1 " in captured.out
+    else:
+        assert code == 2
+        assert "lambda_min=1e-320 has no finite reciprocal" in captured.err
+
+
+FLOAT_SWEEP = ("0", "-1", "1e-320", "1e300", "inf", "nan")
+INT_SWEEP = ("0", "-1")
+
+
+def sweep_cases():
+    """(command, flag, value) for every float flag of run, fedrun and the
+    verify-* commands at the FLOAT_SWEEP values and every int flag at the
+    INT_SWEEP values; size flags are never swept upward."""
+    sweeps = {float: FLOAT_SWEEP, int: INT_SWEEP}
+    cases = []
+    for command in ("run", "fedrun", *GATES):
+        types = (cli._CONFIG_KEYS if command not in GATES else
+                 {key: parse for key, (parse, _)
+                  in cli._gate_params(GATES[command]).items()})
+        cases += [(command, cli._flag(key), value)
+                  for key, parse in types.items()
+                  for value in sweeps.get(parse, ())]
+    return cases
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag, value", sweep_cases())
+def test_flag_sweep_exits_with_a_documented_code(tmp_path, capsys, command,
+                                                 flag, value):
+    # warnings are errors, so a numpy warning escapes main as an exception
+    argv = [command, flag, value]
+    if command in ("run", "fedrun"):
+        argv += ["--out", str(tmp_path / "trace.csv")]
+    assert main(argv) in (0, 1, 2, 3)

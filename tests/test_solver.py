@@ -18,6 +18,7 @@ from zonewton import (
     optimal_stepsize,
     random_spd,
     run,
+    stiefel_sample,
     update_rate_bound,
     zo_floor_stop,
 )
@@ -396,6 +397,144 @@ class TestRun:
             run(np.ones(3), problem.make_oracle(), config, RngStream(11))
 
 
+def recording_oracle(oracle):
+    """``oracle`` with its ``probe_batch`` wrapped to keep every direction
+    set it is called with, in call order."""
+    probed = []
+    probe_batch = oracle.probe_batch
+
+    def record(x, directions, mu, center=None):
+        probed.append(directions)
+        return probe_batch(x, directions, mu, center)
+
+    oracle.probe_batch = record
+    return oracle, probed
+
+
+def per_iteration_draws(d, r_used, seed):
+    """The sets that ``stiefel_sample(d, d)`` then ``stiefel_sample(d, r - d)``
+    give, per iteration with r in ``r_used``, from one stream; and the
+    stream."""
+    stream = RngStream(seed)
+    sets = []
+    for r in r_used:
+        sets.append(stiefel_sample(d, d, stream))
+        if r > d:
+            sets.append(stiefel_sample(d, r - d, stream))
+    return sets, stream
+
+
+def assert_same_sets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert a.vectors.flags["F_CONTIGUOUS"]
+        assert a.frame_size == b.frame_size
+
+
+class TestDirectionBlocks:
+    """A fixed policy draws its directions a block of iterations ahead; every
+    set is the one the per-iteration ``stiefel_sample`` calls give."""
+
+    @staticmethod
+    def fixed_run(d, r, iterations, seed, budget=None):
+        problem = make_quadratic(random_spd(d, 4.0, RngStream(seed)),
+                                 np.ones(d))
+        oracle, probed = recording_oracle(problem.make_oracle(budget=budget))
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(r),
+                              alpha=0.1, lambda_min=0.5, lambda_max=4.0,
+                              max_iterations=iterations)
+        rng = RngStream(seed)
+        trace = run(np.zeros(d), oracle, config, rng)
+        return trace, probed, rng
+
+    @pytest.mark.parametrize("d, r, iterations, block", [
+        (30, 30, 20, 9),      # r = d, blocks of 9, 9 and 2
+        (16, 48, 15, 10),     # r = 3d
+        (16, 37, 16, 13),     # r = 2d + 5
+        (30, 41, 8, 6),       # r = d + 11
+        (91, 91, 3, 1),       # one frame per block
+    ])
+    def test_sets_match_per_iteration_draws_across_blocks(
+            self, d, r, iterations, block):
+        assert max(1, solver_module._BLOCK_BYTES // (8 * d * r)) == block
+        trace, probed, _ = self.fixed_run(d, r, iterations, seed=d + r)
+        assert len(trace.records) == iterations
+        want, _ = per_iteration_draws(d, [r] * iterations, seed=d + r)
+        assert_same_sets(probed, want)
+
+    @pytest.mark.parametrize("d, r", [(4, 4), (4, 10)])
+    def test_a_capped_run_draws_at_most_its_iterations(self, d, r):
+        # the block would hold hundreds of iterations; the cap is 7
+        trace, _, rng = self.fixed_run(d, r, 7, seed=5)
+        assert len(trace.records) == 7
+        _, stream = per_iteration_draws(d, [r] * 7, seed=5)
+        assert (rng.generator.standard_normal()
+                == stream.generator.standard_normal())
+
+    def test_a_budget_stop_keeps_the_sets_it_probed(self):
+        # the budget ends the run inside its fourth iteration's second batch
+        d, r = 8, 20
+        trace, probed, _ = self.fixed_run(d, r, 10, seed=6,
+                                          budget=3 * (2 * r + 1) + 2 * d + 5)
+        assert trace.status == STOPPED_BUDGET
+        assert len(trace.records) == 3
+        want, _ = per_iteration_draws(d, [r] * 4, seed=6)
+        assert_same_sets(probed, want[:len(probed)])
+
+    def test_adaptive_policy_draws_per_iteration(self):
+        d = 4
+        problem = make_quadratic(random_spd(d, 10.0, RngStream(7)),
+                                 np.ones(d))
+        known = problem.known
+        oracle, probed = recording_oracle(problem.make_oracle())
+        config = SolverConfig(mu=1e-4, r_policy=AdaptiveDirections(r_max=40),
+                              max_iterations=6, L1=known.L1, L2=known.L2,
+                              m=known.m)
+        rng = RngStream(8)
+        trace = run(np.zeros(d), oracle, config, rng)
+        r_used = [record.r_used for record in trace.records]
+        assert len(set(r_used)) > 1 and max(r_used) > d
+        want, stream = per_iteration_draws(d, r_used, seed=8)
+        assert_same_sets(probed, want)
+        # nothing was drawn ahead
+        assert (rng.generator.standard_normal()
+                == stream.generator.standard_normal())
+
+    @pytest.mark.parametrize("policy", [
+        FixedDirections(10), FixedDirections(6), AdaptiveDirections(r_max=9)],
+        ids=["other_r", "other_r_at_the_same_frame_count", "adaptive"])
+    def test_a_carried_block_that_does_not_fit_is_refused(self, policy):
+        d = 5
+        problem = make_quadratic(np.eye(d), np.zeros(d))
+        first = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                             max_iterations=10)
+        rng = RngStream(9)
+        state, _ = iterate(SolverState.initial(np.ones(d), d),
+                           problem.make_oracle(), first, rng)
+        oracle = problem.make_oracle()
+        config = SolverConfig(mu=1e-4, r_policy=policy, max_iterations=10,
+                              L1=1.0)
+        with pytest.raises(ValueError, match="do not fit"):
+            iterate(state, oracle, config, rng)
+        assert oracle.eval_count == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_step_stops_numerical_at_its_iteration():
+    # alpha = 1e300 throws x to ~1e300, whose squared norm overflows
+    d = 4
+    oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+    config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d), alpha=1e300,
+                          lambda_min=0.5, lambda_max=2.0, max_iterations=5)
+    trace = run(np.zeros(d), oracle, config, RngStream(14))
+    assert trace.status == STOPPED_NUMERICAL
+    assert len(trace.records) == 1
+    np.testing.assert_array_equal(trace.records[0].x, np.zeros(d))
+    np.testing.assert_array_equal(trace.x_final, np.zeros(d))
+    assert oracle.eval_count == 2 * d + 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=0.0, r_policy=FixedDirections(3))
@@ -429,6 +568,13 @@ def test_config_rejects_spectral_bounds_that_are_not_finite(lambda_min,
     with pytest.raises(ValueError, match="lambda_max < inf"):
         SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
                      lambda_min=lambda_min, lambda_max=lambda_max)
+
+
+@pytest.mark.parametrize("lambda_min", [1e-320, 5e-324])
+def test_config_rejects_lambda_min_without_a_finite_reciprocal(lambda_min):
+    with pytest.raises(ValueError, match="has no finite reciprocal"):
+        SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
+                     lambda_min=lambda_min)
 
 
 def test_alpha_resolution_order():
