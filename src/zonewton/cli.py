@@ -302,12 +302,9 @@ def _finish_run(trace, out_path, spent: int) -> int:
         print(f"status={trace.status} evals=0 spent={spent} trace={out_path}")
     else:
         last = trace.records[-1]
-        if last.f_gap is not None:
-            headline = f"final f_gap={last.f_gap:.6e}"
-        else:
-            headline = f"final f_value={last.f_value:.6e}"
-        print(f"{headline} status={trace.status} iters={len(trace.records)} "
-              f"evals={last.evals} spent={spent} trace={out_path}")
+        print(f"final f_gap={last.f_gap:.6e} status={trace.status} "
+              f"iters={len(trace.records)} evals={last.evals} spent={spent} "
+              f"trace={out_path}")
     return 3 if trace.status == STOPPED_NUMERICAL else 0
 
 
@@ -394,10 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

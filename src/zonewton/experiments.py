@@ -46,12 +46,12 @@ from .solver import (
     RUNNING,
     SolverConfig,
     SolverState,
+    STOPPED_MAX_ITER,
     STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
     contraction_gamma,
     iterate,
     optimal_stepsize,
-    run,
 )
 
 __all__ = [
@@ -121,13 +121,20 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
     return curvatures
 
 
-def _check_run(gate: str, status: str, iterations: int, mu: float):
-    """Raise ``FloatingPointError``, naming ``gate``, the iteration count
-    and mu, if the gate's solver run ended ``stopped_numerical``."""
-    if status == STOPPED_NUMERICAL:
-        raise FloatingPointError(
-            f"{gate}: the run ended {status} after {iterations} iterations "
-            f"at mu={mu!r}")
+def _solver_iterations(gate: str, x0: np.ndarray, oracle: Oracle,
+                       config: SolverConfig, rng: RngStream):
+    """Yield ``(state, record)`` for each ``iterate`` call from x0 until the
+    run stops or reaches ``config.max_iterations``. Raises
+    ``FloatingPointError``, naming ``gate``, the iteration count and mu, at
+    an iteration that ends the run ``stopped_numerical``."""
+    state = SolverState.initial(x0, oracle.dimension)
+    while state.status == RUNNING and state.iteration < config.max_iterations:
+        state, record = iterate(state, oracle, config, rng)
+        if state.status == STOPPED_NUMERICAL:
+            raise FloatingPointError(
+                f"{gate}: the run ended {state.status} after "
+                f"{state.iteration} iterations at mu={config.mu!r}")
+        yield state, record
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +344,14 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
         max_iterations=2500, L1=L1, L2=0.0, m=m)
     v = problem_stream.generator.standard_normal(d)
     x0 = problem.known.x_star + v / np.linalg.norm(v)
-    oracle = problem.make_oracle()
-    rng = RngStream(seed + 1)
-    state = SolverState.initial(x0, d)
     floor = 1e-9
     gaps = []
-    for _ in range(config.max_iterations):
-        state, record = iterate(state, oracle, config, rng)
+    for _, record in _solver_iterations(
+            "linear_rate_verification", x0, problem.make_oracle(), config,
+            RngStream(seed + 1)):
         gaps.append(record.f_value - problem.known.f_star)
-        if gaps[-1] <= floor or state.status != RUNNING:
+        if gaps[-1] <= floor:
             break
-    _check_run("linear_rate_verification", state.status, len(gaps), mu)
     iters_to_floor = len(gaps) - 1 if gaps[-1] <= floor else None
     gaps = np.array(gaps)
     ratios = gaps[1:] / gaps[:-1]
@@ -412,7 +416,10 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     """Check local quadratic convergence and the per-iteration local bound on
     synthetic ridge-regularized logistic regression (n = 200, d = 10,
     features scaled by 2, ridge 0.1) with r = d^2 directions, mu = 1e-7 and
-    lambda_min = 0.01, over 25 iterations from distance 0.1 to x*.
+    lambda_min = 0.01, from distance 0.1 to x*. The gate drives ``iterate``
+    itself and stops after the first iteration whose new error is at or
+    below the measurement floor, where no later pair can be measured; 25
+    iterations stay as a guard.
 
     The solver sees the objective in optimum-centered form (values are
     f(x) - f*, computed cancellation-free): at mu = 1e-7 the curvature signal
@@ -429,7 +436,7 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     (see ``_quadratic_window``); (2) on every measurable pair, of which
     there must be at least one, the measured error never exceeds
     (L2/(2 lm)) e_k^2 + (||H_k - hess(x_k)||/lm) e_k + d L2 mu^2/(6 lm)
-    by more than 1e-10 relative.
+    by more than 1e-10 relative, with H_k the estimate that step k inverts.
 
     The floor combines the zeroth-order bias bound with the reference
     minimizer's own accuracy (||grad|| <= 1e-13, i.e. distance <= 1e-13/m):
@@ -438,32 +445,31 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     """
     n, d, ridge, mu, lambda_min = 200, 10, 0.1, 1e-7, 0.01
     data = make_synthetic_dataset(n, d, RngStream(seed), scale=2.0)
-    problem = make_logistic(data, ridge)
-    known = problem.known
-    gap_fn = logistic_gap_objective(data, ridge, known.x_star)
-    oracle = Oracle(gap_fn, d)
+    known = make_logistic(data, ridge).known
+    oracle = Oracle(logistic_gap_objective(data, ridge, known.x_star), d)
 
-    direction_stream = RngStream(seed + 1)
-    u = direction_stream.generator.standard_normal(d)
+    u = RngStream(seed + 1).generator.standard_normal(d)
     x0 = known.x_star + 0.1 * u / np.linalg.norm(u)
 
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d * d), alpha=1.0,
-        lambda_min=lambda_min, lambda_max=1e4,
-        max_iterations=25, L1=known.L1)
-    trace = run(x0, oracle, config, RngStream(seed + 2),
-                x_star=known.x_star, f_star=0.0, hessian_fn=known.hessian)
-    _check_run("quadratic_rate_verification", trace.status,
-               len(trace.records), mu)
-
-    errors = np.array([rec.x_err for rec in trace.records]
-                      + [float(np.linalg.norm(trace.x_final - known.x_star))])
+        lambda_min=lambda_min, lambda_max=1e4, max_iterations=25, L1=known.L1)
     floor = max(d * known.L2 * mu * mu / (3.0 * known.m),
                 10.0 * 1e-13 / known.m)
+    errors, steps = [np.linalg.norm(x0 - known.x_star)], []
+    for state, record in _solver_iterations(
+            "quadratic_rate_verification", x0, oracle, config,
+            RngStream(seed + 2)):
+        errors.append(np.linalg.norm(state.x - known.x_star))
+        steps.append((record, state.hessian.matrix))
+        if errors[-1] <= floor:
+            break
+    errors = np.array(errors)
+
     k_bound = (known.L2 + 2.0) / (2.0 * lambda_min)
     measurable = [bool(not rec.clipped and errors[k] > floor
                        and errors[k + 1] > floor)
-                  for k, rec in enumerate(trace.records)]
+                  for k, (rec, _) in enumerate(steps)]
     qualifies = [ok and errors[k + 1] < errors[k]
                  and errors[k + 1] <= k_bound * errors[k] * errors[k]
                  for k, ok in enumerate(measurable)]
@@ -472,10 +478,11 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     checks = sum(measurable)
     violations = int(sum(
         errors[k + 1] > (known.L2 / (2.0 * lambda_min) * errors[k] ** 2
-                         + rec.hess_err_spec / lambda_min * errors[k]
+                         + np.linalg.norm(h - known.hessian(rec.x), 2)
+                         / lambda_min * errors[k]
                          + d * known.L2 * mu * mu / (6.0 * lambda_min))
         * (1.0 + 1e-10)
-        for k, rec in enumerate(trace.records) if measurable[k]))
+        for k, (rec, h) in enumerate(steps) if measurable[k]))
     passed = start is not None and violations == 0 and checks > 0
     return QuadraticRateReport(errors=errors,
                                window_start=start, window_length=length,
@@ -611,22 +618,21 @@ def stopping_criterion_check(seed: int = 0) -> StoppingReport:
     config = SolverConfig(
         mu=mu, r_policy=FixedDirections(d), alpha=1.0,
         lambda_min=known.m, lambda_max=known.L1,
-        max_iterations=50,
-        L1=known.L1, L2=known.L2, m=known.m)
+        max_iterations=50, L1=known.L1, L2=known.L2, m=known.m)
     # The cubic is only convex near the origin; an isotropic positive start
     # keeps every iterate inside the box.
     x0 = 0.75 * box_radius * np.ones(d)
-    trace = run(x0, problem.make_oracle(), config, RngStream(seed),
-                x_star=known.x_star, f_star=known.f_star)
-    _check_run("stopping_criterion_check", trace.status, len(trace.records),
-               mu)
-    final_error = float(np.linalg.norm(trace.x_final - known.x_star))
+    for state, record in _solver_iterations(
+            "stopping_criterion_check", x0, problem.make_oracle(), config,
+            RngStream(seed)):
+        pass
+    status = STOPPED_MAX_ITER if state.status == RUNNING else state.status
+    final_error = float(np.linalg.norm(state.x - known.x_star))
     guarantee = d * known.L2 * mu * mu / (3.0 * known.m)
     threshold = gradient_error_bound(d, known.L2, mu)
-    grad_norm = trace.records[-1].grad_norm_est if trace.records else math.inf
-    passed = (trace.status == STOPPED_ZO_FLOOR
-              and grad_norm <= threshold
+    grad_norm = record.grad_norm_est
+    passed = (status == STOPPED_ZO_FLOOR and grad_norm <= threshold
               and final_error <= guarantee)
-    return StoppingReport(status=trace.status, threshold=threshold,
+    return StoppingReport(status=status, threshold=threshold,
                           final_grad_norm=grad_norm, guarantee=guarantee,
                           final_error=final_error, passed=passed)

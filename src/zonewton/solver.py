@@ -95,7 +95,8 @@ RPolicy = Union[FixedDirections, AdaptiveDirections]
 class SolverConfig:
     """Solver parameters; regularity constants are optional and only enable
     the features that need them (adaptive r, the stopping criterion, the
-    rate-optimal stepsize)."""
+    rate-optimal stepsize). A constant that is given must be finite, L1 and
+    m positive and L2 non-negative: the features divide by L1 and m."""
 
     mu: float
     r_policy: RPolicy
@@ -116,9 +117,13 @@ class SolverConfig:
         if not math.isfinite(1.0 / self.lambda_min):
             raise ValueError(
                 f"lambda_min={self.lambda_min} has no finite reciprocal")
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
-            raise ValueError(
-                f"alpha must be finite and positive, got {self.alpha}")
+        for name, sign in (("alpha", "positive"), ("L1", "positive"),
+                           ("m", "positive"), ("L2", "non-negative")):
+            value = getattr(self, name)
+            if value is not None and not (0 <= value < math.inf and (
+                    value > 0 or sign == "non-negative")):
+                raise ValueError(
+                    f"{name} must be finite and {sign}, got {value}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -221,8 +226,8 @@ class TraceRecord:
 
     The fields are the CSV columns, in order, except those marked
     ``_IN_MEMORY``: in-memory extras for the verification harness (the
-    iterate itself, the spectral Hessian error, whether eigenvalue clipping
-    was active, and the stopping-criterion guarantee when it fired).
+    iterate itself, whether eigenvalue clipping was active, and the
+    stopping-criterion guarantee when it fired).
     """
 
     iteration: int
@@ -238,7 +243,6 @@ class TraceRecord:
     up_scalars: Optional[int] = None
     down_scalars: Optional[int] = None
     x: Optional[np.ndarray] = field(default=None, metadata=_IN_MEMORY)
-    hess_err_spec: Optional[float] = field(default=None, metadata=_IN_MEMORY)
     clipped: Optional[bool] = field(default=None, metadata=_IN_MEMORY)
     zo_bound: Optional[float] = field(default=None, metadata=_IN_MEMORY)
 
@@ -537,7 +541,7 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
 
     Ground-truth arguments are optional and only enrich the trace: ``x_star``
     fills the x_err column, ``f_star`` the f_gap column, and ``hessian_fn``
-    the Frobenius/spectral Hessian-error fields.
+    the Frobenius Hessian-error column.
 
     Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
     normals, capped by the iterations left (see :func:`iterate`), so a run
@@ -548,12 +552,11 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
         x_star = np.asarray(x_star, dtype=float)
     state = SolverState.initial(x0, oracle.dimension)
     records = []
-    status = STOPPED_MAX_ITER
-    for _ in range(config.max_iterations):
+    while state.status == RUNNING and state.iteration < config.max_iterations:
         try:
             state, record = iterate(state, oracle, config, rng)
         except BudgetExhaustedError:
-            status = STOPPED_BUDGET
+            state.status = STOPPED_BUDGET
             break
         if x_star is not None:
             record.x_err = float(np.linalg.norm(record.x - x_star))
@@ -562,9 +565,6 @@ def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
         if hessian_fn is not None:
             diff = state.hessian.matrix - hessian_fn(record.x)
             record.hess_err_fro = float(np.linalg.norm(diff))
-            record.hess_err_spec = float(np.linalg.norm(diff, 2))
         records.append(record)
-        if state.status != RUNNING:
-            status = state.status
-            break
+    status = STOPPED_MAX_ITER if state.status == RUNNING else state.status
     return RunTrace(records=records, status=status, x_final=state.x.copy())

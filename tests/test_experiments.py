@@ -11,7 +11,10 @@ public samplers' draws, the Lemma 1 gate's worst ratio exactly that of
 not grow with the point count. The
 linear-rate reference runs the solver for all 2500 iterations and searches
 the trace for the first f-gap at the floor; the gate, which stops there,
-must give an equal report.
+must give an equal report. The quadratic-rate reference likewise runs all
+25 iterations, applies the gate's formulas to the whole run and cuts the
+errors after the first at the floor; the gate, which stops there, must
+give an equal report.
 
 The fault matrix plants one bug per gate and checks that the gate, which
 passes on gate seed 1 without it, rejects it there. The quadratic gate's
@@ -32,11 +35,13 @@ from zonewton import (
     Oracle,
     RngStream,
     SolverConfig,
+    SolverState,
     contraction_gamma,
     directional_curvature,
     estimate_gradient,
     estimate_hessian,
     gaussian_sphere_sample,
+    iterate,
     make_cubic_box,
     make_quadratic,
     optimal_stepsize,
@@ -46,7 +51,7 @@ from zonewton import (
 )
 from zonewton import estimators, experiments, solver
 from zonewton.estimators import _gradient, _rank_one, gradient_error_bound
-from zonewton.solver import STOPPED_ZO_FLOOR, _newton_direction
+from zonewton.solver import RUNNING, STOPPED_ZO_FLOOR, _newton_direction
 
 
 @contextmanager
@@ -122,6 +127,57 @@ def full_run_linear_report(seed, d=10, cond=100.0, mu=1e-6):
         d=d, cond=cond, gamma_star=gamma_star, ratio_bound=bound,
         max_ratio=max_ratio, iterations_to_floor=iters_to_floor,
         passed=iters_to_floor is not None and max_ratio <= bound)
+
+
+def full_run_quadratic_report(seed):
+    n, d, ridge, mu, lambda_min = 200, 10, 0.1, 1e-7, 0.01
+    data = experiments.make_synthetic_dataset(n, d, RngStream(seed),
+                                              scale=2.0)
+    known = experiments.make_logistic(data, ridge).known
+    oracle = Oracle(
+        experiments.logistic_gap_objective(data, ridge, known.x_star), d)
+    u = RngStream(seed + 1).generator.standard_normal(d)
+    x0 = known.x_star + 0.1 * u / np.linalg.norm(u)
+    config = SolverConfig(
+        mu=mu, r_policy=FixedDirections(d * d), alpha=1.0,
+        lambda_min=lambda_min, lambda_max=1e4, max_iterations=25,
+        L1=known.L1)
+    state, rng = SolverState.initial(x0, d), RngStream(seed + 2)
+    records, spec = [], []
+    for _ in range(25):
+        state, record = iterate(state, oracle, config, rng)
+        assert state.status == RUNNING
+        records.append(record)
+        spec.append(np.linalg.norm(
+            state.hessian.matrix - known.hessian(record.x), 2))
+    errors = np.array([np.linalg.norm(rec.x - known.x_star)
+                       for rec in records]
+                      + [np.linalg.norm(state.x - known.x_star)])
+    floor = max(d * known.L2 * mu * mu / (3.0 * known.m),
+                10.0 * 1e-13 / known.m)
+    k_bound = (known.L2 + 2.0) / (2.0 * lambda_min)
+    measurable = [not rec.clipped and errors[k] > floor
+                  and errors[k + 1] > floor for k, rec in enumerate(records)]
+    qualifies = [ok and errors[k + 1] < errors[k]
+                 and errors[k + 1] <= k_bound * errors[k] * errors[k]
+                 for k, ok in enumerate(measurable)]
+    start, length, fitted_k = experiments._quadratic_window(errors,
+                                                            qualifies)
+    violations = sum(
+        errors[k + 1] > (known.L2 / (2.0 * lambda_min) * errors[k] ** 2
+                         + spec[k] / lambda_min * errors[k]
+                         + d * known.L2 * mu * mu / (6.0 * lambda_min))
+        * (1.0 + 1e-10)
+        for k in range(25) if measurable[k])
+    checks = sum(measurable)
+    at_floor = np.nonzero(errors <= floor)[0]
+    if len(at_floor):
+        errors = errors[:at_floor[0] + 1]
+    return experiments.QuadraticRateReport(
+        errors=errors, window_start=start, window_length=length,
+        fitted_K=fitted_k, bound_checks=checks,
+        bound_violations=violations,
+        passed=start is not None and violations == 0 and checks > 0)
 
 
 @pytest.mark.parametrize("d,trials", [(3, 400), (5, 450)])
@@ -258,6 +314,24 @@ def test_linear_gate_stops_at_the_floor_with_the_full_run_report(kwargs):
     assert created[0].eval_count == iterations * (2 * d + 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2, 159])
+def test_quadratic_gate_stops_at_the_floor_with_the_full_run_report(seed):
+    # gate seed 159 is one of the seeds where the gate FAILs
+    with created_oracles() as created:
+        report = experiments.quadratic_rate_verification(seed=seed)
+    want = full_run_quadratic_report(seed)
+    got, want = vars(report).copy(), vars(want).copy()
+    np.testing.assert_array_equal(got.pop("errors"), want.pop("errors"),
+                                  strict=True)
+    assert got == want
+    assert report.passed == (seed != 159)
+    # the gate's one oracle charges one 2d^2+1 batch per iteration it ran
+    d = 10
+    assert len(created) == 1
+    assert created[0].eval_count == (len(report.errors) - 1) * (2 * d * d + 1)
+
+
 @pytest.mark.parametrize("seed", [100 * k + 1 for k in range(20)])
 def test_stopping_gate_passes_on_the_sweep_seeds(seed):
     # the gate seeds 100k + 1 that the verify_gates benchmark sweeps for
@@ -302,6 +376,11 @@ def _ascent_direction(*args):
     return -direction, clipped
 
 
+def _short_direction(*args):
+    direction, clipped = _newton_direction(*args)
+    return 0.95 * direction, clipped
+
+
 # gate -> (its planted faults as (module, name, replacement), the verdict)
 FAULT_MATRIX = {
     "rate": (experiments.rate_verification,
@@ -321,6 +400,10 @@ FAULT_MATRIX = {
     "quadratic": (experiments.quadratic_rate_verification,
                   [(estimators, "_frame_update", _frozen_frame_update)],
                   "FloatingPointError"),
+    # a Newton step 5 % short contracts only linearly near x*
+    "quadratic_step": (experiments.quadratic_rate_verification,
+                       [(solver, "_newton_direction", _short_direction)],
+                       "FAIL"),
     # the f-gap grows until the run ends stopped_numerical, as above
     "linear": (experiments.linear_rate_verification,
                [(solver, "_newton_direction", _ascent_direction)],

@@ -577,6 +577,29 @@ def test_config_rejects_lambda_min_without_a_finite_reciprocal(lambda_min):
                      lambda_min=lambda_min)
 
 
+@pytest.mark.parametrize("constants, message", [
+    # m = 0 with L2 set divided by zero in the floor's guarantee
+    ({"m": 0.0, "L2": 1.0}, "m must be finite and positive"),
+    ({"m": -1.0}, "m must be finite and positive"),
+    # a NaN m stopped the run at the floor with a NaN guarantee
+    ({"m": float("nan"), "L2": 1.0}, "m must be finite and positive"),
+    # a NaN L2 kept the floor from ever firing
+    ({"L2": float("nan"), "m": 1.0}, "L2 must be finite and non-negative"),
+    ({"L2": -1.0, "m": 1.0}, "L2 must be finite and non-negative"),
+    ({"L2": float("inf")}, "L2 must be finite and non-negative"),
+    ({"L1": 0.0}, "L1 must be finite and positive"),
+    ({"L1": float("inf")}, "L1 must be finite and positive"),
+    # a NaN L1 failed mid-run in the adaptive direction count
+    ({"L1": float("nan"), "r_policy": AdaptiveDirections(9)},
+     "L1 must be finite and positive"),
+], ids=["m_zero", "m_negative", "m_nan", "L2_nan", "L2_negative", "L2_inf",
+        "L1_zero", "L1_inf", "L1_nan_adaptive"])
+def test_config_rejects_constants_that_break_the_formulas(constants, message):
+    kwargs = {"mu": 1e-4, "r_policy": FixedDirections(3)} | constants
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**kwargs)
+
+
 def test_alpha_resolution_order():
     base = dict(mu=1e-4, r_policy=FixedDirections(3))
     assert SolverConfig(**base).resolved_alpha() == 1.0
