@@ -36,7 +36,7 @@ from .problems import (
 )
 from .sampling import (
     RngStream,
-    _haar_frames,
+    _stiefel_columns,
     _unit_rows,
     gaussian_sphere_sample,
     stiefel_sample,
@@ -76,7 +76,7 @@ __all__ = [
 # blocks the gates' allocation peaks grow with the trial count (to 7-8 MB
 # at the CLI defaults). The rate and Lemma 1 gates draw a block's raw
 # normals as the public samplers would and normalise (``_unit_rows``) or
-# orthonormalise (``_haar_frames``) them in one call, to exactly the
+# orthonormalise (``_stiefel_columns``) them in one call, to exactly the
 # directions those samplers would give.
 
 _BLOCK_BYTES = 2**18
@@ -257,8 +257,8 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
     at a time by ``uniform`` from ``default_rng(seed + 777)`` and by
     ``stiefel_sample(d, d)`` from ``RngStream(seed)``. The probe batches
     run in blocks whose points fit in 256 KiB: a block's points and raw
-    bases are one draw each, one ``_haar_frames`` call orthonormalises the
-    bases, one oracle call evaluates the points, each point still charged
+    bases are one draw each, one ``_stiefel_columns`` call orthonormalises
+    the bases, one oracle call evaluates the points, each point still charged
     2d+1, and one ``_gradient`` call, the formula ``estimate_gradient``
     applies, reads their gradients.
     """
@@ -280,8 +280,8 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
         rows = slice(first, first + block)
         size = len(mu[rows])
         x = point_gen.uniform(-box_radius, box_radius, size=(size, d))
-        v = _haar_frames(
-            basis_gen.standard_normal((size, d, d))).swapaxes(-1, -2)
+        v = _stiefel_columns(
+            basis_gen.standard_normal((size, d * d)), d).swapaxes(-1, -2)
         values = _probe_values(oracle, x, mu[rows, None, None] * v)
         _, plus, minus = _probe_sides(values)
         g = _gradient(plus, minus, mu[rows], v)

@@ -136,6 +136,23 @@ def _unit_rows(normals: np.ndarray, generators) -> np.ndarray:
     return normals
 
 
+def _stiefel_columns(normals: np.ndarray, d: int) -> np.ndarray:
+    """The directions ``stiefel_sample(d, k)`` draws from each row of a
+    (..., d*k) stack of standard normals, as the columns of a C-ordered
+    (..., d, k) array: consecutive orthonormal frames of d columns, the last
+    holding the remainder. One ``_haar_frames`` call per frame shape."""
+    lead, k = normals.shape[:-1], normals.shape[-1] // d
+    n_full, rem = divmod(k, d)
+    split = n_full * d * d
+    parts = []
+    if n_full:
+        full = _haar_frames(normals[..., :split].reshape(*lead, n_full, d, d))
+        parts.append(np.moveaxis(full, -3, -2).reshape(*lead, d, n_full * d))
+    if rem:
+        parts.append(_haar_frames(normals[..., split:].reshape(*lead, d, rem)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
 def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     """Draw r unit directions as columns of uniform Stiefel-manifold frames.
 
@@ -143,14 +160,13 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     each marginally uniform on the unit sphere. For r > d, ceil(r/d)
     independent frames are generated and concatenated in generation order,
     the last truncated to the remainder; orthogonality holds within each
-    frame, which the set records as ``frame_size`` d.
+    frame, which the set records as ``frame_size`` d. The rows are an
+    F-ordered view of the frames' columns.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")
-    gen = rng.generator
-    frames = [_haar_frames(gen.standard_normal((d, min(d, r - start)))).T
-              for start in range(0, r, d)]
-    return DirectionSet._owned(np.vstack(frames), frame_size=d)
+    columns = _stiefel_columns(rng.generator.standard_normal(d * r), d)
+    return DirectionSet._owned(columns.T, frame_size=d)
 
 
 def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:

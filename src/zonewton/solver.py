@@ -19,13 +19,15 @@ or length is not finite.
 Under a fixed policy the directions are drawn a block of iterations ahead:
 one normal draw of up to 64 KiB, capped by the iterations the run has left,
 holds exactly the normals that each iteration's ``stiefel_sample(d, d)``
-and ``stiefel_sample(d, r - d)`` would draw, in that order, and one stacked
-QR call per frame shape orthonormalises them, so every direction set is the
-one those calls would return. The state carries the rest of the block, so
-the direction stream is consumed in blocks: a caller that draws from it
-after ``run`` or ``iterate`` sees other numbers than with per-iteration
-draws (no caller in the package does). The adaptive policy's r_k depends
-on the state, so it draws per iteration.
+and ``stiefel_sample(d, r - d)`` would draw, in that order, and
+``sampling._stiefel_columns``, the routine that sampler uses, turns the
+block's gradient frames and its extra directions into columns, so every
+direction set is the one those calls would return, handed out as a view.
+The state carries the rest of the block, so the direction stream is
+consumed in blocks: a caller that draws from it after ``run`` or
+``iterate`` sees other numbers than with per-iteration draws (no caller in
+the package does). The adaptive policy's r_k depends on the state, so it
+draws per iteration.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .estimators import (
     update_rate_bound,
 )
 from .oracle import BudgetExhaustedError, Oracle, _check_mu
-from .sampling import DirectionSet, RngStream, _haar_frames, stiefel_sample
+from .sampling import DirectionSet, RngStream, _stiefel_columns, stiefel_sample
 
 __all__ = [
     "AdaptiveDirections",
@@ -142,71 +144,23 @@ class SolverConfig:
 _BLOCK_BYTES = 64 * 1024
 
 
-@dataclass(frozen=True)
-class _DirectionBlock:
-    """Directions a fixed policy drew ahead, used from iteration ``next`` of
-    the block on. Iteration i's full frames are ``frames[i]``, its gradient
-    frame first, and its short last frame, when d does not divide r, is
-    ``tails[i]``; each frame holds its directions as columns, as
-    ``_haar_frames`` returns them."""
-
-    frames: np.ndarray
-    tails: Optional[np.ndarray]
-    next: int = 0
-
-    @classmethod
-    def draw(cls, d: int, r: int, count: int,
-             rng: RngStream) -> "_DirectionBlock":
-        """The directions of ``count`` iterations, from one normal draw that
-        is exactly what ``count`` rounds of ``stiefel_sample(d, d, rng)``
-        then ``stiefel_sample(d, r - d, rng)`` would draw."""
-        n_full, rem = divmod(r, d)
-        normals = rng.generator.standard_normal((count, d * r))
-        split = n_full * d * d
-        frames = _haar_frames(normals[:, :split].reshape(count, n_full, d, d))
-        tails = (_haar_frames(normals[:, split:].reshape(count, d, rem))
-                 if rem else None)
-        return cls(frames, tails)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The (d, r) of every iteration's directions."""
-        d = self.frames.shape[-1]
-        rem = 0 if self.tails is None else self.tails.shape[-1]
-        return d, self.frames.shape[1] * d + rem
-
-    def take(self) -> tuple[DirectionSet, Optional[DirectionSet],
-                            Optional["_DirectionBlock"]]:
-        """The next iteration's frame, its r - d extra directions (None when
-        r = d) and the rest of the block (None when it is used up). Each set
-        is F-ordered, as ``stiefel_sample`` lays it out; the frame is a view
-        of the block."""
-        i = self.next
-        d = self.frames.shape[-1]
-        frame = DirectionSet._owned(self.frames[i, 0].T, frame_size=d)
-        rows = [f.T for f in self.frames[i, 1:]]
-        if self.tails is not None:
-            rows.append(self.tails[i].T)
-        extra = (DirectionSet._owned(np.vstack(rows), frame_size=d)
-                 if rows else None)
-        rest = (_DirectionBlock(self.frames, self.tails, i + 1)
-                if i + 1 < len(self.frames) else None)
-        return frame, extra, rest
-
-
 @dataclass
 class SolverState:
     """The iterate, the Hessian estimate and the iteration count of a run.
 
     ``_block`` holds the directions a fixed policy drew ahead and has not
-    used yet; it belongs to the run, and ``iterate`` refuses a state whose
-    block does not fit its config."""
+    used yet, as ``(frames, extras)``: the (B, d, d) gradient frames and the
+    (B, d, r - d) extra directions of the next B iterations, each iteration's
+    directions as columns, and ``extras`` None when r = d. It belongs to the
+    run, and ``iterate`` refuses a state whose block does not fit its
+    config."""
 
     x: np.ndarray
     hessian: HessianEstimate
     iteration: int
     status: str = RUNNING
-    _block: Optional[_DirectionBlock] = field(default=None, repr=False)
+    _block: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = field(
+        default=None, repr=False)
 
     @classmethod
     def initial(cls, x0, d: int) -> "SolverState":
@@ -416,13 +370,24 @@ def _fixed_directions(state: SolverState, d: int, r: int,
     """This iteration's frame, its r - d extra directions (None when r = d)
     and the block to carry on, drawing a new block when none is left: as
     many iterations as fit in ``_BLOCK_BYTES`` of normals, at least one, and
-    no more than the config's iterations left."""
-    block = state._block
-    if block is None:
+    no more than the config's iterations left. Each iteration's row of
+    normals is what ``stiefel_sample(d, d)`` then ``stiefel_sample(d, r - d)``
+    would draw, so each set is the one those calls return, F-ordered."""
+    if state._block is None:
         fit = _BLOCK_BYTES // (8 * d * r)
         left = config.max_iterations - state.iteration
-        block = _DirectionBlock.draw(d, r, max(1, min(fit, left)), rng)
-    return block.take()
+        count = max(1, min(fit, left))
+        normals = rng.generator.standard_normal((count, d * r))
+        frames = _stiefel_columns(normals[:, :d * d], d)
+        extras = _stiefel_columns(normals[:, d * d:], d) if r > d else None
+    else:
+        frames, extras = state._block
+    frame = DirectionSet._owned(frames[0].T, frame_size=d)
+    extra = (DirectionSet._owned(extras[0].T, frame_size=d)
+             if extras is not None else None)
+    rest = ((frames[1:], None if extras is None else extras[1:])
+            if len(frames) > 1 else None)
+    return frame, extra, rest
 
 
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
@@ -451,11 +416,13 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     d = oracle.dimension
     policy = config.r_policy
     fixed = isinstance(policy, FixedDirections)
-    if state._block is not None and (
-            not fixed or state._block.shape != (d, policy.r)):
-        raise ValueError(
-            f"the state carries directions drawn for (d, r) = "
-            f"{state._block.shape}, which do not fit {policy!r} at d={d}")
+    if state._block is not None:
+        drawn = (state._block[0].shape[-1],
+                 sum(a.shape[-1] for a in state._block if a is not None))
+        if not fixed or drawn != (d, policy.r):
+            raise ValueError(
+                f"the state carries directions drawn for (d, r) = {drawn}, "
+                f"which do not fit {policy!r} at d={d}")
     x = state.x
     alpha = config.resolved_alpha()
 

@@ -13,7 +13,7 @@ from zonewton import (
     gaussian_sphere_sample,
     stiefel_sample,
 )
-from zonewton.sampling import _haar_frames, _unit_rows
+from zonewton.sampling import _haar_frames, _stiefel_columns, _unit_rows
 
 
 class TestStiefelSample:
@@ -71,6 +71,21 @@ class TestStiefelSample:
         # F-ordered, one frame or several: the layout decides which BLAS
         # kernel the solver's products take
         assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("d,k", [(5, 3), (5, 5), (4, 12), (4, 11)],
+                         ids=["k_below_d", "k_d", "k_3d", "k_2d_plus_rem"])
+def test_stiefel_columns_of_a_stack_equal_sequential_samples(d, k):
+    # three rows of normals drawn at once give the columns of three
+    # stiefel_sample(d, k) calls on the same stream, in order
+    stream = RngStream(29)
+    want = [stiefel_sample(d, k, stream).vectors for _ in range(3)]
+    columns = _stiefel_columns(
+        RngStream(29).generator.standard_normal((3, d * k)), d)
+    assert columns.shape == (3, d, k) and columns.flags.c_contiguous
+    for got, frame in zip(columns, want):
+        np.testing.assert_array_equal(got.T, frame)
+        assert got.T.flags.f_contiguous
 
 
 def test_haar_frames_of_a_stack_equal_per_matrix_calls():
