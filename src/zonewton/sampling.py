@@ -7,12 +7,13 @@ comparison experiments. Both are driven by an explicitly seeded stream so
 every draw is reproducible bit-for-bit.
 
 Each sampler's formula is written once, as a private routine that
-broadcasts over leading axes: ``_haar_frames`` orthonormalises a stack of
-normal matrices in one QR call and ``_unit_rows`` normalises a stack of
-trials' normal rows. The Lemma 1 and rate gates, and the solver under a
-fixed direction count, apply them to a block of raw normals, drawn as the
-public samplers would draw them, and get exactly the directions those
-samplers would give; such a caller consumes its stream a block ahead.
+broadcasts over leading axes: ``_stiefel_columns`` turns rows of normals
+into the columns of orthonormal frames (through ``_haar_frames``, one QR
+call per frame shape) and ``_unit_rows`` normalises trials' normal rows.
+The Lemma 1 and rate gates, and the solver under a fixed direction count,
+apply them to a block of raw normals, drawn as the public samplers would
+draw them, and get exactly the directions those samplers would give; such
+a caller consumes its stream a block ahead.
 """
 
 from __future__ import annotations
@@ -160,8 +161,7 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     each marginally uniform on the unit sphere. For r > d, ceil(r/d)
     independent frames are generated and concatenated in generation order,
     the last truncated to the remainder; orthogonality holds within each
-    frame, which the set records as ``frame_size`` d. The rows are an
-    F-ordered view of the frames' columns.
+    frame, which the set records as ``frame_size`` d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"d and r must be positive, got d={d}, r={r}")

@@ -18,21 +18,19 @@ or length is not finite.
 
 Under a fixed policy the directions are drawn a block of iterations ahead:
 one normal draw of up to 64 KiB, capped by the iterations the run has left,
-holds exactly the normals that each iteration's ``stiefel_sample(d, d)``
-and ``stiefel_sample(d, r - d)`` would draw, in that order, and
-``sampling._stiefel_columns``, the routine that sampler uses, turns the
-block's gradient frames and its extra directions into columns, so every
-direction set is the one those calls would return, handed out as a view.
-The state carries the rest of the block, so the direction stream is
-consumed in blocks: a caller that draws from it after ``run`` or
-``iterate`` sees other numbers than with per-iteration draws (no caller in
-the package does). The adaptive policy's r_k depends on the state, so it
-draws per iteration.
+holds exactly the normals of each iteration's ``stiefel_sample(d, d)`` and
+``stiefel_sample(d, r - d)``, and ``sampling._stiefel_columns`` turns them
+into the columns those calls return. The state carries the rest of the
+block, so the direction stream is consumed in blocks: a caller that draws
+from it after ``run`` or ``iterate`` sees other numbers than with
+per-iteration draws (no caller in the package does). The adaptive policy's
+r_k depends on the state, so it draws per iteration.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -75,11 +73,24 @@ STOPPED_BUDGET = "stopped_budget"
 STOPPED_NUMERICAL = "stopped_numerical"
 
 
+def _check_count(name: str, value):
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1."""
+    try:
+        if operator.index(value) >= 1:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedDirections:
     """Use the same direction count r at every iteration (r >= d)."""
 
     r: int
+
+    def __post_init__(self):
+        _check_count("r", self.r)
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,9 @@ class AdaptiveDirections:
     error proxy, clamped to [d, r_max]."""
 
     r_max: int
+
+    def __post_init__(self):
+        _check_count("r_max", self.r_max)
 
 
 RPolicy = Union[FixedDirections, AdaptiveDirections]
@@ -98,7 +112,8 @@ class SolverConfig:
     """Solver parameters; regularity constants are optional and only enable
     the features that need them (adaptive r, the stopping criterion, the
     rate-optimal stepsize). A constant that is given must be finite, L1 and
-    m positive and L2 non-negative: the features divide by L1 and m."""
+    m positive and L2 non-negative: the features divide by L1 and m.
+    ``max_iterations``, like the policies' counts, is an integer >= 1."""
 
     mu: float
     r_policy: RPolicy
@@ -126,8 +141,7 @@ class SolverConfig:
                     value > 0 or sign == "non-negative")):
                 raise ValueError(
                     f"{name} must be finite and {sign}, got {value}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _check_count("max_iterations", self.max_iterations)
 
     def resolved_alpha(self) -> float:
         """Explicit alpha wins; else lambda_min / L1 when L1 is known
@@ -149,11 +163,9 @@ class SolverState:
     """The iterate, the Hessian estimate and the iteration count of a run.
 
     ``_block`` holds the directions a fixed policy drew ahead and has not
-    used yet, as ``(frames, extras)``: the (B, d, d) gradient frames and the
-    (B, d, r - d) extra directions of the next B iterations, each iteration's
-    directions as columns, and ``extras`` None when r = d. It belongs to the
-    run, and ``iterate`` refuses a state whose block does not fit its
-    config."""
+    used yet: (B, d, d) gradient frames and (B, d, r - d) extra directions
+    (None when r = d), as columns. It belongs to the run, and ``iterate``
+    refuses a state whose block does not fit its config."""
 
     x: np.ndarray
     hessian: HessianEstimate
@@ -373,21 +385,19 @@ def _fixed_directions(state: SolverState, d: int, r: int,
     no more than the config's iterations left. Each iteration's row of
     normals is what ``stiefel_sample(d, d)`` then ``stiefel_sample(d, r - d)``
     would draw, so each set is the one those calls return, F-ordered."""
-    if state._block is None:
+    block = state._block
+    if block is None:
         fit = _BLOCK_BYTES // (8 * d * r)
         left = config.max_iterations - state.iteration
-        count = max(1, min(fit, left))
-        normals = rng.generator.standard_normal((count, d * r))
-        frames = _stiefel_columns(normals[:, :d * d], d)
-        extras = _stiefel_columns(normals[:, d * d:], d) if r > d else None
-    else:
-        frames, extras = state._block
-    frame = DirectionSet._owned(frames[0].T, frame_size=d)
-    extra = (DirectionSet._owned(extras[0].T, frame_size=d)
-             if extras is not None else None)
-    rest = ((frames[1:], None if extras is None else extras[1:])
-            if len(frames) > 1 else None)
-    return frame, extra, rest
+        normals = rng.generator.standard_normal((max(1, min(fit, left)),
+                                                 d * r))
+        block = (_stiefel_columns(normals[:, :d * d], d),
+                 _stiefel_columns(normals[:, d * d:], d) if r > d else None)
+    frame, extra = (None if a is None
+                    else DirectionSet._owned(a[0].T, frame_size=d)
+                    for a in block)
+    rest = tuple(None if a is None else a[1:] for a in block)
+    return frame, extra, rest if len(block[0]) > 1 else None
 
 
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
@@ -406,9 +416,10 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     evaluation.
 
     Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
-    normals, capped by ``config.max_iterations`` less the state's iteration,
-    and the returned state carries the rest of the block; pass the same
-    stream to every call of a run, and draw nothing else from it.
+    normals, capped by ``config.max_iterations`` less the state's iteration;
+    the iteration's sets are views of the block, and the returned state
+    carries the rest of it. Pass the same stream to every call of a run,
+    and draw nothing else from it.
     """
     _validate_run_inputs(oracle, config)
     if state.status != RUNNING:

@@ -600,6 +600,41 @@ def test_config_rejects_constants_that_break_the_formulas(constants, message):
         SolverConfig(**kwargs)
 
 
+_NOT_COUNTS = [2.5, 5.0, float("nan"), float("inf"), 0, -3, "4"]
+_NOT_COUNT_IDS = ["fraction", "integral_float", "nan", "inf", "zero",
+                  "negative", "string"]
+
+
+# Before these checks a float max_iterations raised TypeError from the block
+# draw, or ran 0 iterations (NaN) or never stopped (inf); a float r raised
+# TypeError; a NaN r_max capped nothing.
+@pytest.mark.parametrize("value", _NOT_COUNTS, ids=_NOT_COUNT_IDS)
+def test_config_rejects_max_iterations_that_is_not_a_count(value):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
+                     max_iterations=value)
+
+
+@pytest.mark.parametrize("value", _NOT_COUNTS, ids=_NOT_COUNT_IDS)
+@pytest.mark.parametrize("policy, name", [(FixedDirections, "r"),
+                                          (AdaptiveDirections, "r_max")])
+def test_policies_reject_counts_that_are_not_integers(policy, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        policy(value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    d = 4
+    problem = make_quadratic(np.eye(d), np.ones(d))
+    known = problem.known
+    for policy in (FixedDirections(np.int64(2 * d)),
+                   AdaptiveDirections(np.int32(3 * d))):
+        config = SolverConfig(mu=1e-4, r_policy=policy,
+                              max_iterations=np.int64(3), L1=known.L1)
+        trace = run(np.zeros(d), problem.make_oracle(), config, RngStream(3))
+        assert len(trace.records) == 3
+
+
 def test_alpha_resolution_order():
     base = dict(mu=1e-4, r_policy=FixedDirections(3))
     assert SolverConfig(**base).resolved_alpha() == 1.0
