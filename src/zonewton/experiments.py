@@ -422,8 +422,8 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     measured; 25 iterations stay as a guard.
 
     With a fixed r the Hessian error contracts by a constant factor per
-    iteration and e_k quadratically; at r = d^2 the error term overtook
-    K e_k^2 within the window's three pairs on some seeds.
+    iteration and e_k quadratically; at r = d^2 the bound's Hessian-error
+    term overtook K e_k^2 within the window's three pairs on some seeds.
 
     The solver sees the objective in optimum-centered form (values are
     f(x) - f*, computed cancellation-free): at mu = 1e-7 the curvature signal
