@@ -34,13 +34,7 @@ from .problems import (
     make_synthetic_dataset,
     random_spd,
 )
-from .sampling import (
-    RngStream,
-    _stiefel_columns,
-    _unit_rows,
-    gaussian_sphere_sample,
-    stiefel_sample,
-)
+from .sampling import RngStream, _check_count, _stiefel_columns, _unit_rows
 from .solver import (
     FixedDirections,
     RUNNING,
@@ -74,10 +68,11 @@ __all__ = [
 # The rate, Lemma 1 and sampling gates run their trials in blocks, each
 # trial one probe batch. A block's probe points fit in _BLOCK_BYTES: without
 # blocks the gates' allocation peaks grow with the trial count (to 7-8 MB
-# at the CLI defaults). The rate and Lemma 1 gates draw a block's raw
-# normals as the public samplers would and normalise (``_unit_rows``) or
-# orthonormalise (``_stiefel_columns``) them in one call, to exactly the
-# directions those samplers would give.
+# at the CLI defaults). Each gate draws all its trials' directions, in trial
+# order, from one stream: a block's raw normals are one draw, normalised
+# (``_unit_rows``) or orthonormalised (``_stiefel_columns``) in one call, to
+# exactly the directions successive sampler calls on that stream would give
+# (bar a zero-norm row, never seen, which is redrawn after its block).
 
 _BLOCK_BYTES = 2**18
 
@@ -167,16 +162,17 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     quadratic and compare against the 1 - 2/(d^2+2d) bound.
 
     Directions are i.i.d. uniform on the sphere (the distribution the bound
-    assumes): trial t's are those ``gaussian_sphere_sample`` draws from its
-    own ``RngStream(seed + 1 + t)``.
-    Each trial probes all 15 updates' curvatures in a single batch of 31
-    points at the origin; mean squared Frobenius errors are averaged across
-    trials and every consecutive ratio must stay below eta * 1.02.
+    assumes): trial after trial, those ``gaussian_sphere_sample(d, 15)``
+    draws from one ``RngStream(seed + 1)``. Each trial probes all 15
+    updates' curvatures in a single batch of 31 points at the origin; mean
+    squared Frobenius errors are averaged across trials and every
+    consecutive ratio must stay below eta * 1.02.
 
-    The trials run in blocks whose probe points fit in 256 KiB: one
-    ``_unit_rows`` call normalises a block's directions, one oracle call
-    evaluates its points, each trial still charged its own 31, and each
-    update is one ``_rank_one`` step on the block's stack of estimates.
+    The trials run in blocks whose probe points fit in 256 KiB: a block's
+    normals are one draw, one ``_unit_rows`` call normalises them, one
+    oracle call evaluates its points, each trial still charged its own 31,
+    and each update is one ``_rank_one`` step on the block's stack of
+    estimates.
     Raises ``ValueError`` for d < 2, where the first update recovers the
     Hessian exactly and leaves no contraction to measure, and
     ``FloatingPointError`` if a curvature is not finite (mu too large or
@@ -194,15 +190,14 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     oracle = make_quadratic(a, np.zeros(d)).make_oracle()
     sq_errors = np.empty((trials, n_updates + 1))
     sq_errors[:, 0] = np.linalg.norm(a) ** 2
+    gen = RngStream(seed + 1).generator
     block = _block_trials(2 * n_updates + 1, d)
     for first in range(0, trials, block):
         rows = slice(first, first + block)
-        gens = [RngStream(seed + 1 + t).generator
-                for t in range(trials)[rows]]
-        v = _unit_rows(np.array([gen.standard_normal((n_updates, d))
-                                 for gen in gens]), gens)
+        size = min(block, trials - first)
+        v = _unit_rows(gen.standard_normal((size, n_updates, d)), gen)
         c = _origin_curvatures(oracle, v, mu, "rate_verification")
-        h = np.zeros((len(gens), d, d))
+        h = np.zeros((size, d, d))
         for k in range(n_updates):
             _rank_one(h, v[:, k], c[:, k])
             sq_errors[rows, k + 1] = np.linalg.norm(h - a, axis=(1, 2)) ** 2
@@ -541,33 +536,39 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     times the Gaussian mean and the gap between the means exceeds three
     combined standard errors.
 
-    Trial t draws its Stiefel set and then its Gaussian set from its own
-    ``RngStream(seed + 1 + t)``. The trials run in blocks whose probe
-    points fit in 256 KiB: one oracle call evaluates both halves of a
-    block, each trial still charged 2r+1 per sampler at the origin. The
-    Stiefel estimates take one ``_frame_update`` per frame (r > d gives
-    several), the Gaussian ones r ``_rank_one`` steps, each over the
-    block's stack. Raises ``FloatingPointError`` if a curvature is not
-    finite."""
+    Trial after trial, the Stiefel and then the Gaussian set are those
+    ``stiefel_sample(d, r)`` and ``gaussian_sphere_sample(d, r)`` draw from
+    one ``RngStream(seed + 1)``. The trials run in blocks whose probe points
+    fit in 256 KiB: a block's normals are one draw, its Stiefel halves one
+    ``_stiefel_columns`` call, its Gaussian halves one ``_unit_rows`` call,
+    and one oracle call evaluates both, each trial still charged 2r+1 per
+    sampler at the origin. The Stiefel estimates take one ``_frame_update``
+    per frame (r > d gives several), the Gaussian ones r ``_rank_one``
+    steps, each over the block's stack. Raises ``ValueError`` for d < 2,
+    where both samplers recover the Hessian exactly, and
+    ``FloatingPointError`` if a curvature is not finite."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials, got {trials}")
+    if d < 2:
+        raise ValueError(
+            f"sampling_comparison needs d >= 2, got d={d}: at d = 1 both "
+            "samplers recover the Hessian exactly")
+    _check_count("r", r)
     a = random_spd(d, cond=10.0, rng=RngStream(seed))
     oracle = make_quadratic(a, np.zeros(d)).make_oracle()
     errors = np.empty((2, trials))
+    gen = RngStream(seed + 1).generator
     block = _block_trials(2 * (2 * r + 1), d)
     for first in range(0, trials, block):
         rows = slice(first, first + block)
-        ts = range(trials)[rows]
-        draws = []
-        for t in ts:
-            stream = RngStream(seed + 1 + t)
-            draws.append([sampler(d, r, stream).vectors
-                          for sampler in (stiefel_sample,
-                                          gaussian_sphere_sample)])
-        v = np.array(draws)
+        size = min(block, trials - first)
+        normals = gen.standard_normal((size, 2, d * r))
+        v = np.stack([
+            _stiefel_columns(normals[:, 0], d).swapaxes(-1, -2),
+            _unit_rows(normals[:, 1].reshape(size, r, d), gen)], axis=1)
         c = _origin_curvatures(oracle, v.reshape(-1, r, d), mu,
-                               "sampling_comparison").reshape(len(ts), 2, r)
-        h = np.zeros((len(ts), 2, d, d))
+                               "sampling_comparison").reshape(size, 2, r)
+        h = np.zeros((size, 2, d, d))
         for start in range(0, r, d):
             _frame_update(h[:, 0], v[:, 0, start:start + d],
                           c[:, 0, start:start + d])

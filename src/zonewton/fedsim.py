@@ -22,7 +22,7 @@ import numpy as np
 
 from .oracle import Objective, Oracle, ProbeResult
 from .problems import Dataset, logistic_objective
-from .sampling import DirectionSet, RngStream
+from .sampling import DirectionSet, RngStream, _check_count
 from .solver import RunTrace, SolverConfig, run as solver_run
 
 __all__ = [
@@ -53,8 +53,7 @@ class FederationConfig:
     n_clients: int
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError(f"n_clients must be positive, got {self.n_clients}")
+        _check_count("n_clients", self.n_clients)
 
 
 def _split_sizes(n_samples: int, n_clients: int) -> list:

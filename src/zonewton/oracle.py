@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import DirectionSet
+from .sampling import DirectionSet, _check_count
 
 __all__ = [
     "BudgetExhaustedError",
@@ -109,10 +109,9 @@ class Oracle:
 
     def __init__(self, fn: Callable[[np.ndarray], float], dimension: int,
                  budget: Optional[int] = None):
-        if dimension < 1:
-            raise ValueError(f"dimension must be positive, got {dimension}")
-        if budget is not None and budget < 1:
-            raise ValueError(f"budget must be positive when set, got {budget}")
+        _check_count("dimension", dimension)
+        if budget is not None:
+            _check_count("budget", budget)
         self.fn = fn
         self._batch = getattr(fn, "batch", None) or _pointwise(fn)
         self.dimension = int(dimension)
@@ -231,6 +230,5 @@ def deterministic_fd_costs(d: int) -> tuple[int, int]:
     scheme along the canonical basis and of the all-pairs symmetric-difference
     scheme.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    _check_count("d", d)
     return (d + 1) * (d + 2) // 2, 2 * d * d + 1

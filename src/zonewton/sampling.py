@@ -9,15 +9,16 @@ every draw is reproducible bit-for-bit.
 Each sampler's formula is written once, as a private routine that
 broadcasts over leading axes: ``_stiefel_columns`` turns rows of normals
 into the columns of orthonormal frames (through ``_haar_frames``, one QR
-call per frame shape) and ``_unit_rows`` normalises trials' normal rows.
-The Lemma 1 and rate gates, and the solver under a fixed direction count,
-apply them to a block of raw normals, drawn as the public samplers would
-draw them, and get exactly the directions those samplers would give; such
-a caller consumes its stream a block ahead.
+call per frame shape) and ``_unit_rows`` normalises a stack of normal
+rows. The Lemma 1, rate and sampling gates, and the solver under a fixed
+direction count, apply them to a block of raw normals drawn from one
+stream, and get exactly the directions that successive sampler calls on
+that stream would give; such a caller consumes its stream a block ahead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,17 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 _ORTHO_TOL = 1e-10
+
+
+def _check_count(name: str, value):
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1; the check
+    of every count the package takes, numpy integers included."""
+    try:
+        if operator.index(value) >= 1:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class RngStream:
@@ -120,19 +132,17 @@ def _haar_frames(normals: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _unit_rows(normals: np.ndarray, generators) -> np.ndarray:
-    """The rows of a (trials, r, d) stack of standard normals scaled to unit
-    norm, in place. A row of norm 0 in trial t is first redrawn from
-    ``generators[t]``, all that trial's zero rows in one draw, until none
-    is left, as ``gaussian_sphere_sample`` redraws on that generator.
-    Returns ``normals``."""
+def _unit_rows(normals: np.ndarray, generator) -> np.ndarray:
+    """The rows of a (..., d) stack of standard normals scaled to unit norm,
+    in place. Rows of norm 0 are first redrawn from ``generator``, all of
+    them in one draw in C order, until none is left, as
+    ``gaussian_sphere_sample`` redraws them. Returns ``normals``."""
     norms = np.linalg.norm(normals, axis=-1)
     while not norms.all():
-        t = int(np.argmin(norms.all(axis=-1)))
-        bad = norms[t] == 0.0
-        normals[t, bad] = generators[t].standard_normal(
-            (int(np.sum(bad)), normals.shape[-1]))
-        norms[t] = np.linalg.norm(normals[t], axis=-1)
+        bad = norms == 0.0
+        normals[bad] = generator.standard_normal(
+            (np.count_nonzero(bad), normals.shape[-1]))
+        norms = np.linalg.norm(normals, axis=-1)
     normals /= norms[..., None]
     return normals
 
@@ -163,8 +173,8 @@ def stiefel_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     the last truncated to the remainder; orthogonality holds within each
     frame, which the set records as ``frame_size`` d.
     """
-    if d < 1 or r < 1:
-        raise ValueError(f"d and r must be positive, got d={d}, r={r}")
+    _check_count("d", d)
+    _check_count("r", r)
     columns = _stiefel_columns(rng.generator.standard_normal(d * r), d)
     return DirectionSet._owned(columns.T, frame_size=d)
 
@@ -177,8 +187,8 @@ def gaussian_sphere_sample(d: int, r: int, rng: RngStream) -> DirectionSet:
     is exactly what the sampling-comparison experiments contrast against
     :func:`stiefel_sample`; the set has ``frame_size`` 1.
     """
-    if d < 1 or r < 1:
-        raise ValueError(f"d and r must be positive, got d={d}, r={r}")
+    _check_count("d", d)
+    _check_count("r", r)
     gen = rng.generator
-    vecs = _unit_rows(gen.standard_normal((1, r, d)), [gen])[0]
+    vecs = _unit_rows(gen.standard_normal((r, d)), gen)
     return DirectionSet._owned(vecs, frame_size=1)

@@ -30,7 +30,6 @@ r_k depends on the state, so it draws per iteration.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -44,7 +43,8 @@ from .estimators import (
     update_rate_bound,
 )
 from .oracle import BudgetExhaustedError, Oracle, _check_mu
-from .sampling import DirectionSet, RngStream, _stiefel_columns, stiefel_sample
+from .sampling import (DirectionSet, RngStream, _check_count,
+                       _stiefel_columns, stiefel_sample)
 
 __all__ = [
     "AdaptiveDirections",
@@ -71,16 +71,6 @@ STOPPED_ZO_FLOOR = "stopped_zo_floor"
 STOPPED_MAX_ITER = "stopped_max_iter"
 STOPPED_BUDGET = "stopped_budget"
 STOPPED_NUMERICAL = "stopped_numerical"
-
-
-def _check_count(name: str, value):
-    """Raise ``ValueError`` unless ``value`` is an integer >= 1."""
-    try:
-        if operator.index(value) >= 1:
-            return
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

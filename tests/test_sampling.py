@@ -146,17 +146,23 @@ def test_zero_norm_rows_are_redrawn_as_the_sphere_sampler_redraws_them():
     np.testing.assert_array_equal(
         gaussian_sphere_sample(d, r, fake).vectors, want)
 
-    # the same rows zeroed in the middle trial of a stack, its generator
-    # past its first draw; the other trials' generators are not drawn from
+    # zero rows in two trials of a stack are redrawn from the one
+    # generator in one draw, in C order
     stack = np.random.default_rng(42).standard_normal((3, r, d))
-    gens = [np.random.default_rng(s) for s in (43, 41, 44)]
-    stack[1] = gens[1].standard_normal((r, d))
-    stack[1, [1, 3]] = 0.0
-    got = _unit_rows(stack, gens)
-    np.testing.assert_array_equal(got[1], want)
-    for g, seed in ((gens[0], 43), (gens[2], 44)):
-        fresh = np.random.default_rng(seed)
-        assert g.standard_normal() == fresh.standard_normal()
+    stack[0, 4] = stack[2, [0, 2]] = 0.0
+    want = stack.copy()
+    want[[0, 2, 2], [4, 0, 2]] = np.random.default_rng(43).standard_normal(
+        (3, d))
+    want /= np.linalg.norm(want, axis=-1)[..., None]
+    sizes, redraws = [], np.random.default_rng(43)
+
+    def standard_normal(size):
+        sizes.append(size)
+        return redraws.standard_normal(size)
+
+    got = _unit_rows(stack, SimpleNamespace(standard_normal=standard_normal))
+    np.testing.assert_array_equal(got, want)
+    assert sizes == [(3, d)]
 
 
 def test_marginal_distributions_indistinguishable():

@@ -5,6 +5,7 @@ import pytest
 
 from zonewton import (
     AdaptiveDirections,
+    FederationConfig,
     FixedDirections,
     Oracle,
     RngStream,
@@ -12,6 +13,8 @@ from zonewton import (
     SolverState,
     adaptive_direction_count,
     contraction_gamma,
+    deterministic_fd_costs,
+    gaussian_sphere_sample,
     iterate,
     make_cubic_box,
     make_quadratic,
@@ -621,6 +624,37 @@ def test_config_rejects_max_iterations_that_is_not_a_count(value):
 def test_policies_reject_counts_that_are_not_integers(policy, name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
         policy(value)
+
+
+# The other public counts, all checked by sampling._check_count. Before, the
+# oracle took a dimension of 2.5 as 2 and a budget of 2.5 as 2,
+# FederationConfig took 2.5, deterministic_fd_costs(2.5) returned
+# (7.0, 13.5) and the samplers raised TypeError from numpy.
+_PUBLIC_COUNTS = {
+    "oracle_dimension": ("dimension", lambda n: Oracle(np.sum, n)),
+    "oracle_budget": ("budget", lambda n: Oracle(np.sum, 2, budget=n)),
+    "n_clients": ("n_clients", FederationConfig),
+    "fd_costs_d": ("d", deterministic_fd_costs),
+    "stiefel_d": ("d", lambda n: stiefel_sample(n, 2, RngStream(0))),
+    "stiefel_r": ("r", lambda n: stiefel_sample(3, n, RngStream(0))),
+    "sphere_d": ("d", lambda n: gaussian_sphere_sample(n, 2, RngStream(0))),
+    "sphere_r": ("r", lambda n: gaussian_sphere_sample(3, n, RngStream(0))),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_COUNTS, ids=_NOT_COUNT_IDS)
+@pytest.mark.parametrize("count", list(_PUBLIC_COUNTS))
+def test_public_counts_reject_values_that_are_not_counts(count, value):
+    name, make = _PUBLIC_COUNTS[count]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        make(value)
+
+
+@pytest.mark.parametrize("count", list(_PUBLIC_COUNTS))
+def test_public_counts_accept_numpy_integers(count):
+    _, make = _PUBLIC_COUNTS[count]
+    make(np.int64(3))
+    make(np.int32(2))
 
 
 def test_numpy_integer_counts_are_accepted():
