@@ -59,6 +59,7 @@ from .solver import (
     adaptive_direction_count,
     contraction_gamma,
     iterate,
+    iterations,
     optimal_stepsize,
     run,
     zo_floor_stop,

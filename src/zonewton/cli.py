@@ -32,7 +32,8 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import experiments
-from .fedsim import ClientNode, FederationConfig, federated_run, partition_dataset
+from .fedsim import (ClientNode, FederatedObjective, FederationConfig,
+                     partition_dataset)
 from .oracle import Oracle, deterministic_fd_costs
 from .problems import (
     load_libsvm,
@@ -48,8 +49,10 @@ from .solver import (
     STOPPED_NUMERICAL,
     AdaptiveDirections,
     FixedDirections,
+    RunTrace,
     SolverConfig,
-    run,
+    SolverState,
+    iterations,
 )
 from .traceio import write_trace_csv
 
@@ -235,31 +238,36 @@ def _solver_config(cfg: ExperimentConfig, problem) -> SolverConfig:
 
 
 def _cmd_run(args) -> int:
+    """``run`` and ``fedrun``: drive the solver through :func:`iterations`
+    and fill each record's f_gap, x_err and Frobenius Hessian error from the
+    problem's ground truth, which the solver never sees."""
     cfg = _merge_config(args)
-    problem, x0, _ = _build_problem(cfg)
-    config = _solver_config(cfg, problem)
-    known = problem.known
-    oracle = problem.make_oracle(budget=cfg.budget)
-    trace = run(x0, oracle, config, RngStream(cfg.seed),
-                x_star=known.x_star, f_star=known.f_star,
-                hessian_fn=known.hessian)
-    return _finish_run(trace, cfg.out_path or "run_trace.csv",
-                       spent=oracle.eval_count)
-
-
-def _cmd_fedrun(args) -> int:
-    cfg = _merge_config(args)
-    if cfg.problem == "cubic":
+    federated = args.command == "fedrun"
+    if federated and cfg.problem == "cubic":
         raise UsageError("fedrun supports quadratic and logistic problems")
     problem, x0, data = _build_problem(cfg)
     known = problem.known
-    clients = _build_clients(cfg, problem, data)
+    if federated:
+        oracle = FederatedObjective(_build_clients(cfg, problem, data))
+    else:
+        oracle = problem.make_oracle(budget=cfg.budget)
     config = _solver_config(cfg, problem)
-    trace = federated_run(x0, clients, config, RngStream(cfg.seed),
-                          x_star=known.x_star, f_star=known.f_star,
-                          hessian_fn=known.hessian)
-    return _finish_run(trace, cfg.out_path or "fedrun_trace.csv",
-                       spent=max(trace.extra["client_eval_counts"]))
+    state = SolverState.initial(x0, oracle.dimension)
+    records = []
+    for state, record in iterations(state, oracle, config,
+                                    RngStream(cfg.seed)):
+        record.f_gap = record.f_value - known.f_star
+        record.x_err = float(np.linalg.norm(record.x - known.x_star))
+        diff = state.hessian.matrix - known.hessian(record.x)
+        record.hess_err_fro = float(np.linalg.norm(diff))
+        records.append(record)
+    trace = RunTrace(records=records, status=state.status, x_final=state.x)
+    spent = oracle.eval_count
+    if federated:
+        oracle.account(trace)
+        spent = max(trace.extra["client_eval_counts"])
+    return _finish_run(trace, cfg.out_path or f"{args.command}_trace.csv",
+                       spent)
 
 
 def _build_clients(cfg: ExperimentConfig, problem, data):
@@ -371,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fedrun", help="federated solver run over simulated clients")
     _add_run_flags(p)
-    p.set_defaults(handler=_cmd_fedrun)
+    p.set_defaults(handler=_cmd_run)
 
     for command, (gate, text) in _GATES.items():
         p = sub.add_parser(command, help=text)

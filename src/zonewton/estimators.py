@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .oracle import Oracle, ProbeResult
-from .sampling import DirectionSet
+from .sampling import DirectionSet, _check_count
 
 __all__ = [
     "HessianEstimate",
@@ -224,8 +224,7 @@ def update_rate_bound(d: int) -> float:
     For directions uniform on the unit sphere the incremental update
     satisfies E||H_k - A||_F^2 <= (1 - 2/(d^2 + 2d)) ||H_{k-1} - A||_F^2.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_count("d", d)
     return 1.0 - 2.0 / (d * d + 2.0 * d)
 
 
@@ -235,8 +234,7 @@ def gradient_error_bound(d: int, L2: float, mu: float) -> float:
     Valid for any orthonormal probe basis when the objective's Hessian is
     L2-Lipschitz; quadratics (L2 = 0) are estimated exactly.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_count("d", d)
     if L2 < 0 or mu < 0:
         raise ValueError("L2 and mu must be non-negative")
     return d * L2 * mu * mu / 6.0

@@ -37,14 +37,12 @@ from .problems import (
 from .sampling import RngStream, _check_count, _stiefel_columns, _unit_rows
 from .solver import (
     FixedDirections,
-    RUNNING,
     SolverConfig,
     SolverState,
-    STOPPED_MAX_ITER,
     STOPPED_NUMERICAL,
     STOPPED_ZO_FLOOR,
     contraction_gamma,
-    iterate,
+    iterations,
     optimal_stepsize,
 )
 
@@ -118,13 +116,11 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
 
 def _solver_iterations(gate: str, x0: np.ndarray, oracle: Oracle,
                        config: SolverConfig, rng: RngStream):
-    """Yield ``(state, record)`` for each ``iterate`` call from x0 until the
-    run stops or reaches ``config.max_iterations``. Raises
+    """:func:`~zonewton.solver.iterations` from x0, raising
     ``FloatingPointError``, naming ``gate``, the iteration count and mu, at
     an iteration that ends the run ``stopped_numerical``."""
     state = SolverState.initial(x0, oracle.dimension)
-    while state.status == RUNNING and state.iteration < config.max_iterations:
-        state, record = iterate(state, oracle, config, rng)
+    for state, record in iterations(state, oracle, config, rng):
         if state.status == STOPPED_NUMERICAL:
             raise FloatingPointError(
                 f"{gate}: the run ended {state.status} after "
@@ -178,8 +174,7 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     ``FloatingPointError`` if a curvature is not finite (mu too large or
     too small for the objective's floating-point range).
     """
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+    _check_count("trials", trials)
     if d < 2:
         raise ValueError(
             f"rate_verification needs d >= 2, got d={d}: at d = 1 the first "
@@ -257,8 +252,7 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
     2d+1, and one ``_gradient`` call, the formula ``estimate_gradient``
     applies, reads their gradients.
     """
-    if n_points < 1:
-        raise ValueError(f"need at least 1 point, got {n_points}")
+    _check_count("n_points", n_points)
     mus, box_radius = (1e-1, 1e-2, 1e-3), 1.0
     problem = make_cubic_box(d, box_radius)
     L2 = problem.known.L2
@@ -321,8 +315,8 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
     """Run the solver with the rate-optimal stepsize on a conditioned
     quadratic until the first f-gap <= 1e-9, the floor, and check that every
     f-gap contraction down to it stays within the theorem's 1 - gamma*,
-    gamma* = m lambda_min / (L1 lambda_max). The run drives ``iterate``
-    itself and stops there, with 2500 iterations as a guard; if the guard
+    gamma* = m lambda_min / (L1 lambda_max). The gate stops the solver's
+    ``iterations`` there, with 2500 iterations as a guard; if the guard
     ends it first the floor is not reached and the gate fails. Raises
     ``FloatingPointError`` if the run ends ``stopped_numerical``."""
     problem_stream = RngStream(seed)
@@ -411,8 +405,8 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     """Check local quadratic convergence and the per-iteration local bound on
     synthetic ridge-regularized logistic regression (n = 200, d = 10,
     features scaled by 2, ridge 0.1) with r = 4 d^2 directions, mu = 1e-7
-    and lambda_min = 0.01, from distance 0.1 to x*. The gate drives
-    ``iterate`` itself and stops after the first iteration whose new error
+    and lambda_min = 0.01, from distance 0.1 to x*. The gate stops the
+    solver's ``iterations`` after the first iteration whose new error
     is at or below the measurement floor, where no later pair can be
     measured; 25 iterations stay as a guard.
 
@@ -631,13 +625,12 @@ def stopping_criterion_check(seed: int = 0) -> StoppingReport:
             "stopping_criterion_check", x0, problem.make_oracle(), config,
             RngStream(seed)):
         pass
-    status = STOPPED_MAX_ITER if state.status == RUNNING else state.status
     final_error = float(np.linalg.norm(state.x - known.x_star))
     guarantee = d * known.L2 * mu * mu / (3.0 * known.m)
     threshold = gradient_error_bound(d, known.L2, mu)
     grad_norm = record.grad_norm_est
-    passed = (status == STOPPED_ZO_FLOOR and grad_norm <= threshold
+    passed = (state.status == STOPPED_ZO_FLOOR and grad_norm <= threshold
               and final_error <= guarantee)
-    return StoppingReport(status=status, threshold=threshold,
+    return StoppingReport(status=state.status, threshold=threshold,
                           final_grad_norm=grad_norm, guarantee=guarantee,
                           final_error=final_error, passed=passed)

@@ -128,12 +128,19 @@ class FederatedObjective(Oracle):
         super().__init__(Objective(self.batch),
                          self._clients[0].oracle.dimension)
 
-    @property
-    def n_clients(self) -> int:
-        return len(self._clients)
-
-    def client_eval_counts(self) -> list:
-        return [c.oracle.eval_count for c in self._clients]
+    def account(self, trace: RunTrace) -> None:
+        """Add the communication of a run over this server to its trace:
+        each record uploads n * (2 r_k + 1) scalars (one per client per
+        probe value) and downloads (2 r_k + 1) * d scalars (the probe
+        points, broadcast once), and ``trace.extra["client_eval_counts"]``
+        holds each client's evaluation count, in client-id order."""
+        n, d = len(self._clients), self.dimension
+        for record in trace.records:
+            scalars = 2 * record.r_used + 1
+            record.up_scalars = n * scalars
+            record.down_scalars = scalars * d
+        trace.extra["client_eval_counts"] = [
+            c.oracle.eval_count for c in self._clients]
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Mean client value at each row of ``points``; a client failure
@@ -151,25 +158,15 @@ class FederatedObjective(Oracle):
         return super().probe_batch(x, directions, mu, center)
 
 
-def federated_run(x0, clients, config: SolverConfig, rng: RngStream,
-                  x_star=None, f_star: Optional[float] = None,
-                  hessian_fn=None) -> RunTrace:
+def federated_run(x0, clients, config: SolverConfig,
+                  rng: RngStream) -> RunTrace:
     """Run the solver against the aggregated client objective.
 
     Identical to the centralized run on the mean objective (same seed gives
-    the same direction draws), with per-round communication accounting added
-    to the trace: each iteration uploads n * (2 r_k + 1) scalars (one per
-    client per probe value) and downloads (2 r_k + 1) * d scalars (the probe
-    points, broadcast once).
+    the same direction draws), with the communication of
+    :meth:`FederatedObjective.account` added to the trace.
     """
     objective = FederatedObjective(clients)
-    trace = solver_run(x0, objective, config, rng, x_star=x_star,
-                       f_star=f_star, hessian_fn=hessian_fn)
-    n = objective.n_clients
-    d = objective.dimension
-    for record in trace.records:
-        scalars = 2 * record.r_used + 1
-        record.up_scalars = n * scalars
-        record.down_scalars = scalars * d
-    trace.extra["client_eval_counts"] = objective.client_eval_counts()
+    trace = solver_run(x0, objective, config, rng)
+    objective.account(trace)
     return trace

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "adaptive_direction_count",
     "contraction_gamma",
     "iterate",
+    "iterations",
     "optimal_stepsize",
     "run",
     "zo_floor_stop",
@@ -183,7 +184,8 @@ class TraceRecord:
     The fields are the CSV columns, in order, except those marked
     ``_IN_MEMORY``: in-memory extras for the verification harness (the
     iterate itself, whether eigenvalue clipping was active, and the
-    stopping-criterion guarantee when it fired).
+    stopping-criterion guarantee when it fired). The solver leaves f_gap,
+    x_err and hess_err_fro empty: a caller with the ground truth fills them.
     """
 
     iteration: int
@@ -395,8 +397,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     """Run one solver iteration; returns the new state and its trace record.
 
     Budget exhaustion inside either probe phase propagates as
-    :class:`BudgetExhaustedError`; the caller keeps the trace collected so
-    far and marks the run stopped_budget. A probe batch that fails
+    :class:`BudgetExhaustedError`; :func:`iterations` catches it and marks
+    the run stopped_budget. A probe batch that fails
     :func:`_probe_failed` stops the run as stopped_numerical before any
     Hessian update, and a step whose direction, new iterate or length is
     not finite stops it as stopped_numerical at this iteration, with x kept.
@@ -500,39 +502,37 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     return new_state, record
 
 
-def run(x0, oracle: Oracle, config: SolverConfig, rng: RngStream,
-        x_star=None, f_star: Optional[float] = None,
-        hessian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        ) -> RunTrace:
-    """Iterate until the zeroth-order floor, the budget, a numerical failure
-    or the iteration cap stops the run; returns the per-iteration trace.
+def iterations(state: SolverState, oracle: Oracle, config: SolverConfig,
+               rng: RngStream):
+    """Yield ``(state, record)`` for each :func:`iterate` call from
+    ``state``: the one loop over ``iterate``.
 
-    Ground-truth arguments are optional and only enrich the trace: ``x_star``
-    fills the x_err column, ``f_star`` the f_gap column, and ``hessian_fn``
-    the Frobenius Hessian-error column.
-
-    Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
-    normals, capped by the iterations left (see :func:`iterate`), so a run
-    capped at N iterations draws at most N iterations' directions; the
-    stream is the run's, and nothing else should draw from it.
+    Once exhausted, the last state yielded, or ``state`` when none was,
+    carries the stop status: the generator marks it stopped_budget when a
+    probe phase exhausts the budget and stopped_max_iter at the cap. A
+    caller that stops early leaves the state as ``iterate`` returned it.
     """
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-    state = SolverState.initial(x0, oracle.dimension)
-    records = []
-    while state.status == RUNNING and state.iteration < config.max_iterations:
+    while state.status == RUNNING:
+        if state.iteration >= config.max_iterations:
+            state.status = STOPPED_MAX_ITER
+            return
         try:
             state, record = iterate(state, oracle, config, rng)
         except BudgetExhaustedError:
             state.status = STOPPED_BUDGET
-            break
-        if x_star is not None:
-            record.x_err = float(np.linalg.norm(record.x - x_star))
-        if f_star is not None:
-            record.f_gap = record.f_value - f_star
-        if hessian_fn is not None:
-            diff = state.hessian.matrix - hessian_fn(record.x)
-            record.hess_err_fro = float(np.linalg.norm(diff))
+            return
+        yield state, record
+
+
+def run(x0, oracle: Oracle, config: SolverConfig,
+        rng: RngStream) -> RunTrace:
+    """Iterate from x0 until the zeroth-order floor, the budget, a numerical
+    failure or the iteration cap stops the run; returns the records that
+    :func:`iterations` yields, its stop status and the final iterate.
+    ``rng`` is the run's own stream (see :func:`iterate`)."""
+    state = SolverState.initial(x0, oracle.dimension)
+    records = []
+    for state, record in iterations(state, oracle, config, rng):
         records.append(record)
-    status = STOPPED_MAX_ITER if state.status == RUNNING else state.status
-    return RunTrace(records=records, status=status, x_final=state.x.copy())
+    return RunTrace(records=records, status=state.status,
+                    x_final=state.x.copy())

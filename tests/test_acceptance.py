@@ -144,10 +144,8 @@ def test_criterion_9_federated_equivalence():
                           lambda_min=known.m, lambda_max=known.L1,
                           max_iterations=25, L1=known.L1, L2=0.0, m=known.m)
     x0 = np.ones(d)
-    central = run(x0, Oracle(mean_fn, d), config, RngStream(22),
-                  x_star=known.x_star)
-    fed = federated_run(x0, clients, config, RngStream(22),
-                        x_star=known.x_star)
+    central = run(x0, Oracle(mean_fn, d), config, RngStream(22))
+    fed = federated_run(x0, clients, config, RngStream(22))
     assert len(central.records) == len(fed.records) == 25
     worst = max(
         float(np.linalg.norm(rc.x - rf.x))

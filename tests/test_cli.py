@@ -57,6 +57,32 @@ def test_fedrun_reports_upload_counts(tmp_path):
     assert ups == [3 * (2 * 6 + 1)] * len(ups)
 
 
+@pytest.mark.parametrize("command, problem, extra", [
+    ("run", "quadratic", []), ("run", "cubic", []),
+    ("fedrun", "logistic", ["--n-clients", "3"])])
+def test_ground_truth_columns_are_filled(tmp_path, command, problem, extra):
+    # the solver never sees x*, f* or the Hessian; the CLI fills the three
+    # columns from the problem's ground truth
+    out = tmp_path / "trace.csv"
+    assert main([command, "--problem", problem, "--d", "5", "--seed", "4",
+                 "--max-iters", "6", "--out", str(out)] + extra) == 0
+    header, *rows = [line.split(",")
+                     for line in out.read_text().splitlines()]
+    col = {name: i for i, name in enumerate(header)}
+    assert len(rows) == 6
+    for row in rows:
+        for name in ("f_gap", "x_err", "hess_err_fro"):
+            assert row[col[name]] != "", name
+    built, x0, _ = cli._build_problem(
+        cli.ExperimentConfig(problem=problem, d=5, seed=4))
+    known = built.known
+    first = rows[0]
+    assert float(first[col["f_gap"]]) == (float(first[col["f_value"]])
+                                          - known.f_star)
+    assert float(first[col["x_err"]]) == float(
+        np.linalg.norm(x0 - known.x_star))
+
+
 def test_fedrun_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["fedrun", "--problem", "logistic", "--d", "6", "--seed", "9",
@@ -79,14 +105,13 @@ def test_fedrun_budget_caps_every_client(tmp_path, capsys, monkeypatch):
     # one d=20 iteration costs 41 evaluations, so a budget of 30 stops the
     # run inside its first probe batch
     extras = {}
-    real_run = cli.federated_run
+    real_account = cli.FederatedObjective.account
 
-    def recording_run(*args, **kwargs):
-        trace = real_run(*args, **kwargs)
+    def recording_account(server, trace):
+        real_account(server, trace)
         extras.update(trace.extra)
-        return trace
 
-    monkeypatch.setattr(cli, "federated_run", recording_run)
+    monkeypatch.setattr(cli.FederatedObjective, "account", recording_account)
     code = main(["fedrun", "--problem", "logistic", "--d", "20",
                  "--n-clients", "5", "--budget", "30", "--seed", "3",
                  "--out", str(tmp_path / "trace.csv")])
@@ -284,7 +309,7 @@ def test_verify_gate_with_nothing_to_check_is_usage_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "nan" not in captured.out
-    assert "error: need at least 1" in captured.err
+    assert "must be an integer >= 1, got 0" in captured.err
 
 
 def test_verify_rate_at_d_1_is_usage_error(capsys):

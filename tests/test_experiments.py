@@ -115,9 +115,9 @@ def full_run_linear_report(seed, d=10, cond=100.0, mu=1e-6):
         lambda_max=L1, max_iterations=2500, L1=L1, L2=0.0, m=m)
     v = problem_stream.generator.standard_normal(d)
     x0 = problem.known.x_star + v / np.linalg.norm(v)
-    trace = run(x0, problem.make_oracle(), config, RngStream(seed + 1),
-                f_star=problem.known.f_star)
-    gaps = np.array([rec.f_gap for rec in trace.records])
+    trace = run(x0, problem.make_oracle(), config, RngStream(seed + 1))
+    gaps = np.array([rec.f_value - problem.known.f_star
+                     for rec in trace.records])
     above = np.nonzero(gaps <= 1e-9)[0]
     iters_to_floor = int(above[0]) if len(above) else None
     last = iters_to_floor if iters_to_floor is not None else len(gaps) - 1

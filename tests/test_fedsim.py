@@ -26,7 +26,7 @@ from zonewton import (
     stiefel_sample,
 )
 from zonewton.fedsim import _split_sizes
-from zonewton.solver import STOPPED_BUDGET
+from zonewton.solver import STOPPED_BUDGET, RunTrace
 
 
 def quadratic_clients(n, d, seed):
@@ -179,11 +179,9 @@ class TestFederatedRun:
                               max_iterations=15, L1=problem.known.L1,
                               L2=0.0, m=problem.known.m)
         x0 = np.zeros(d)
-        central = run(x0, problem.make_oracle(), config, RngStream(14),
-                      x_star=problem.known.x_star)
+        central = run(x0, problem.make_oracle(), config, RngStream(14))
         clients = [ClientNode(0, problem.make_oracle())]
-        fed = federated_run(x0, clients, config, RngStream(14),
-                            x_star=problem.known.x_star)
+        fed = federated_run(x0, clients, config, RngStream(14))
         np.testing.assert_allclose(fed.x_final, central.x_final, atol=1e-12)
         for rc, rf in zip(central.records, fed.records):
             assert rf.evals == rc.evals
@@ -209,8 +207,7 @@ class TestFederatedRun:
         config = SolverConfig(mu=1e-7, r_policy=FixedDirections(30),
                               alpha=1.0, lambda_min=0.02, lambda_max=1e4,
                               max_iterations=30, L1=known.L1, m=known.m)
-        trace = federated_run(np.zeros(10), clients, config, RngStream(19),
-                              x_star=known.x_star)
+        trace = federated_run(np.zeros(10), clients, config, RngStream(19))
         assert np.linalg.norm(trace.x_final - known.x_star) <= 1e-5
 
     def test_server_sees_only_scalars(self):
@@ -266,7 +263,9 @@ class TestFederatedRun:
             server.probe_batch(x, stiefel_sample(d, d, RngStream(23)),
                                mu=1e-4)
         assert excinfo.value.consumed == 3
-        assert server.client_eval_counts() == [14, 10, 7]
+        counts = RunTrace(records=[], status=STOPPED_BUDGET, x_final=x)
+        server.account(counts)
+        assert counts.extra["client_eval_counts"] == [14, 10, 7]
         assert server.eval_count == 14
 
         config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),

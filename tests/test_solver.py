@@ -1,5 +1,7 @@
 """Solver building blocks and the composed iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from zonewton import (
     RngStream,
     SolverConfig,
     SolverState,
+    TraceRecord,
     adaptive_direction_count,
     contraction_gamma,
     deterministic_fd_costs,
     gaussian_sphere_sample,
+    gradient_error_bound,
     iterate,
+    iterations,
     make_cubic_box,
     make_quadratic,
     optimal_stepsize,
@@ -26,6 +31,7 @@ from zonewton import (
     zo_floor_stop,
 )
 from zonewton import solver as solver_module
+from zonewton.experiments import gradient_bound_verification, rate_verification
 from zonewton.solver import (
     RUNNING,
     STOPPED_BUDGET,
@@ -312,8 +318,8 @@ class TestRun:
             max_iterations=400, L1=known.L1, L2=0.0, m=known.m)
         assert config.resolved_alpha() == pytest.approx(known.m / known.L1)
         trace = run(make_unit_start(problem, 201), problem.make_oracle(),
-                    config, RngStream(6), f_star=known.f_star)
-        gaps = np.array([rec.f_gap for rec in trace.records])
+                    config, RngStream(6))
+        gaps = np.array([rec.f_value - known.f_star for rec in trace.records])
         floor_hits = np.nonzero(gaps <= 1e-10)[0]
         assert len(floor_hits) > 0
         until = floor_hits[0]
@@ -357,7 +363,7 @@ class TestRun:
             lambda_min=known.m, lambda_max=known.L1, max_iterations=50,
             L1=known.L1, L2=known.L2, m=known.m)
         trace = run(0.3 * np.ones(4), problem.make_oracle(), config,
-                    RngStream(9), x_star=known.x_star)
+                    RngStream(9))
         assert trace.status == STOPPED_ZO_FLOOR
         assert trace.records[-1].zo_bound == pytest.approx(
             4 * known.L2 * 1e-6 / (3 * known.m))
@@ -398,6 +404,76 @@ class TestRun:
                               max_iterations=1)
         with pytest.raises(ValueError, match="L1"):
             run(np.ones(3), problem.make_oracle(), config, RngStream(11))
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(TraceRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(x, y)
+            else:
+                assert x == y, f.name
+
+
+class TestIterations:
+    """The generator that ``run`` and the gates consume: the stop status
+    lands on the last state it yielded, or on the state passed in."""
+
+    d = 3
+
+    def make(self, budget=None, max_iterations=5):
+        oracle = make_quadratic(random_spd(self.d, 5.0, RngStream(40)),
+                                np.ones(self.d)).make_oracle(budget=budget)
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(self.d),
+                              max_iterations=max_iterations)
+        return SolverState.initial(np.zeros(self.d), self.d), oracle, config
+
+    def test_budget_below_one_iteration_yields_nothing(self):
+        state, oracle, config = self.make(budget=2 * self.d)
+        assert list(iterations(state, oracle, config, RngStream(1))) == []
+        assert state.status == STOPPED_BUDGET
+        assert state.iteration == 0
+        assert oracle.eval_count == 2 * self.d
+
+    def test_cap_marks_the_last_yielded_state(self):
+        state, oracle, config = self.make(max_iterations=4)
+        pairs = list(iterations(state, oracle, config, RngStream(1)))
+        assert [s.iteration for s, _ in pairs] == [1, 2, 3, 4]
+        assert [s.status for s, _ in pairs] == [RUNNING] * 3 + [
+            STOPPED_MAX_ITER]
+        assert state.status == RUNNING
+
+    def test_budget_stop_marks_the_last_yielded_state(self):
+        state, oracle, config = self.make(budget=3 * (2 * self.d + 1) + 2)
+        pairs = list(iterations(state, oracle, config, RngStream(1)))
+        assert len(pairs) == 3
+        assert pairs[-1][0].status == STOPPED_BUDGET
+
+    def test_a_caller_that_breaks_early_leaves_the_state_running(self):
+        state, oracle, config = self.make()
+        stream = iterations(state, oracle, config, RngStream(1))
+        for state, record in stream:
+            if record.iteration == 1:
+                break
+        stream.close()
+        assert state.status == RUNNING
+        assert state.iteration == 2
+
+    @pytest.mark.parametrize("budget, max_iterations, status", [
+        (None, 6, STOPPED_MAX_ITER), (3 * 7 + 2, 10, STOPPED_BUDGET),
+        (6, 10, STOPPED_BUDGET)])
+    def test_run_returns_what_the_generator_yields(self, budget,
+                                                   max_iterations, status):
+        state, oracle, config = self.make(budget, max_iterations)
+        pairs = list(iterations(state, oracle, config, RngStream(2)))
+        _, oracle, _ = self.make(budget, max_iterations)
+        trace = run(np.zeros(self.d), oracle, config, RngStream(2))
+        last = pairs[-1][0] if pairs else state
+        assert trace.status == last.status == status
+        assert_same_records(trace.records, [record for _, record in pairs])
+        np.testing.assert_array_equal(trace.x_final, last.x)
 
 
 def recording_oracle(oracle):
@@ -639,6 +715,14 @@ _PUBLIC_COUNTS = {
     "stiefel_r": ("r", lambda n: stiefel_sample(3, n, RngStream(0))),
     "sphere_d": ("d", lambda n: gaussian_sphere_sample(n, 2, RngStream(0))),
     "sphere_r": ("r", lambda n: gaussian_sphere_sample(3, n, RngStream(0))),
+    # Before, update_rate_bound(2.5) returned 0.8222 and
+    # gradient_error_bound(2.5, 1, 0.1) 0.00417, and the two gates below
+    # said "need at least 1 ..." at 0 and raised TypeError at 2.5.
+    "rate_bound_d": ("d", update_rate_bound),
+    "gradient_bound_d": ("d", lambda n: gradient_error_bound(n, 1.0, 0.1)),
+    "rate_gate_trials": ("trials", lambda n: rate_verification(trials=n)),
+    "lemma1_gate_points": ("n_points",
+                           lambda n: gradient_bound_verification(n_points=n)),
 }
 
 
