@@ -1,7 +1,6 @@
 """Fingerprint the seeded outputs of a zonewton source tree.
 
-    python tools/fingerprint.py SRC OUT [--run-seeds K ...] [--runs NAME ...]
-                                        [--gate-seeds K ...] [--gates NAME ...]
+    python tools/fingerprint.py SRC OUT
     python tools/fingerprint.py --compare A B
 
 The first form runs the package under SRC (the directory that holds
@@ -16,11 +15,11 @@ SHA-256 digest. The keys are
 - ``gate/<gate>/seed<k>``: the fields of one gate report, floats by hex and
   arrays by dtype, shape and bytes, or the exception the gate raised.
 
-By default it covers every flag set of ``RUNS`` at seeds 0-2, and all six
-gates at gate seeds 0-39 and 1, 101, ..., 1901. The second form prints each
-key whose digest differs or that only one file holds, and exits 1 if there
-is any. Two trees give equal files exactly when these outputs are
-byte-identical.
+It covers every flag set of ``RUNS`` at seeds 0-2, and all six gates at
+gate seeds 0-39 and 1, 101, ..., 1901; ``fingerprint()`` takes a subset of
+these as keyword arguments. The second form prints each key whose digest
+differs or that only one file holds, and exits 1 if there is any. Two trees
+give equal files exactly when these outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -196,13 +195,6 @@ def main(argv=None) -> int:
                         help="list the keys that differ between two files")
     parser.add_argument("src", nargs="?", help="directory holding zonewton")
     parser.add_argument("out", nargs="?", help="JSON file to write")
-    parser.add_argument("--runs", nargs="+", default=list(RUNS),
-                        choices=list(RUNS), metavar="NAME")
-    parser.add_argument("--run-seeds", nargs="+", type=int, default=RUN_SEEDS)
-    parser.add_argument("--gates", nargs="+", default=list(GATES),
-                        choices=list(GATES), metavar="NAME")
-    parser.add_argument("--gate-seeds", nargs="+", type=int,
-                        default=GATE_SEEDS)
     args = parser.parse_args(argv)
     if args.child:
         json.dump(_child(json.load(sys.stdin)), sys.stdout)
@@ -216,8 +208,7 @@ def main(argv=None) -> int:
         return 1 if lines else 0
     if args.src is None or args.out is None:
         parser.error("give SRC and OUT, or --compare A B")
-    prints = fingerprint(args.src, args.runs, args.run_seeds, args.gates,
-                         args.gate_seeds)
+    prints = fingerprint(args.src)
     Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True)
                               + "\n")
     print(f"{len(prints)} outputs fingerprinted into {args.out}")
