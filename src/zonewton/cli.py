@@ -110,6 +110,8 @@ _GATES = {
                          "local quadratic rate on regularized logistic regression"),
     "compare-sampling": (experiments.sampling_comparison,
                          "Stiefel frames vs normalized Gaussian directions"),
+    "verify-stopping": (experiments.stopping_criterion_check,
+                        "zeroth-order stopping guarantee on the cubic box"),
 }
 
 # verify-rate takes --d repeatedly and runs its gate once per value.
@@ -154,20 +156,11 @@ def _merge_config(args) -> ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    _validate_positive(cfg)
-    _reject_unread(cfg, args.command)
-    return cfg
-
-
-def _validate_positive(cfg: ExperimentConfig):
-    for key, parse in _CONFIG_KEYS.items():
-        value = getattr(cfg, key)
-        if (parse in (int, float) and key != "seed" and value is not None
-                and value <= 0):
-            raise UsageError(f"config key '{key}' must be positive")
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise UsageError(f"unknown {key} '{getattr(cfg, key)}'")
+    _reject_unread(cfg, args.command)
+    return cfg
 
 
 def _reject_unread(cfg: ExperimentConfig, command: str):
@@ -274,8 +267,9 @@ def _build_clients(cfg: ExperimentConfig, problem, data):
     """Clients whose mean objective equals the centralized problem; each
     client's oracle enforces ``cfg.budget`` on its own evaluations. ``data``
     is the logistic dataset the problem was built from."""
+    federation = FederationConfig(1 if cfg.n_clients is None else cfg.n_clients)
+    n = federation.n_clients
     stream = RngStream(cfg.seed + 2)
-    n = 1 if cfg.n_clients is None else cfg.n_clients
     d = problem.dimension
     if cfg.problem == "quadratic":
         # Perturb A and b with zero-sum symmetric noise so the client mean
@@ -294,7 +288,7 @@ def _build_clients(cfg: ExperimentConfig, problem, data):
                                      b + shifts[i] - mean_shift)
             clients.append(ClientNode(i, Oracle(fn, d, budget=cfg.budget)))
         return clients
-    shards = partition_dataset(data, FederationConfig(n), stream, ridge=0.1)
+    shards = partition_dataset(data, federation, stream, ridge=0.1)
     return [ClientNode(c.client_id, Oracle(c.oracle.fn, d, budget=cfg.budget))
             for c in shards]
 

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .oracle import Oracle, ProbeResult
-from .sampling import DirectionSet, _check_count
+from .sampling import DirectionSet, _check_count, _check_real
 
 __all__ = [
     "HessianEstimate",
@@ -66,6 +66,7 @@ class HessianEstimate:
 
     @classmethod
     def zero(cls, d: int) -> "HessianEstimate":
+        _check_count("d", d)
         return cls(np.zeros((d, d)))
 
     @property
@@ -235,6 +236,6 @@ def gradient_error_bound(d: int, L2: float, mu: float) -> float:
     L2-Lipschitz; quadratics (L2 = 0) are estimated exactly.
     """
     _check_count("d", d)
-    if L2 < 0 or mu < 0:
-        raise ValueError("L2 and mu must be non-negative")
+    _check_real("L2", L2, 0)
+    _check_real("mu", mu)
     return d * L2 * mu * mu / 6.0

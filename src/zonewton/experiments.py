@@ -25,7 +25,7 @@ from .estimators import (
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import Oracle, _check_mu, _probe_points, _probe_sides
+from .oracle import Oracle, _probe_points, _probe_sides
 from .problems import (
     logistic_gap_objective,
     make_cubic_box,
@@ -34,7 +34,8 @@ from .problems import (
     make_synthetic_dataset,
     random_spd,
 )
-from .sampling import RngStream, _check_count, _stiefel_columns, _unit_rows
+from .sampling import (RngStream, _check_count, _check_real,
+                       _stiefel_columns, _unit_rows)
 from .solver import (
     FixedDirections,
     SolverConfig,
@@ -103,7 +104,7 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
     :func:`_probe_values` call. Raises ``FloatingPointError``, naming
     ``gate`` and mu, if a curvature is not finite.
     """
-    _check_mu(mu)
+    _check_real("mu", mu)
     values = _probe_values(oracle, np.zeros((1, vectors.shape[-1])),
                            mu * vectors)
     center, plus, minus = _probe_sides(values)
@@ -175,10 +176,7 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
     too small for the objective's floating-point range).
     """
     _check_count("trials", trials)
-    if d < 2:
-        raise ValueError(
-            f"rate_verification needs d >= 2, got d={d}: at d = 1 the first "
-            "update recovers the Hessian exactly")
+    _check_count("d", d, 2)
     n_updates = 15
     eta = update_rate_bound(d)
     a = random_spd(d, cond=3.0, rng=RngStream(seed))
@@ -318,7 +316,9 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
     gamma* = m lambda_min / (L1 lambda_max). The gate stops the solver's
     ``iterations`` there, with 2500 iterations as a guard; if the guard
     ends it first the floor is not reached and the gate fails. Raises
+    ``ValueError`` for d < 2 (a 1 x 1 problem has condition number 1) and
     ``FloatingPointError`` if the run ends ``stopped_numerical``."""
+    _check_count("d", d, 2)
     problem_stream = RngStream(seed)
     a = random_spd(d, cond, problem_stream)
     b = problem_stream.generator.standard_normal(d)
@@ -541,12 +541,8 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     steps, each over the block's stack. Raises ``ValueError`` for d < 2,
     where both samplers recover the Hessian exactly, and
     ``FloatingPointError`` if a curvature is not finite."""
-    if trials < 30:
-        raise ValueError(f"need at least 30 trials, got {trials}")
-    if d < 2:
-        raise ValueError(
-            f"sampling_comparison needs d >= 2, got d={d}: at d = 1 both "
-            "samplers recover the Hessian exactly")
+    _check_count("trials", trials, 30)
+    _check_count("d", d, 2)
     _check_count("r", r)
     a = random_spd(d, cond=10.0, rng=RngStream(seed))
     oracle = make_quadratic(a, np.zeros(d)).make_oracle()

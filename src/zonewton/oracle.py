@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import DirectionSet, _check_count
+from .sampling import DirectionSet, _check_count, _check_real
 
 __all__ = [
     "BudgetExhaustedError",
@@ -173,7 +173,7 @@ class Oracle:
         partial results are discarded, and the raised error's ``consumed``
         attribute reports how many evaluations the batch charged.
         """
-        _check_mu(mu)
+        _check_real("mu", mu)
         x = self._check_point(x)
         if directions.dimension != self.dimension:
             raise ValueError(
@@ -216,11 +216,6 @@ def _probe_sides(values: np.ndarray, with_center: bool = True):
     first = 1 if with_center else 0
     return (values[..., :first], values[..., first::2],
             values[..., first + 1::2])
-
-
-def _check_mu(mu: float):
-    if mu <= 0 or not np.isfinite(mu):
-        raise ValueError(f"mu must be a positive finite real, got {mu}")
 
 
 def deterministic_fd_costs(d: int) -> tuple[int, int]:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .estimators import directional_curvature, estimate_gradient
 from .oracle import Objective, Oracle
-from .sampling import DirectionSet, RngStream, stiefel_sample
+from .sampling import (DirectionSet, RngStream, _check_count, _check_real,
+                       stiefel_sample)
 
 __all__ = [
     "Dataset",
@@ -147,6 +148,9 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
 def make_synthetic_dataset(n: int, d: int, rng: RngStream,
                            scale: float = 1.0) -> Dataset:
     """Gaussian features with labels from a random linear rule plus noise."""
+    _check_count("n", n)
+    _check_count("d", d)
+    _check_real("scale", scale)
     gen = rng.generator
     features = scale * gen.standard_normal((n, d))
     w_true = gen.standard_normal(d) / np.sqrt(d)
@@ -252,8 +256,8 @@ def make_cubic_box(d: int, box_radius: float) -> ProblemSpec:
     on the box the Hessian diag(2 x_i + 1) gives L1 = 1 + 2R and
     m = 1 - 2R (reported only when positive). Minimizer x* = 0.
     """
-    if box_radius <= 0:
-        raise ValueError(f"box_radius must be positive, got {box_radius}")
+    _check_count("d", d)
+    _check_real("box_radius", box_radius)
     r = float(box_radius)
 
     def batch(points):
@@ -407,10 +411,7 @@ def make_logistic(dataset: Dataset, ridge: float) -> ProblemSpec:
     minimizer is computed by a deterministic Newton solve on the closed-form
     Hessian to gradient norm <= 1e-13.
     """
-    if ridge <= 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
-    if dataset.n_samples == 0:
-        raise ValueError("dataset is empty")
+    _check_real("ridge", ridge)
     d = dataset.dimension
     fn, gradient, hessian = _logistic_parts(dataset, ridge)
     sq_norms = np.sum(dataset.features**2, axis=1)
@@ -480,8 +481,8 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
 def random_spd(d: int, cond: float, rng: RngStream) -> np.ndarray:
     """Random SPD matrix with spectrum linspace(1, cond, d) in a uniformly
     random orthonormal eigenbasis; lambda_min = 1 and lambda_max = cond."""
-    if not 1 <= cond < np.inf:
-        raise ValueError(f"cond must be finite and at least 1, got {cond}")
+    _check_count("d", d)
+    _check_real("cond", cond, 1)
     eigs = np.linspace(1.0, float(cond), d)
     q = stiefel_sample(d, d, rng).vectors.T  # columns orthonormal
     a = (q * eigs) @ q.T

@@ -14,6 +14,8 @@ rows. The Lemma 1, rate and sampling gates, and the solver under a fixed
 direction count, apply them to a block of raw normals drawn from one
 stream, and get exactly the directions that successive sampler calls on
 that stream would give; such a caller consumes its stream a block ahead.
+Every public number of the package is judged by one of the two checks
+here, ``_check_count`` for counts and ``_check_real`` for reals.
 """
 
 from __future__ import annotations
@@ -34,15 +36,28 @@ _NORM_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 
 
-def _check_count(name: str, value):
-    """Raise ``ValueError`` unless ``value`` is an integer >= 1; the check
-    of every count the package takes, numpy integers included."""
+def _check_count(name: str, value, minimum: int = 1):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= ``minimum``, numpy integers included."""
     try:
-        if operator.index(value) >= 1:
+        if operator.index(value) >= minimum:
             return
     except TypeError:
         pass
-    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value, minimum=None):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    > 0, or >= ``minimum`` when given, numpy floats included."""
+    try:
+        if (0 < value < np.inf if minimum is None
+                else minimum <= value < np.inf):
+            return
+    except (TypeError, ValueError):
+        pass
+    bound = "positive" if minimum is None else f">= {minimum}"
+    raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class RngStream:
@@ -86,9 +101,9 @@ class DirectionSet:
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"directions must be unit norm (worst deviation {worst:.3e})")
         k = self.frame_size
-        if not 1 <= k <= v.shape[1]:
-            raise ValueError(
-                f"frame_size must lie in [1, d={v.shape[1]}], got {k}")
+        _check_count("frame_size", k)
+        if k > v.shape[1]:
+            raise ValueError(f"frame_size={k} exceeds d={v.shape[1]}")
         if k > 1:
             for start in range(0, v.shape[0], k):
                 frame = v[start:start + k]

@@ -42,8 +42,8 @@ from .estimators import (
     gradient_error_bound,
     update_rate_bound,
 )
-from .oracle import BudgetExhaustedError, Oracle, _check_mu
-from .sampling import (DirectionSet, RngStream, _check_count,
+from .oracle import BudgetExhaustedError, Oracle
+from .sampling import (DirectionSet, RngStream, _check_count, _check_real,
                        _stiefel_columns, stiefel_sample)
 
 __all__ = [
@@ -102,9 +102,9 @@ RPolicy = Union[FixedDirections, AdaptiveDirections]
 class SolverConfig:
     """Solver parameters; regularity constants are optional and only enable
     the features that need them (adaptive r, the stopping criterion, the
-    rate-optimal stepsize). A constant that is given must be finite, L1 and
-    m positive and L2 non-negative: the features divide by L1 and m.
-    ``max_iterations``, like the policies' counts, is an integer >= 1."""
+    rate-optimal stepsize). Each real given is finite and positive (L2 may
+    be 0), with lambda_min <= lambda_max. ``max_iterations``, like the
+    policies' counts, is an integer >= 1."""
 
     mu: float
     r_policy: RPolicy
@@ -117,21 +117,19 @@ class SolverConfig:
     m: Optional[float] = None
 
     def __post_init__(self):
-        _check_mu(self.mu)
-        if not 0 < self.lambda_min <= self.lambda_max < math.inf:
-            raise ValueError(
-                f"need 0 < lambda_min <= lambda_max < inf, got "
-                f"[{self.lambda_min}, {self.lambda_max}]")
+        _check_real("mu", self.mu)
+        _check_real("lambda_min", self.lambda_min)
+        _check_real("lambda_max", self.lambda_max)
+        if self.lambda_min > self.lambda_max:
+            raise ValueError(f"need lambda_min <= lambda_max, got "
+                             f"[{self.lambda_min}, {self.lambda_max}]")
         if not math.isfinite(1.0 / self.lambda_min):
             raise ValueError(
                 f"lambda_min={self.lambda_min} has no finite reciprocal")
-        for name, sign in (("alpha", "positive"), ("L1", "positive"),
-                           ("m", "positive"), ("L2", "non-negative")):
-            value = getattr(self, name)
-            if value is not None and not (0 <= value < math.inf and (
-                    value > 0 or sign == "non-negative")):
-                raise ValueError(
-                    f"{name} must be finite and {sign}, got {value}")
+        for name, minimum in (("alpha", None), ("L1", None), ("m", None),
+                              ("L2", 0)):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name), minimum)
         _check_count("max_iterations", self.max_iterations)
 
     def resolved_alpha(self) -> float:
@@ -264,8 +262,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
 
 def optimal_stepsize(lambda_min: float, L1: float) -> float:
     """Stepsize lambda_min / L1 maximizing the global contraction factor."""
-    if L1 <= 0:
-        raise ValueError(f"L1 must be positive, got {L1}")
+    _check_real("L1", L1)
     return lambda_min / L1
 
 

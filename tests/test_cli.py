@@ -143,9 +143,10 @@ def test_non_finite_alpha_is_usage_error(tmp_path, capsys, command, alpha):
 
 @pytest.mark.parametrize("command", ["run", "fedrun"])
 @pytest.mark.parametrize("flag, value, message", [
-    ("--lambda-max", "inf", "lambda_max < inf"),
-    ("--mu", "nan", "mu must be a positive finite real"),
-    ("--mu", "inf", "mu must be a positive finite real")])
+    ("--lambda-max", "inf", "lambda_max must be finite and positive, got inf"),
+    ("--mu", "nan", "mu must be finite and positive, got nan"),
+    ("--mu", "inf", "mu must be finite and positive, got inf")],
+    ids=["lambda_max-inf", "mu-nan", "mu-inf"])
 def test_non_finite_solver_parameter_is_usage_error(tmp_path, capsys, command,
                                                     flag, value, message):
     out = tmp_path / "trace.csv"
@@ -318,7 +319,7 @@ def test_verify_rate_at_d_1_is_usage_error(capsys):
     assert main(["verify-rate", "--d", "1", "--trials", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no PASS/FAIL line, no nan ratio
-    assert "error: rate_verification needs d >= 2" in captured.err
+    assert "error: d must be an integer >= 2, got 1" in captured.err
 
 
 def test_compare_sampling_at_d_1_is_usage_error(capsys):
@@ -327,7 +328,38 @@ def test_compare_sampling_at_d_1_is_usage_error(capsys):
     assert main(["compare-sampling", "--d", "1", "--trials", "30"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: sampling_comparison needs d >= 2" in captured.err
+    assert "error: d must be an integer >= 2, got 1" in captured.err
+
+
+def test_verify_linear_at_d_1_is_usage_error(capsys):
+    # a 1x1 quadratic has condition number 1 whatever --cond asks, so the
+    # gate would PASS with nothing to check
+    assert main(["verify-linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: d must be an integer >= 2, got 1" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--max-iters", "0"], "max_iterations must be an integer >= 1"),
+    (["run", "--budget", "0"], "budget must be an integer >= 1"),
+    (["run", "--d", "0"], "d must be an integer >= 1"),
+    (["run", "--mu", "-1"], "mu must be finite and positive"),
+    # unchecked, the quadratic's client noise is divided by zero clients
+    (["fedrun", "--n-clients", "0"], "n_clients must be an integer >= 1"),
+    (["fedrun", "--problem", "logistic", "--n-clients", "0"],
+     "n_clients must be an integer >= 1"),
+], ids=["max_iters", "budget", "d", "mu", "n_clients_quadratic",
+        "n_clients_logistic"])
+def test_out_of_range_run_flag_is_named_by_the_library(tmp_path, capsys,
+                                                        argv, message):
+    # the library judges every number; its message names its own parameter
+    out = tmp_path / "trace.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}, got " in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cond", ["nan", "inf"])
@@ -335,7 +367,7 @@ def test_verify_linear_non_finite_cond_is_usage_error(capsys, cond):
     assert main(["verify-linear", "--cond", cond]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: cond must be finite and at least 1, got {cond}" in (
+    assert f"error: cond must be finite and >= 1, got {cond}" in (
         captured.err)
 
 
@@ -345,6 +377,7 @@ GATES = {
     "verify-linear": experiments.linear_rate_verification,
     "verify-quadratic": experiments.quadratic_rate_verification,
     "compare-sampling": experiments.sampling_comparison,
+    "verify-stopping": experiments.stopping_criterion_check,
 }
 
 
@@ -364,6 +397,7 @@ def subcommand_flags(command):
     ("verify-linear", {"seed", "d", "cond", "mu"}),
     ("verify-quadratic", {"seed"}),
     ("compare-sampling", {"d", "r", "trials", "seed", "mu"}),
+    ("verify-stopping", {"seed"}),
 ])
 def test_gate_subcommand_flags_are_the_gate_parameters(command, flags):
     assert subcommand_flags(command) == flags

@@ -7,8 +7,10 @@ import pytest
 
 from zonewton import (
     AdaptiveDirections,
+    DirectionSet,
     FederationConfig,
     FixedDirections,
+    HessianEstimate,
     Oracle,
     RngStream,
     SolverConfig,
@@ -22,7 +24,9 @@ from zonewton import (
     iterate,
     iterations,
     make_cubic_box,
+    make_logistic,
     make_quadratic,
+    make_synthetic_dataset,
     optimal_stepsize,
     random_spd,
     run,
@@ -31,7 +35,12 @@ from zonewton import (
     zo_floor_stop,
 )
 from zonewton import solver as solver_module
-from zonewton.experiments import gradient_bound_verification, rate_verification
+from zonewton.experiments import (
+    gradient_bound_verification,
+    linear_rate_verification,
+    rate_verification,
+    sampling_comparison,
+)
 from zonewton.solver import (
     RUNNING,
     STOPPED_BUDGET,
@@ -635,7 +644,7 @@ def test_config_rejects_alpha_that_is_not_finite_and_positive(alpha):
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1e-4])
 def test_config_rejects_mu_that_is_not_finite_and_positive(mu):
-    with pytest.raises(ValueError, match="mu must be a positive finite real"):
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
         SolverConfig(mu=mu, r_policy=FixedDirections(3))
 
 
@@ -644,7 +653,8 @@ def test_config_rejects_mu_that_is_not_finite_and_positive(mu):
     (float("nan"), 1.0), (1.0, float("nan"))])
 def test_config_rejects_spectral_bounds_that_are_not_finite(lambda_min,
                                                             lambda_max):
-    with pytest.raises(ValueError, match="lambda_max < inf"):
+    name = "lambda_max" if np.isfinite(lambda_min) else "lambda_min"
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         SolverConfig(mu=1e-4, r_policy=FixedDirections(3),
                      lambda_min=lambda_min, lambda_max=lambda_max)
 
@@ -663,9 +673,9 @@ def test_config_rejects_lambda_min_without_a_finite_reciprocal(lambda_min):
     # a NaN m stopped the run at the floor with a NaN guarantee
     ({"m": float("nan"), "L2": 1.0}, "m must be finite and positive"),
     # a NaN L2 kept the floor from ever firing
-    ({"L2": float("nan"), "m": 1.0}, "L2 must be finite and non-negative"),
-    ({"L2": -1.0, "m": 1.0}, "L2 must be finite and non-negative"),
-    ({"L2": float("inf")}, "L2 must be finite and non-negative"),
+    ({"L2": float("nan"), "m": 1.0}, "L2 must be finite and >= 0"),
+    ({"L2": -1.0, "m": 1.0}, "L2 must be finite and >= 0"),
+    ({"L2": float("inf")}, "L2 must be finite and >= 0"),
     ({"L1": 0.0}, "L1 must be finite and positive"),
     ({"L1": float("inf")}, "L1 must be finite and positive"),
     # a NaN L1 failed mid-run in the adaptive direction count
@@ -723,6 +733,13 @@ _PUBLIC_COUNTS = {
     "rate_gate_trials": ("trials", lambda n: rate_verification(trials=n)),
     "lemma1_gate_points": ("n_points",
                            lambda n: gradient_bound_verification(n_points=n)),
+    # Before, these raised TypeError from numpy at 2.5.
+    "hessian_zero_d": ("d", HessianEstimate.zero),
+    "random_spd_d": ("d", lambda n: random_spd(n, 10.0, RngStream(0))),
+    "cubic_box_d": ("d", lambda n: make_cubic_box(n, 0.4)),
+    "dataset_n": ("n", lambda n: make_synthetic_dataset(n, 3, RngStream(0))),
+    "dataset_d": ("d", lambda n: make_synthetic_dataset(20, n, RngStream(0))),
+    "frame_size": ("frame_size", lambda n: DirectionSet(np.eye(3), n)),
 }
 
 
@@ -739,6 +756,75 @@ def test_public_counts_accept_numpy_integers(count):
     _, make = _PUBLIC_COUNTS[count]
     make(np.int64(3))
     make(np.int32(2))
+
+
+# The counts with a minimum above 1: the gates have nothing to measure at
+# d = 1, and the sampling gate's standard errors need 30 trials.
+@pytest.mark.parametrize("gate, name, minimum", [
+    (rate_verification, "d", 2), (sampling_comparison, "d", 2),
+    (linear_rate_verification, "d", 2), (sampling_comparison, "trials", 30)])
+def test_gate_counts_reject_values_below_their_minimum(gate, name, minimum):
+    message = f"{name} must be an integer >= {minimum}, got {minimum - 1}"
+    with pytest.raises(ValueError, match=message):
+        gate(**{name: minimum - 1})
+
+
+# Every public real, all checked by sampling._check_real: name -> (parameter,
+# minimum, call). None as minimum means the real must be > 0. Before,
+# make_cubic_box(4, nan) built a problem with L1 = nan, make_logistic(data,
+# ridge=nan) ran 100 Newton steps and raised RuntimeError,
+# make_synthetic_dataset(..., scale=nan) returned NaN features, and
+# gradient_error_bound(4, nan, 0.1) and optimal_stepsize(1, nan) returned nan.
+_PUBLIC_REALS = {
+    "probe_mu": ("mu", None, lambda v: Oracle(np.sum, 2).probe_batch(
+        np.zeros(2), DirectionSet(np.eye(2), 2), v)),
+    "config_mu": ("mu", None,
+                  lambda v: SolverConfig(mu=v, r_policy=FixedDirections(3))),
+    "config_lambda_min": ("lambda_min", None, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), lambda_min=v)),
+    "config_lambda_max": ("lambda_max", None, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), lambda_max=v)),
+    "config_alpha": ("alpha", None, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), alpha=v)),
+    "config_L1": ("L1", None, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), L1=v)),
+    "config_m": ("m", None, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), m=v)),
+    "config_L2": ("L2", 0, lambda v: SolverConfig(
+        mu=1e-4, r_policy=FixedDirections(3), L2=v)),
+    "stepsize_L1": ("L1", None, lambda v: optimal_stepsize(1.0, v)),
+    "gradient_bound_L2": ("L2", 0, lambda v: gradient_error_bound(4, v, 0.1)),
+    "gradient_bound_mu": ("mu", None,
+                          lambda v: gradient_error_bound(4, 1.0, v)),
+    "cubic_box_radius": ("box_radius", None, lambda v: make_cubic_box(4, v)),
+    "logistic_ridge": ("ridge", None, lambda v: make_logistic(
+        make_synthetic_dataset(20, 3, RngStream(0)), v)),
+    "dataset_scale": ("scale", None, lambda v: make_synthetic_dataset(
+        20, 3, RngStream(0), scale=v)),
+    "random_spd_cond": ("cond", 1, lambda v: random_spd(4, v, RngStream(0))),
+    "rate_gate_mu": ("mu", None,
+                     lambda v: rate_verification(trials=30, mu=v)),
+}
+
+# A value just outside each minimum.
+_BELOW = {None: 0.0, 0: -1e-300, 1: 0.5}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "below"])
+@pytest.mark.parametrize("real", list(_PUBLIC_REALS))
+def test_public_reals_reject_values_that_are_not_finite_or_in_range(real,
+                                                                    value):
+    name, minimum, make = _PUBLIC_REALS[real]
+    bad = _BELOW[minimum] if value == "below" else float(value)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        make(bad)
+
+
+@pytest.mark.parametrize("real", list(_PUBLIC_REALS))
+def test_public_reals_accept_numpy_floats(real):
+    _, minimum, make = _PUBLIC_REALS[real]
+    make(np.float64(2.0))
+    make(np.float32(0 if minimum == 0 else 1))
 
 
 def test_numpy_integer_counts_are_accepted():
