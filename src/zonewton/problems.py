@@ -13,6 +13,8 @@ against transcription errors without charging every construction its
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,9 +43,15 @@ __all__ = [
 
 # A logistic batch forms its (points x samples) margins in row blocks, and
 # its loss needs one scratch block of the same shape. Margins and scratch
-# together take at most this many bytes, so that a probe batch does not
-# raise the peak memory by the size of the whole margin matrix.
+# together take at most this many bytes per worker thread, so that a probe
+# batch raises the peak memory by _WORKERS times this at most, not by the
+# size of the whole margin matrix.
 _BLOCK_BYTES = 1 << 20
+
+# Threads that share the row blocks of one logistic batch, the calling
+# thread included: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass
@@ -280,19 +288,65 @@ def _block_rows(n: int) -> int:
 
 def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     """For every row p of ``points``, the sum over samples i of
-    loss(y_i a_i^T p).
+    loss(y_i a_i^T p), formed by :func:`_block_sums` in row blocks of
+    ``_block_rows(n)`` rows.
 
-    The margins are formed in row blocks of ``_block_rows(n)`` rows, and
-    ``loss(z, scratch)`` maps a block in place, given a scratch block of the
-    same shape; so a batch allocates two block buffers, within
-    ``_BLOCK_BYTES``.
+    A batch of one block runs in the calling thread. A batch of more is cut
+    at block boundaries into min(``_WORKERS``, blocks) runs of whole blocks,
+    one per thread, the calling thread among them. Each run is one
+    :func:`_block_sums` call, so its blocks are the serial batch's own and
+    every value is bit for bit the serial one; each thread has one pair of
+    block buffers (``_BLOCK_BYTES``) and writes only its own run's sums.
+    Every thread runs under the caller's numpy error state, and the first
+    exception any of them raised is re-raised once all have been joined.
     """
-    features_t, labels = dataset.features.T, dataset.labels
-    n = len(labels)
+    n = len(dataset.labels)
     rows = _block_rows(n)
     sums = np.empty(len(points))
-    shape = (min(rows, len(points)), n)
-    buffer, scratch = np.empty(shape), np.empty(shape)
+    if len(points) <= rows or _WORKERS == 1:
+        shape = (min(rows, len(points)), n)
+        _block_sums(points, dataset, loss, rows, sums, np.empty(shape),
+                    np.empty(shape))
+        return sums
+    blocks = -(-len(points) // rows)
+    workers = min(_WORKERS, blocks)
+    cuts = [rows * (blocks * k // workers) for k in range(workers + 1)]
+    # Allocated here, not in the threads: under glibc what a thread
+    # allocates stays in that thread's malloc arena, which raised the peak
+    # RSS of the five verify gates by 0.8 MB.
+    buffers = np.empty((workers, 2, rows, n))
+    # a new thread starts at numpy's default error state, not the caller's
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    errors = []
+
+    def work(k):
+        run = slice(cuts[k], cuts[k + 1])
+        try:
+            with np.errstate(**errstate):
+                _block_sums(points[run], dataset, loss, rows, sums[run],
+                            *buffers[k])
+        except BaseException as exc:  # handed to the caller, which re-raises
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sums
+
+
+def _block_sums(points: np.ndarray, dataset: Dataset, loss, rows: int,
+                sums: np.ndarray, buffer: np.ndarray, scratch: np.ndarray):
+    """:func:`_sample_sums` in one thread, into ``sums``. The margins are
+    formed in blocks of ``rows`` rows, in ``buffer``, and
+    ``loss(z, scratch)`` maps a block in place, given ``scratch`` of the
+    same shape."""
+    features_t, labels = dataset.features.T, dataset.labels
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
         z = buffer[:len(block)]
@@ -300,7 +354,6 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
         z *= labels
         loss(z, scratch[:len(block)])
         z.sum(axis=1, out=sums[start:start + len(block)])
-    return sums
 
 
 def _logistic_loss(z: np.ndarray, scratch: np.ndarray):
@@ -370,15 +423,20 @@ def _estimate_hessian_lipschitz(fn: Objective, d: int,
     third-derivative tensors the directional form attains the operator norm,
     so this is a usable (not worst-case) estimate. Logged in the returned
     value only; callers should treat it as an estimate. Each sample draws u,
-    then the offset of x; all 800 points are evaluated as one batch.
+    then the offset of x; all 800 points are evaluated as one batch, written
+    into one array, and the draws are freed before the batch runs.
     """
     radius, n_samples, h, seed = 0.5, 200, 1e-2, 20240501
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, d))
     u = draws[:, 0]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     x = center + radius * draws[:, 1] / np.sqrt(d)
-    values = fn.batch(np.concatenate(
-        [x + 2 * h * u, x + h * u, x - h * u, x - 2 * h * u]))
+    points = np.empty((4, n_samples, d))
+    for row, step in zip(points, (2 * h, h, -h, -2 * h)):
+        np.multiply(u, step, out=row)
+        row += x
+    del draws, u, x
+    values = fn.batch(points.reshape(4 * n_samples, d))
     f2, f1, m1, m2 = values.reshape(4, n_samples)
     third = (f2 - 2 * f1 + 2 * m1 - m2) / (2 * h**3)
     return 1.5 * float(np.max(np.abs(third)))

@@ -68,6 +68,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
+        _check_count("seed", seed, 0)
         self.seed = int(seed)
         self._generator = np.random.default_rng(self.seed)
 

@@ -273,6 +273,10 @@ def contraction_gamma(alpha: float, m: float, L1: float,
     gamma = (2 m alpha / lambda_max) * (1 - L1 alpha / (2 lambda_min));
     at alpha = lambda_min / L1 this equals m lambda_min / (L1 lambda_max).
     """
+    for name, value in (("alpha", alpha), ("m", m), ("L1", L1),
+                        ("lambda_min", lambda_min),
+                        ("lambda_max", lambda_max)):
+        _check_real(name, value)
     return (2.0 * m * alpha / lambda_max) * (1.0 - L1 * alpha / (2.0 * lambda_min))
 
 
@@ -285,6 +289,7 @@ def zo_floor_stop(g_norm: float, d: int, L2: float, mu: float,
     the minimizer; returns that guarantee (signal to stop) or None.
     """
     threshold = gradient_error_bound(d, L2, mu)
+    _check_real("m", m)
     if g_norm <= threshold:
         return d * L2 * mu * mu / (3.0 * m)
     return None
@@ -299,10 +304,14 @@ def adaptive_direction_count(g_norm: float, d: int, L1: float, L2: float,
     Starting from a Hessian-error proxy rho, the expected squared error
     contracts by eta per update, so s = ceil(log(eps^2 / rho^2) / log(eta))
     extra updates (beyond the d gradient directions) are prescribed; the
-    result is clamped to [d, r_max].
+    result is clamped to [d, r_max]. eta must lie in (0, 1).
     """
     if r_max < d:
         raise ValueError(f"r_max must be at least d, got r_max={r_max} < d={d}")
+    _check_real("L1", L1)
+    _check_real("eta", eta)
+    if eta >= 1:
+        raise ValueError(f"eta must be below 1, got {eta!r}")
     epsilon = (g_norm - gradient_error_bound(d, L2, mu)) / L1
     if epsilon <= 0:
         # Caller should have stopped already; be conservative.

@@ -340,6 +340,16 @@ def test_verify_linear_at_d_1_is_usage_error(capsys):
     assert "error: d must be an integer >= 2, got 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["verify-stopping", "--seed", "-1"],
+                                  ["verify-rate", "--seed", "-1"]])
+def test_negative_seed_is_named_usage_error(capsys, argv):
+    # before, numpy's "expected non-negative integer" named no parameter
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be an integer >= 0, got -1" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--max-iters", "0"], "max_iterations must be an integer >= 1"),
     (["run", "--budget", "0"], "budget must be an integer >= 1"),

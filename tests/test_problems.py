@@ -6,6 +6,7 @@ import decimal
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -362,7 +363,9 @@ def test_file_dataset_minimizer_writes_no_file(tmp_path):
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     """The package runs with scipy blocked: importing any scipy module from
     it raises, so a logistic run and the quadratic gate exiting 0 show that
-    neither scipy.optimize nor any other part of scipy is needed."""
+    neither scipy.optimize nor any other part of scipy is needed. The
+    threads of a logistic batch need no ``concurrent.futures`` either,
+    whose import alone costs milliseconds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(zonewton.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -371,6 +374,7 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['concurrent'] = None\n"
         "from zonewton import cli\n"
         "assert cli.main(['run', '--problem', 'logistic', '--d', '5',\n"
         f"                 '--max-iters', '3', '--out', {str(out)!r}]) == 0\n"
@@ -537,6 +541,107 @@ def test_logistic_objective_weights_the_sample_sum():
     expected = 0.7 * np.sum(np.logaddexp(0.0, -z)) + 0.5 * 0.2 * float(x @ x)
     assert logistic_objective(data_set, 0.2, 0.7)(x) == pytest.approx(
         expected, rel=1e-14)
+
+
+# Three blocks of 8 rows and a short tail of 5.
+_FOUR_BLOCKS = 29
+
+
+def _block_dataset_and_points(seed):
+    d = 4
+    data_set = make_synthetic_dataset(_EIGHT_ROW_SAMPLES, d, RngStream(seed))
+    points = np.random.default_rng(seed).standard_normal((_FOUR_BLOCKS, d))
+    return data_set, points
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_batch_values_do_not_depend_on_the_worker_count(monkeypatch, seed):
+    data_set, points = _block_dataset_and_points(seed)
+    points[3] = np.nan
+    points[20, 1] = np.inf
+    fns = {"logistic": logistic_objective(data_set, 0.1, 0.5),
+           "gap": logistic_gap_objective(data_set, 0.1, points[0])}
+    for name, fn in fns.items():
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(problems_module, "_WORKERS", workers)
+            values.append(fn.batch(points))
+        assert np.isnan(values[0][3]) and values[0][20] == np.inf, name
+        for other in values[1:]:
+            assert np.array_equal(values[0], other, equal_nan=True), name
+
+
+def test_many_workers_with_frequent_switches_keep_every_value(monkeypatch):
+    # more workers than CPUs, switching threads as often as possible: a
+    # worker that wrote outside its own blocks would change some sum
+    data_set, _ = _block_dataset_and_points(25)
+    points = np.random.default_rng(25).standard_normal((97, 4))
+    fn = logistic_objective(data_set, 0.1, 0.5)
+    monkeypatch.setattr(problems_module, "_WORKERS", 1)
+    expected = fn.batch(points)
+    monkeypatch.setattr(problems_module, "_WORKERS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(fn.batch(points), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _ThirdBlockError(Exception):
+    pass
+
+
+def _loss_raising_on_zero_margins(z, scratch):
+    if not z.any():
+        raise _ThirdBlockError
+    problems_module._logistic_loss(z, scratch)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_exception_reaches_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+    data_set, points = _block_dataset_and_points(22)
+    points[16:24] = 0.0  # the third block, a worker's with 2 or 3 workers
+    before = threading.active_count()
+    with pytest.raises(_ThirdBlockError):
+        problems_module._sample_sums(points, data_set,
+                                     _loss_raising_on_zero_margins)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_workers_keep_the_caller_error_state(monkeypatch, workers):
+    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+    data_set, points = _block_dataset_and_points(23)
+    points[16:24] = 1e308  # the margins of the third block overflow
+    loss = problems_module._logistic_loss
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        problems_module._sample_sums(points, data_set, loss)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = problems_module._sample_sums(points, data_set, loss)
+    assert np.isinf(sums[16:24]).all()
+    assert np.isfinite(np.delete(sums, np.s_[16:24])).all()
+
+
+def test_only_a_batch_of_several_blocks_starts_threads(monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(problems_module.threading, "Thread", CountingThread)
+    monkeypatch.setattr(problems_module, "_WORKERS", 2)
+    data_set, points = _block_dataset_and_points(24)
+    fn = logistic_objective(data_set, 0.1, 0.5)
+    fn.batch(points[:8])
+    assert started == []
+    fn.batch(points)
+    assert len(started) == 1
 
 
 _margins = st.one_of(

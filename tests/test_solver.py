@@ -804,6 +804,28 @@ _PUBLIC_REALS = {
     "random_spd_cond": ("cond", 1, lambda v: random_spd(4, v, RngStream(0))),
     "rate_gate_mu": ("mu", None,
                      lambda v: rate_verification(trials=30, mu=v)),
+    # Before, contraction_gamma(nan, 1, 2, 1, 2) and
+    # zo_floor_stop(1e-9, 4, 2.0, 1e-3, nan) returned nan.
+    "gamma_alpha": ("alpha", None, lambda v: contraction_gamma(v, 1, 2, 1, 2)),
+    "gamma_m": ("m", None, lambda v: contraction_gamma(0.5, v, 2, 1, 2)),
+    "gamma_L1": ("L1", None, lambda v: contraction_gamma(0.5, 1, v, 1, 2)),
+    "gamma_lambda_min": ("lambda_min", None,
+                         lambda v: contraction_gamma(0.5, 1, 2, v, 2)),
+    "gamma_lambda_max": ("lambda_max", None,
+                         lambda v: contraction_gamma(0.5, 1, 2, 1, v)),
+    "floor_stop_L2": ("L2", 0, lambda v: zo_floor_stop(1e-9, 4, v, 1e-3, 1.0)),
+    "floor_stop_mu": ("mu", None,
+                      lambda v: zo_floor_stop(1e-9, 4, 2.0, v, 1.0)),
+    "floor_stop_m": ("m", None, lambda v: zo_floor_stop(1e-9, 4, 2.0, 1e-3, v)),
+    "direction_count_L1": ("L1", None, lambda v: adaptive_direction_count(
+        0.1, 5, v, 0.0, 1e-6, 0.9, 1.0, 50)),
+    "direction_count_L2": ("L2", 0, lambda v: adaptive_direction_count(
+        0.1, 5, 1.0, v, 1e-6, 0.9, 1.0, 50)),
+    "direction_count_mu": ("mu", None, lambda v: adaptive_direction_count(
+        0.1, 5, 1.0, 0.0, v, 0.9, 1.0, 50)),
+    # eta must also be below 1, so the call takes v / 4.
+    "direction_count_eta": ("eta", None, lambda v: adaptive_direction_count(
+        0.1, 5, 1.0, 0.0, 1e-6, v / 4, 1.0, 50)),
 }
 
 # A value just outside each minimum.
@@ -825,6 +847,29 @@ def test_public_reals_accept_numpy_floats(real):
     _, minimum, make = _PUBLIC_REALS[real]
     make(np.float64(2.0))
     make(np.float32(0 if minimum == 0 else 1))
+
+
+def test_direction_count_rejects_eta_of_one_or_more():
+    # Before, eta = 1 raised ZeroDivisionError.
+    for eta in (1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^eta must be below 1, got {eta}"):
+            adaptive_direction_count(0.1, 5, 1.0, 0.0, 1e-6, eta, 1.0, 50)
+
+
+# Before, RngStream(2.5) drew seed 2's stream and RngStream(-1) raised
+# numpy's "expected non-negative integer".
+@pytest.mark.parametrize("seed", [-1, 2.5, "0", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError,
+                       match=f"^seed must be an integer >= 0, got {seed!r}"):
+        RngStream(seed)
+
+
+def test_seed_accepts_zero_and_numpy_integers():
+    first = RngStream(2).generator.standard_normal()
+    assert RngStream(np.int64(2)).generator.standard_normal() == first
+    assert RngStream(np.uint32(2)).seed == 2
+    RngStream(0)
 
 
 def test_numpy_integer_counts_are_accepted():
