@@ -102,12 +102,14 @@ def _check_clients(clients) -> list:
 
 
 def _aggregate(values_per_client) -> np.ndarray:
-    """Sequential mean in client order; summation order is part of the
-    protocol, so no pairwise reduction."""
+    """Sequential mean in client order, folded into one accumulator in
+    place; summation order is part of the protocol, so no pairwise
+    reduction."""
     acc = np.zeros_like(values_per_client[0], dtype=float)
     for value in values_per_client:
-        acc = acc + value
-    return acc / len(values_per_client)
+        acc += value
+    acc /= len(values_per_client)
+    return acc
 
 
 class FederatedObjective(Oracle):

@@ -288,26 +288,27 @@ def _block_rows(n: int) -> int:
 
 def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     """For every row p of ``points``, the sum over samples i of
-    loss(y_i a_i^T p), formed by :func:`_block_sums` in row blocks of
-    ``_block_rows(n)`` rows.
+    loss(y_i a_i^T p), formed in row blocks of ``_block_rows(n)`` rows.
 
-    A batch of one block runs in the calling thread. A batch of more is cut
-    at block boundaries into min(``_WORKERS``, blocks) runs of whole blocks,
-    one per thread, the calling thread among them. Each run is one
-    :func:`_block_sums` call, so its blocks are the serial batch's own and
-    every value is bit for bit the serial one; each thread has one pair of
-    block buffers (``_BLOCK_BYTES``) and writes only its own run's sums.
-    Every thread runs under the caller's numpy error state, and the first
-    exception any of them raised is re-raised once all have been joined.
+    A batch of one block (every ``fedsim`` client batch) forms its margins,
+    labels, loss and row sums directly, with no block loop and nothing
+    allocated ahead. A batch of more is cut at block boundaries into
+    min(``_WORKERS``, blocks) runs of whole blocks, one per thread, the
+    calling thread among them. Each run is one :func:`_block_sums` call, so
+    its blocks are the serial batch's own and every value is bit for bit the
+    serial one; each thread has one pair of block buffers (``_BLOCK_BYTES``)
+    and writes only its own run's sums. Every thread runs under the caller's
+    numpy error state, and the first exception any of them raised is
+    re-raised once all have been joined.
     """
     n = len(dataset.labels)
     rows = _block_rows(n)
+    if len(points) <= rows:
+        z = points @ dataset.features.T
+        z *= dataset.labels
+        loss(z, np.empty_like(z))
+        return z.sum(axis=1)
     sums = np.empty(len(points))
-    if len(points) <= rows or _WORKERS == 1:
-        shape = (min(rows, len(points)), n)
-        _block_sums(points, dataset, loss, rows, sums, np.empty(shape),
-                    np.empty(shape))
-        return sums
     blocks = -(-len(points) // rows)
     workers = min(_WORKERS, blocks)
     cuts = [rows * (blocks * k // workers) for k in range(workers + 1)]
@@ -357,18 +358,21 @@ def _block_sums(points: np.ndarray, dataset: Dataset, loss, rows: int,
 
 
 def _logistic_loss(z: np.ndarray, scratch: np.ndarray):
-    """log(1 + exp(-z)), in place, as max(-z, 0) + log1p(exp(-|z|)).
+    """log(1 + exp(-z)), in place, as log1p(exp(-|z|)) + max(-z, 0).
 
     The stable softplus form that ``np.logaddexp(0, -z)`` evaluates one
-    element at a time, here as whole-array ufunc calls. ``np.maximum``
-    propagates NaN, so a NaN margin gives a NaN loss.
+    element at a time, here as six whole-array passes: -z into ``scratch``,
+    min(-z, z) = -|z| into z, max(-z, 0) in ``scratch``, then exp, log1p
+    and the sum in z. ``np.minimum`` and ``np.maximum`` propagate NaN, so a
+    NaN margin gives a NaN loss. Every other value has the bits of the
+    seven-pass max(-z, 0) + log1p(exp(-|z|)); a NaN's sign bit, which numpy
+    leaves unspecified, can differ.
     """
-    np.abs(z, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)
-    np.log1p(scratch, out=scratch)
-    np.negative(z, out=z)
-    np.maximum(z, 0.0, out=z)
+    np.negative(z, out=scratch)
+    np.minimum(scratch, z, out=z)
+    np.maximum(scratch, 0.0, out=scratch)
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
     z += scratch
 
 

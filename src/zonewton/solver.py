@@ -13,8 +13,9 @@ otherwise it comes from an eigendecomposition. The center value f(x) is
 shared between the two probe phases, so one iteration costs exactly
 2 r_k + 1 evaluations. A probe batch that holds a non-finite value or
 second difference, or whose probe steps are lost to rounding at x, ends the
-run as stopped_numerical, and so does a step whose direction, new iterate
-or length is not finite.
+run as stopped_numerical, and so does a gradient norm or Hessian estimate
+that overflows, or a step whose direction, new iterate or length is not
+finite.
 
 Under a fixed policy the directions are drawn a block of iterations ahead:
 one normal draw of up to 64 KiB, capped by the iterations the run has left,
@@ -304,8 +305,12 @@ def adaptive_direction_count(g_norm: float, d: int, L1: float, L2: float,
     Starting from a Hessian-error proxy rho, the expected squared error
     contracts by eta per update, so s = ceil(log(eps^2 / rho^2) / log(eta))
     extra updates (beyond the d gradient directions) are prescribed; the
-    result is clamped to [d, r_max]. eta must lie in (0, 1).
+    result is clamped to [d, r_max]. eta must lie in (0, 1); g_norm and
+    error_proxy may be infinite but not NaN.
     """
+    for name, value in (("g_norm", g_norm), ("error_proxy", error_proxy)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN, got {value!r}")
     if r_max < d:
         raise ValueError(f"r_max must be at least d, got r_max={r_max} < d={d}")
     _check_real("L1", L1)
@@ -362,8 +367,8 @@ def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
 
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
                     r_used: int):
-    """Stopped state and trace record for a failed probe batch or step; the
-    Hessian estimate is left as it was and the record keeps the offending
+    """Stopped state and trace record for a failed probe batch, gradient,
+    Hessian update or step; the Hessian estimate is left as it was and the record keeps the offending
     point."""
     x = state.x
     new_state = SolverState(
@@ -406,8 +411,11 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     :class:`BudgetExhaustedError`; :func:`iterations` catches it and marks
     the run stopped_budget. A probe batch that fails
     :func:`_probe_failed` stops the run as stopped_numerical before any
-    Hessian update, and a step whose direction, new iterate or length is
-    not finite stops it as stopped_numerical at this iteration, with x kept.
+    Hessian update. A gradient norm that is not finite, or a Hessian update
+    that leaves the estimate not finite, stops it before the floor test, the
+    adaptive count and the step; so does a step whose direction, new
+    iterate or length is not finite. Each stops it as stopped_numerical at
+    this iteration, with x and the state's estimate kept.
     A direction policy that does not fit the oracle (a fixed r below d, an
     adaptive r_max below d or no L1), or a state carrying directions drawn
     for another (d, r) or policy, raises ``ValueError`` before any
@@ -446,11 +454,16 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     if _probe_failed(x, curvatures, config.mu):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, d)
-    g = estimate_gradient(probe)
-    g_norm = float(np.linalg.norm(g))
-
+    # An overflow in the gradient, its norm or the update shows as a
+    # non-finite norm or estimate, which ends the run here.
     hess = state.hessian.copy()
-    residuals = hess.apply_probe(frame, curvatures)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = estimate_gradient(probe)
+        g_norm = float(np.linalg.norm(g))
+        residuals = hess.apply_probe(frame, curvatures)
+    if not (math.isfinite(g_norm) and np.isfinite(hess.matrix).all()):
+        return _numerical_stop(state, oracle.eval_count,
+                               probe.center_value, d)
 
     # (ii) zeroth-order floor check, when the constants are known.
     if config.L2 is not None and config.m is not None:
@@ -471,7 +484,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     if fixed:
         r_k = policy.r
     else:
-        rho = math.sqrt(float(np.mean(residuals ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = math.sqrt(float(np.mean(residuals ** 2)))
         proxy = rho * math.sqrt(d * (d + 2) / 2.0)
         r_k = adaptive_direction_count(
             g_norm, d, config.L1, config.L2 if config.L2 is not None else 0.0,
@@ -484,11 +498,15 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         if _probe_failed(x, curvatures, config.mu):
             return _numerical_stop(state, oracle.eval_count,
                                    probe.center_value, r_k)
-        hess.apply_probe(extra, curvatures)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hess.apply_probe(extra, curvatures)
+        if not np.isfinite(hess.matrix).all():
+            return _numerical_stop(state, oracle.eval_count,
+                                   probe.center_value, r_k)
 
     # (iv) clip, invert, step; SolverConfig has checked the bounds, and the
-    # probe checks let only finite curvatures into the estimate. An
-    # overflow anywhere in the step shows as a non-finite result.
+    # checks above let only a finite estimate through. An overflow anywhere
+    # in the step shows as a non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
         direction, clipped = _newton_direction(
             hess.matrix, g, config.lambda_min, config.lambda_max)

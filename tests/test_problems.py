@@ -543,6 +543,16 @@ def test_logistic_objective_weights_the_sample_sum():
         expected, rel=1e-14)
 
 
+def _same_bits(a, b):
+    """NaN at the same places and the same bits elsewhere, the signs of
+    zeros included. A NaN's sign bit is left out: numpy does not specify
+    it, and its SIMD and scalar loops set it differently."""
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.uint64),
+                                   b[~nan].view(np.uint64)))
+
+
 # Three blocks of 8 rows and a short tail of 5.
 _FOUR_BLOCKS = 29
 
@@ -626,6 +636,24 @@ def test_workers_keep_the_caller_error_state(monkeypatch, workers):
     assert np.isfinite(np.delete(sums, np.s_[16:24])).all()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_one_block_batch_matches_its_rows_in_a_batch_of_several(
+        monkeypatch, workers):
+    # a batch of one block takes its own path, with no block loop
+    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+    data_set, points = _block_dataset_and_points(26)
+    points[3] = np.nan
+    points[20, 1] = np.inf
+    fns = {"logistic": logistic_objective(data_set, 0.1, 0.5),
+           "gap": logistic_gap_objective(data_set, 0.1, points[0])}
+    for name, fn in fns.items():
+        whole = fn.batch(points)
+        for start in range(0, _FOUR_BLOCKS, 8):
+            rows = slice(start, start + 8)
+            assert _same_bits(fn.batch(points[rows]), whole[rows]), (name,
+                                                                     start)
+
+
 def test_only_a_batch_of_several_blocks_starts_threads(monkeypatch):
     started = []
 
@@ -647,8 +675,20 @@ def test_only_a_batch_of_several_blocks_starts_threads(monkeypatch):
 _margins = st.one_of(
     st.floats(1e-3, 800.0),
     st.floats(-800.0, -1e-3),
-    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
 )
+
+
+def _seven_pass_logistic_loss(z):
+    """The reference: max(-z, 0) + log1p(exp(-|z|)) in seven passes."""
+    scratch = np.abs(z)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    out = np.negative(z)
+    np.maximum(out, 0.0, out=out)
+    out += scratch
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,6 +697,7 @@ def test_logistic_loss_matches_logaddexp(values):
     z = np.array(values)[None, :]
     out = z.copy()
     problems_module._logistic_loss(out, np.empty_like(out))
+    assert _same_bits(out, _seven_pass_logistic_loss(z))
     with np.errstate(invalid="ignore"):
         ref = np.logaddexp(0.0, -z)
     normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)

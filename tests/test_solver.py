@@ -11,6 +11,7 @@ from zonewton import (
     FederationConfig,
     FixedDirections,
     HessianEstimate,
+    Objective,
     Oracle,
     RngStream,
     SolverConfig,
@@ -621,6 +622,80 @@ def test_an_overflowing_step_stops_numerical_at_its_iteration():
     np.testing.assert_array_equal(trace.records[0].x, np.zeros(d))
     np.testing.assert_array_equal(trace.x_final, np.zeros(d))
     assert oracle.eval_count == 2 * d + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("policy", [FixedDirections(3),
+                                    AdaptiveDirections(r_max=9)])
+def test_an_overflowing_gradient_norm_stops_numerical(policy):
+    # Before, np.linalg.norm(g) raised "overflow encountered in dot" here.
+    # Values and curvatures near 1e308 are finite; the gradient's squared
+    # norm is not.
+    d = 3
+    oracle = Oracle(Objective(lambda p: 0.5e308 * np.sum(p * p, axis=1)), d)
+    config = SolverConfig(mu=1e-3, r_policy=policy, L1=1.0,
+                          max_iterations=5)
+    trace = run(1e-3 * np.ones(d), oracle, config, RngStream(15))
+    assert trace.status == STOPPED_NUMERICAL
+    assert len(trace.records) == 1
+    assert trace.records[0].r_used == d
+    np.testing.assert_array_equal(trace.x_final, 1e-3 * np.ones(d))
+    assert oracle.eval_count == 2 * d + 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_estimate_left_not_finite_stops_numerical_before_the_count():
+    # Before, the adaptive count raised "cannot convert float NaN to
+    # integer" on the residuals of an infinite estimate (exit 2 at the CLI).
+    d = 3
+    inf = HessianEstimate(np.full((d, d), np.inf))
+    state = SolverState(x=np.ones(d), hessian=inf, iteration=0)
+    oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+    config = SolverConfig(mu=1e-3, r_policy=AdaptiveDirections(r_max=9),
+                          L1=1.0, max_iterations=5)
+    new_state, record = iterate(state, oracle, config, RngStream(16))
+    assert new_state.status == STOPPED_NUMERICAL
+    assert new_state.hessian is inf
+    assert record.r_used == d
+    np.testing.assert_array_equal(new_state.x, np.ones(d))
+    assert oracle.eval_count == 2 * d + 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_extra_update_that_overflows_stops_numerical_before_the_step():
+    # Before, the second update raised "overflow encountered in add". The
+    # frame's batch sees a flat objective and the extra directions' batch a
+    # curvature of 1.6e308: finite, but not when added to its transpose.
+    d, mu = 3, 1e-3
+    calls = []
+
+    def batch(points):
+        calls.append(len(points))
+        if len(calls) == 1:
+            return np.zeros(len(points))
+        return np.full(len(points), 0.8e308 * mu * mu)
+
+    oracle = Oracle(Objective(batch), d)
+    config = SolverConfig(mu=mu, r_policy=FixedDirections(2 * d),
+                          max_iterations=5)
+    trace = run(np.zeros(d), oracle, config, RngStream(17))
+    assert trace.status == STOPPED_NUMERICAL
+    assert calls == [2 * d + 1, 2 * d]
+    assert len(trace.records) == 1
+    assert trace.records[0].r_used == 2 * d
+    np.testing.assert_array_equal(trace.x_final, np.zeros(d))
+
+
+@pytest.mark.parametrize("name", ["g_norm", "error_proxy"])
+def test_direction_count_names_a_nan_input(name):
+    # Before, either raised "cannot convert float NaN to integer".
+    args = dict(g_norm=0.1, d=5, L1=1.0, L2=0.0, mu=1e-6, eta=0.9,
+                error_proxy=1.0, r_max=50)
+    args[name] = float("nan")
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+        adaptive_direction_count(**args)
+    args[name] = float("inf")
+    assert 5 <= adaptive_direction_count(**args) <= 50
 
 
 def test_config_validation():

@@ -15,7 +15,7 @@ SHA-256 digest. The keys are
 - ``gate/<gate>/seed<k>``: the fields of one gate report, floats by hex and
   arrays by dtype, shape and bytes, or the exception the gate raised.
 
-It covers every flag set of ``RUNS`` at seeds 0-2, and all six gates at
+It covers the 18 flag sets of ``RUNS`` at seeds 0-2, and all six gates at
 gate seeds 0-39 and 1, 101, ..., 1901; ``fingerprint()`` takes a subset of
 these as keyword arguments. The second form prints each key whose digest
 differs or that only one file holds, and exits 1 if there is any. Two trees
@@ -53,6 +53,9 @@ RUNS = {
     "fedrun-default": ["fedrun"],
     "fedrun-logistic5": ["fedrun", "--problem", "logistic",
                          "--n-clients", "5"],
+    # the benchmark's client shape: 50 one-block client batches per round
+    "fedrun-logistic50": ["fedrun", "--problem", "logistic",
+                          "--n-clients", "50"],
     "fedrun-r25": ["fedrun", "--r", "25"],
     # budget stops before the first record
     "run-budget5": ["run", "--budget", "5"],
