@@ -38,8 +38,8 @@ import numpy as np
 
 from .estimators import (
     HessianEstimate,
+    _gradient,
     directional_curvature,
-    estimate_gradient,
     gradient_error_bound,
     update_rate_bound,
 )
@@ -250,11 +250,21 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     eigenvalue exactly on a bound is not clipped. ``h`` must be finite and
     exactly symmetric: a Cholesky factorisation of a non-finite matrix need
     not raise.
+
+    The two tested matrices are ``h.copy()`` and ``0.0 - h`` with only the
+    diagonal shifted, in place, by -lambda_min and +lambda_max: bit for bit
+    the matrices ``h - lambda_min * np.eye(d)`` and
+    ``lambda_max * np.eye(d) - h``, signed zeros included, without building
+    an identity.
     """
-    eye = np.eye(len(g))
+    d = len(g)
+    lower = h.copy()
+    lower.reshape(-1)[::d + 1] -= lambda_min
+    upper = np.subtract(0.0, h, order="C")
+    upper.reshape(-1)[::d + 1] += lambda_max
     try:
-        np.linalg.cholesky(h - lambda_min * eye)
-        np.linalg.cholesky(lambda_max * eye - h)
+        np.linalg.cholesky(lower)
+        np.linalg.cholesky(upper)
     except np.linalg.LinAlgError:
         z, clipped = _clip_inverse(h, lambda_min, lambda_max)
         return z @ g, clipped
@@ -348,6 +358,10 @@ def _validate_run_inputs(oracle: Oracle, config: SolverConfig):
         raise TypeError(f"unknown r policy {policy!r}")
 
 
+# The rounding unit of a float64.
+_EPS = float(np.finfo(float).eps)
+
+
 def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
     """True when a probe batch, with second differences ``curvatures`` at
     step ``mu``, cannot carry information about f.
@@ -359,10 +373,12 @@ def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
     second, the probe points x +/- mu*u are lost to rounding (a point equal
     to x implies eps * ||x|| > 2 mu), and a gradient estimate of exactly 0
     would pass the floor test.
+    ||x|| is ``math.sqrt(x.dot(x))``, the formula ``np.linalg.norm`` runs
+    for a real vector.
     """
     # Written so that a non-finite x fails too.
     return not (np.isfinite(curvatures).all()
-                and np.finfo(float).eps * np.linalg.norm(x) < mu)
+                and _EPS * math.sqrt(x.dot(x)) < mu)
 
 
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
@@ -396,11 +412,13 @@ def _fixed_directions(state: SolverState, d: int, r: int,
                                                  d * r))
         block = (_stiefel_columns(normals[:, :d * d], d),
                  _stiefel_columns(normals[:, d * d:], d) if r > d else None)
-    frame, extra = (None if a is None
-                    else DirectionSet._owned(a[0].T, frame_size=d)
-                    for a in block)
-    rest = tuple(None if a is None else a[1:] for a in block)
-    return frame, extra, rest if len(block[0]) > 1 else None
+    frames, extras = block
+    frame = DirectionSet._owned(frames[0].T, frame_size=d)
+    extra = (None if extras is None
+             else DirectionSet._owned(extras[0].T, frame_size=d))
+    if len(frames) == 1:
+        return frame, extra, None
+    return frame, extra, (frames[1:], None if extras is None else extras[1:])
 
 
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
@@ -434,8 +452,9 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     policy = config.r_policy
     fixed = isinstance(policy, FixedDirections)
     if state._block is not None:
-        drawn = (state._block[0].shape[-1],
-                 sum(a.shape[-1] for a in state._block if a is not None))
+        frames, extras = state._block
+        drawn = (frames.shape[-1], frames.shape[-1]
+                 + (0 if extras is None else extras.shape[-1]))
         if not fixed or drawn != (d, policy.r):
             raise ValueError(
                 f"the state carries directions drawn for (d, r) = {drawn}, "
@@ -455,11 +474,13 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, d)
     # An overflow in the gradient, its norm or the update shows as a
-    # non-finite norm or estimate, which ends the run here.
+    # non-finite norm or estimate, which ends the run here. The frame is one
+    # full orthonormal basis, so the gradient skips estimate_gradient's check.
     hess = state.hessian.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        g = estimate_gradient(probe)
-        g_norm = float(np.linalg.norm(g))
+        g = _gradient(probe.plus_values, probe.minus_values, probe.mu,
+                      frame.vectors)
+        g_norm = math.sqrt(g.dot(g))
         residuals = hess.apply_probe(frame, curvatures)
     if not (math.isfinite(g_norm) and np.isfinite(hess.matrix).all()):
         return _numerical_stop(state, oracle.eval_count,
@@ -511,7 +532,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         direction, clipped = _newton_direction(
             hess.matrix, g, config.lambda_min, config.lambda_max)
         x_new = x - alpha * direction
-        step_norm = float(np.linalg.norm(x_new - x))
+        step = x_new - x
+        step_norm = math.sqrt(step.dot(step))
     if not (math.isfinite(step_norm) and np.isfinite(x_new).all()):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, r_k)

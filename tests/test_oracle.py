@@ -10,6 +10,7 @@ from zonewton import (
     BudgetExhaustedError,
     Objective,
     Oracle,
+    ProbeResult,
     RngStream,
     deterministic_fd_costs,
     gaussian_sphere_sample,
@@ -255,3 +256,49 @@ def test_batch_form_gets_the_points_in_probe_order():
     steps = 0.25 * directions.vectors
     expected = [x, x + steps[0], x - steps[0], x + steps[1], x - steps[1]]
     np.testing.assert_array_equal(points, expected)
+
+
+@pytest.mark.parametrize("center", [None, 2.5])
+def test_probe_batch_result_equals_the_public_constructor(center):
+    oracle = Oracle(Objective(lambda p: np.sum(p * p, axis=1) - p[:, 0]), 3)
+    directions = stiefel_sample(3, 5, RngStream(4))
+    probe = oracle.probe_batch(np.array([0.2, -1.0, 0.7]), directions,
+                               np.float64(0.125), center=center)
+    public = ProbeResult(center_value=probe.center_value,
+                         plus_values=probe.plus_values,
+                         minus_values=probe.minus_values, mu=probe.mu,
+                         directions=probe.directions)
+    for field in ("center_value", "mu"):
+        assert type(getattr(probe, field)) is float
+        assert getattr(probe, field) == getattr(public, field)
+    for field in ("plus_values", "minus_values"):
+        got, want = getattr(probe, field), getattr(public, field)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == (5,)
+        assert np.array_equal(got, want)
+    assert probe.directions is public.directions
+    assert probe.r == public.r == 5
+
+
+def test_probe_batch_reads_integer_values_as_floats():
+    oracle = Oracle(Objective(
+        lambda p: np.rint(10 * np.sum(p, axis=1)).astype(np.int64)), 2)
+    probe = oracle.probe_batch(np.array([1.0, 2.0]),
+                               stiefel_sample(2, 2, RngStream(1)), 0.5)
+    assert type(probe.center_value) is float and probe.center_value == 30.0
+    for values in (probe.plus_values, probe.minus_values):
+        assert values.dtype == np.float64
+        assert np.array_equal(values, np.rint(values))
+
+
+@pytest.mark.parametrize("bad, shape", [
+    (lambda p: np.zeros(len(p) - 1), r"\(6,\)"),
+    (lambda p: np.zeros((len(p), 1)), r"\(7, 1\)"),
+], ids=["one-value-too-few", "2-D"])
+def test_probe_batch_rejects_values_of_the_wrong_shape(bad, shape):
+    oracle = Oracle(Objective(bad), 4)
+    directions = stiefel_sample(4, 3, RngStream(2))
+    with pytest.raises(ValueError, match=rf"shape {shape} for points of "
+                       r"shape \(7, 4\); expected \(7,\)"):
+        oracle.probe_batch(np.zeros(4), directions, 0.1)
+    assert oracle.eval_count == 7

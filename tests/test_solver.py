@@ -1,6 +1,7 @@
 """Solver building blocks and the composed iteration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ class TestEigenvalueClip:
         assert _clip_inverse(np.eye(2), 0.5, 2.0)[1] is False
 
 
+def test_dot_product_norm_is_numpy_norm_bit_for_bit():
+    # the solver's 1-D norms are math.sqrt(v.dot(v)), the formula
+    # np.linalg.norm runs for a real vector; scales above about 1e154
+    # overflow the dot product to inf
+    gen = np.random.default_rng(0)
+    vectors = [scale * gen.standard_normal(d)
+               for scale in 10.0 ** np.arange(-300, 201, 25)
+               for d in (1, 2, 10, 100, 200)]
+    vectors += [np.array(v) for v in ([np.inf, 1.0], [-np.inf], [np.nan, 2.0],
+                                      [1.0, np.inf, np.nan], [0.0, -0.0],
+                                      [0.0] * 7)]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for v in vectors:
+            got, want = math.sqrt(v.dot(v)), float(np.linalg.norm(v))
+            assert np.float64(got).view(np.int64) == \
+                np.float64(want).view(np.int64), v
+    big = np.full(3, 1e200)
+    for norm in (lambda v: math.sqrt(v.dot(v)), np.linalg.norm):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert norm(big) == np.inf
+
+
 def _symmetric_with_spectrum(w, gen):
     """Q diag(w) Q^T for a random orthogonal Q, exactly symmetric."""
     q, _ = np.linalg.qr(gen.standard_normal((len(w), len(w))))
@@ -134,6 +157,34 @@ class TestNewtonDirection:
         assert clipped is False
         assert np.array_equal(
             direction, _clip_inverse(h, self.LO, self.HI)[0] @ g)
+
+    @pytest.mark.parametrize("d", [1, 10, 200])
+    def test_cholesky_tests_take_the_identity_forms_bit_for_bit(
+            self, d, monkeypatch):
+        # off the diagonal: +0.0, -0.0 and small values, mirrored exactly
+        gen = np.random.default_rng(d)
+        h = gen.choice([0.0, -0.0, 1e-3 / d], (d, d)) * gen.choice(
+            [1.0, -1.0], (d, d))
+        h[np.diag_indices(d)] = gen.uniform(self.LO + 1.0, self.HI - 1.0, d)
+        upper = np.triu_indices(d, 1)
+        h[upper[::-1]] = h[upper]
+        if d > 1:
+            assert np.signbit(h[upper][h[upper] == 0.0]).any()
+        tested = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            tested.append(a.copy())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        _newton_direction(h, gen.standard_normal(d), self.LO, self.HI)
+        lower, upper = tested
+        eye = np.eye(d)
+        assert np.array_equal(lower.view(np.int64),
+                              (h - self.LO * eye).view(np.int64))
+        assert np.array_equal(upper.view(np.int64),
+                              (self.HI * eye - h).view(np.int64))
 
     def test_clip_flag_matches_the_eigenvalues_along_a_run(self, monkeypatch):
         # the linear-rate gate's setting (d = 10, cond 100, gate seed 1):

@@ -15,7 +15,7 @@ SHA-256 digest. The keys are
 - ``gate/<gate>/seed<k>``: the fields of one gate report, floats by hex and
   arrays by dtype, shape and bytes, or the exception the gate raised.
 
-It covers the 18 flag sets of ``RUNS`` at seeds 0-2, and all six gates at
+It covers the 19 flag sets of ``RUNS`` at seeds 0-2, and all six gates at
 gate seeds 0-39 and 1, 101, ..., 1901; ``fingerprint()`` takes a subset of
 these as keyword arguments. The second form prints each key whose digest
 differs or that only one file holds, and exits 1 if there is any. Two trees
@@ -46,6 +46,9 @@ RUNS = {
     "run-d7-r17": ["run", "--d", "7", "--r", "17"],
     "run-d1": ["run", "--d", "1"],
     "run-d100": ["run", "--d", "100"],
+    # every step clips: the eigendecomposition path at d = 100
+    "run-d100-clipped": ["run", "--d", "100", "--lambda-max", "50",
+                         "--max-iters", "20"],
     "run-adaptive": ["run", "--r-policy", "adaptive"],
     "run-budget300": ["run", "--r", "12", "--budget", "300"],
     "run-logistic": ["run", "--problem", "logistic"],
