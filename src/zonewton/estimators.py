@@ -108,15 +108,13 @@ class HessianEstimate:
         every residual of a frame can be taken from the H the frame starts
         from, and its updates are one block H + V^T diag(residuals) V, with
         the frame's directions as the rows of V. The frames are applied in
-        order, a set of one frame in a single block. A set with
-        ``frame_size`` 1 is applied one :meth:`update` at a time.
+        order. A set with ``frame_size`` 1 is applied one :meth:`update` at
+        a time.
         """
         v = directions.vectors
         k = directions.frame_size
         if k == 1:
             return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
-        if len(v) <= k:
-            return _frame_update(self.matrix, v, curvatures)
         return np.concatenate([
             _frame_update(self.matrix, v[start:start + k],
                           curvatures[start:start + k])

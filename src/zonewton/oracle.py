@@ -61,20 +61,6 @@ class ProbeResult:
         if len(self.plus_values) != self.directions.r:
             raise ValueError("probe values must match the direction count")
 
-    @classmethod
-    def _owned(cls, center_value: float, plus_values: np.ndarray,
-               minus_values: np.ndarray, mu: float,
-               directions: DirectionSet) -> "ProbeResult":
-        """A result over float arrays that the caller built with one value
-        per direction each; the checks are skipped."""
-        probe = object.__new__(cls)
-        probe.center_value = center_value
-        probe.plus_values = plus_values
-        probe.minus_values = minus_values
-        probe.mu = mu
-        probe.directions = directions
-        return probe
-
     @property
     def r(self) -> int:
         return len(self.plus_values)
@@ -187,11 +173,10 @@ class Oracle:
         partial results are discarded, and the raised error's ``consumed``
         attribute reports how many evaluations the batch charged.
 
-        The objective's output is checked once, here: it is read as a float
-        array and must hold one value per point, else ``ValueError`` names
-        its shape. The result is then built without the checks of the
-        public ``ProbeResult`` constructor, which still runs them for any
-        other caller.
+        The objective's output is checked here: it is read as a float array
+        and must hold one value per point, else ``ValueError`` names its
+        shape. The ``ProbeResult`` is then built by its public constructor,
+        whose checks the arrays pass.
         """
         _check_real("mu", mu)
         x = self._check_point(x)
@@ -206,9 +191,13 @@ class Oracle:
                 f"the objective returned values of shape {values.shape} for "
                 f"points of shape {points.shape}; expected ({len(points)},)")
         centers, plus, minus = _probe_sides(values, center is None)
-        return ProbeResult._owned(
-            float(centers[0] if center is None else center), plus, minus,
-            float(mu), directions)
+        return ProbeResult(
+            center_value=float(centers[0] if center is None else center),
+            plus_values=plus,
+            minus_values=minus,
+            mu=float(mu),
+            directions=directions,
+        )
 
 
 def _probe_points(x: np.ndarray, steps: np.ndarray,

@@ -24,25 +24,6 @@ from zonewton import (
 from zonewton.estimators import _frame_update, _rank_one
 
 
-@pytest.mark.parametrize("d, r", [(1, 1), (4, 4), (7, 3), (30, 30)])
-def test_one_frame_apply_probe_matches_the_multi_frame_path(d, r):
-    # a set of one frame takes one _frame_update call, without the list
-    # and the concatenation of the path for several frames
-    gen = np.random.default_rng(10 * d + r)
-    w = gen.standard_normal((d, d))
-    warm = w + w.T
-    c = 10.0 * gen.standard_normal(r)
-    directions = stiefel_sample(d, r, RngStream(d + r))
-    est = HessianEstimate(warm)
-    residuals = est.apply_probe(directions, c)
-    h, v = warm.copy(), directions.vectors
-    want = np.concatenate([_frame_update(h, v[start:start + d],
-                                         c[start:start + d])
-                           for start in range(0, r, d)])
-    assert np.array_equal(residuals, want)
-    assert np.array_equal(est.matrix, h)
-
-
 def quad_oracle(a):
     d = a.shape[0]
     return Oracle(lambda x: 0.5 * float(x @ a @ x), d)

@@ -1,7 +1,7 @@
 """``tools/interleave.py``: the in-process A/B timing of two source trees.
 
-It must time a tree against itself, and refuse two trees whose outputs
-differ before it times anything.
+It must time a tree against itself, refuse two trees whose outputs differ
+before it times anything, and time what ``perfbench`` times.
 """
 
 import shutil
@@ -9,10 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zonewton
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "interleave.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "interleave.py"
 SRC = Path(zonewton.__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def modules(monkeypatch):
+    """The tool and perfbench's workloads, imported without leaving
+    bytecode in either directory."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import interleave
+    import workloads
+    return interleave, workloads
 
 
 def _interleave(a, b, *args):
@@ -47,3 +62,29 @@ def test_trees_with_different_outputs_are_refused(tmp_path):
     assert proc.returncode == 1
     assert "different outputs at seed 1" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_the_gates_are_perfbenchs_verify_gates(modules, monkeypatch):
+    interleave, workloads = modules
+    calls = []
+    for function, _ in interleave.GATES.values():
+        def record(function=function, **kwargs):
+            calls.append((function, kwargs))
+            return function
+        monkeypatch.setattr(workloads.experiments, function, record)
+    out = workloads.VerifyGates(7).solve(
+        None, None, 7, lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    # every gate perfbench runs is one of the tool's, at the same arguments
+    assert out.reports == [function for function, _ in calls]
+    assert calls == [(function, dict(kwargs, seed=7))
+                     for function, kwargs in interleave.GATES.values()]
+
+
+def test_the_quadratic_solve_is_perfbenchs(modules):
+    interleave, workloads = modules
+    bench = workloads.Quadratic(0)
+    built = bench._build()
+    want = bench._solve(built, bench.reference(built), 3).records
+    got = interleave.quadratic_workload(zonewton, bench.d)(3)
+    assert len(want) > 1
+    assert interleave._pin(got) == interleave._pin(want)

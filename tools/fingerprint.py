@@ -125,6 +125,12 @@ def _run_outputs(argv, seed: int, workdir: str) -> dict:
     }
 
 
+def _encode_fields(value) -> bytes:
+    """Bytes that pin a dataclass instance field by field."""
+    return b"|".join(f.name.encode() + b"=" + _encode(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+
+
 def _gate_output(name: str, seed: int) -> str:
     from zonewton import experiments
 
@@ -134,9 +140,7 @@ def _gate_output(name: str, seed: int) -> str:
             report = getattr(experiments, GATES[name])(seed=seed)
         except Exception as exc:  # the raised error is the output
             return _digest(f"raised {type(exc).__name__}: {exc}".encode())
-    return _digest(b"|".join(
-        f.name.encode() + b"=" + _encode(getattr(report, f.name))
-        for f in dataclasses.fields(report)))
+    return _digest(_encode_fields(report))
 
 
 def _child(spec: dict) -> dict:

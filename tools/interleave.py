@@ -34,7 +34,6 @@ one interpreter: between processes, ``quadratic_d100`` moves by about
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib
 import os
@@ -45,9 +44,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from fingerprint import _encode
+from fingerprint import _encode, _encode_fields
 
 # Gate -> (function in zonewton.experiments, its arguments in verify_gates).
+# tests/test_interleave.py checks them against perfbench's VerifyGates.
 GATES = {
     "rate": ("rate_verification", dict(d=5, trials=2000, mu=1e-6)),
     "lemma1": ("gradient_bound_verification", dict(d=4, n_points=100)),
@@ -60,14 +60,9 @@ DEFAULT_SEEDS = {"gates": [1, 101, 201, 301, 401], "quadratic": [0, 1, 2, 3]}
 
 
 def _pin(value) -> bytes:
-    """Bytes that pin a report or a list of trace records exactly, field by
-    field, whichever package defined its class."""
-    if isinstance(value, list):
-        return b"[" + b";".join(map(_pin, value)) + b"]"
-    if dataclasses.is_dataclass(value):
-        return b"|".join(f.name.encode() + b"=" + _pin(getattr(value, f.name))
-                         for f in dataclasses.fields(value))
-    return _encode(value)
+    """Bytes that pin a list of reports or trace records exactly, field by
+    field, whichever package defined their class."""
+    return b"[" + b";".join(map(_encode_fields, value)) + b"]"
 
 
 def load(src, name: str, workdir: str):
@@ -93,7 +88,9 @@ def gates_workload(pkg, gates, d):
 
 def quadratic_workload(pkg, d):
     """A function of the direction seed that runs one quadratic solve, as
-    ``perfbench``'s ``Quadratic._solve`` does, and returns its records."""
+    ``perfbench``'s ``Quadratic._solve`` does, and returns its records.
+    tests/test_interleave.py checks that at d = 100 the records are those
+    of ``Quadratic(0)``."""
     import numpy as np
 
     problems = importlib.import_module(f"{pkg.__name__}.problems")
