@@ -61,6 +61,8 @@ class HessianEstimate:
         self.matrix = np.array(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {self.matrix.shape}")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("initial Hessian estimate must be finite")
         if not np.array_equal(self.matrix, self.matrix.T):
             raise ValueError("initial Hessian estimate must be symmetric")
 
@@ -92,7 +94,8 @@ class HessianEstimate:
         if u.shape != (self.dimension,):
             raise ValueError(f"direction has shape {u.shape}, expected ({self.dimension},)")
         nrm = np.linalg.norm(u)
-        if abs(nrm - 1.0) > _UNIT_TOL:
+        # written so that a NaN norm fails too
+        if not abs(nrm - 1.0) <= _UNIT_TOL:
             raise ValueError(f"direction must be unit norm, got ||u|| = {nrm!r}")
         return float(_rank_one(self.matrix, u, float(curvature)))
 

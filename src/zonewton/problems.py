@@ -13,13 +13,12 @@ against transcription errors without charging every construction its
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _helpers
 from .estimators import directional_curvature, estimate_gradient
 from .oracle import Objective, Oracle
 from .sampling import (DirectionSet, RngStream, _check_count, _check_real,
@@ -44,14 +43,9 @@ __all__ = [
 # A logistic batch forms its (points x samples) margins in row blocks, and
 # its loss needs one scratch block of the same shape. Margins and scratch
 # together take at most this many bytes per worker thread, so that a probe
-# batch raises the peak memory by _WORKERS times this at most, not by the
-# size of the whole margin matrix.
+# batch raises the peak memory by _helpers._WORKERS times this at most, not
+# by the size of the whole margin matrix.
 _BLOCK_BYTES = 1 << 20
-
-# Threads that share the row blocks of one logistic batch, the calling
-# thread included: the CPUs this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 @dataclass
@@ -293,13 +287,15 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
     A batch of one block (every ``fedsim`` client batch) forms its margins,
     labels, loss and row sums directly, with no block loop and nothing
     allocated ahead. A batch of more is cut at block boundaries into
-    min(``_WORKERS``, blocks) runs of whole blocks, one per thread, the
-    calling thread among them. Each run is one :func:`_block_sums` call, so
-    its blocks are the serial batch's own and every value is bit for bit the
-    serial one; each thread has one pair of block buffers (``_BLOCK_BYTES``)
-    and writes only its own run's sums. Every thread runs under the caller's
-    numpy error state, and the first exception any of them raised is
-    re-raised once all have been joined.
+    min(``_helpers._WORKERS``, blocks) runs of whole blocks: the calling
+    thread runs the first, the package's helper threads the others, and the
+    caller any run that no helper has started. Each run is one
+    :func:`_block_sums` call, so its blocks are the serial batch's own and
+    every value is bit for bit the serial one; each run allocates one pair
+    of block buffers (``_BLOCK_BYTES``) in the thread that runs it and
+    writes only its own sums. Every run goes under the caller's numpy error
+    state, and the first exception a run raised, in run order, is re-raised
+    once all runs are done.
     """
     n = len(dataset.labels)
     rows = _block_rows(n)
@@ -310,34 +306,23 @@ def _sample_sums(points: np.ndarray, dataset: Dataset, loss) -> np.ndarray:
         return z.sum(axis=1)
     sums = np.empty(len(points))
     blocks = -(-len(points) // rows)
-    workers = min(_WORKERS, blocks)
+    workers = min(_helpers._WORKERS, blocks)
     cuts = [rows * (blocks * k // workers) for k in range(workers + 1)]
-    # Allocated here, not in the threads: under glibc what a thread
-    # allocates stays in that thread's malloc arena, which raised the peak
-    # RSS of the five verify gates by 0.8 MB.
-    buffers = np.empty((workers, 2, rows, n))
-    # a new thread starts at numpy's default error state, not the caller's
+    # a helper runs at numpy's default error state, not the caller's
     errstate = dict(np.geterr(), call=np.geterrcall())
-    errors = []
 
     def work(k):
         run = slice(cuts[k], cuts[k + 1])
-        try:
-            with np.errstate(**errstate):
-                _block_sums(points[run], dataset, loss, rows, sums[run],
-                            *buffers[k])
-        except BaseException as exc:  # handed to the caller, which re-raises
-            errors.append(exc)
+        # Allocated by the thread that runs the run: under glibc what a
+        # thread frees stays in its own malloc arena, and a helper's arena
+        # already keeps the room of the solver's direction draws. Allocated
+        # by the caller, the buffers left logistic_d200's peak RSS 1.5 MB
+        # higher.
+        with np.errstate(**errstate):
+            _block_sums(points[run], dataset, loss, rows, sums[run],
+                        *np.empty((2, rows, n)))
 
-    threads = [threading.Thread(target=work, args=(k,))
-               for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _helpers.run_all([_helpers.Task(work, k) for k in range(workers)])
     return sums
 
 

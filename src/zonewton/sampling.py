@@ -98,7 +98,8 @@ class DirectionSet:
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("vectors must be a non-empty (r, d) array")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+        # Both tests are written so that NaN fails them.
+        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"directions must be unit norm (worst deviation {worst:.3e})")
         k = self.frame_size
@@ -109,7 +110,7 @@ class DirectionSet:
             for start in range(0, v.shape[0], k):
                 frame = v[start:start + k]
                 off = frame @ frame.T - np.eye(frame.shape[0])
-                if np.max(np.abs(off)) > _ORTHO_TOL:
+                if not np.max(np.abs(off)) <= _ORTHO_TOL:
                     raise ValueError(
                         f"the frame at row {start} is not orthonormal")
         v.setflags(write=False)

@@ -24,8 +24,16 @@ holds exactly the normals of each iteration's ``stiefel_sample(d, d)`` and
 into the columns those calls return. The state carries the rest of the
 block, so the direction stream is consumed in blocks: a caller that draws
 from it after ``run`` or ``iterate`` sees other numbers than with
-per-iteration draws (no caller in the package does). The adaptive policy's
-r_k depends on the state, so it draws per iteration.
+per-iteration draws (no caller in the package does). When one iteration's
+normals take more than half of the 64 KiB (from d = 65 at r = d), every
+block is one iteration, and the next one is drawn a block ahead: handed,
+after the iteration's first probe batch, to a helper thread pinned to
+another CPU (``_helpers``), which draws it while the iteration updates and
+steps. On one CPU the next iteration draws it itself. Either way the
+directions are the same bits, but the stream is being drawn from on a
+helper while such a draw is pending, even after a stop: it belongs to the
+run. The adaptive policy's r_k depends on the state, so it draws per
+iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _helpers
 from .estimators import (
     HessianEstimate,
     _gradient,
@@ -153,15 +162,18 @@ class SolverState:
     """The iterate, the Hessian estimate and the iteration count of a run.
 
     ``_block`` holds the directions a fixed policy drew ahead and has not
-    used yet: (B, d, d) gradient frames and (B, d, r - d) extra directions
-    (None when r = d), as columns. It belongs to the run, and ``iterate``
-    refuses a state whose block does not fit its config."""
+    used yet, with the (d, r) they were drawn for: (B, d, d) gradient frames
+    and (B, d, r - d) extra directions (None when r = d), as columns, or the
+    pending draw of the next iteration's, a :class:`_helpers.Task` that may
+    be running on a helper thread. It belongs to the run, a pending draw
+    owns the run's stream, and ``iterate`` refuses a state whose block does
+    not fit its config."""
 
     x: np.ndarray
     hessian: HessianEstimate
     iteration: int
     status: str = RUNNING
-    _block: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = field(
+    _block: Optional[tuple[tuple[int, int], object]] = field(
         default=None, repr=False)
 
     @classmethod
@@ -396,29 +408,47 @@ def _numerical_stop(state: SolverState, evals: int, f_value: float,
     return new_state, record
 
 
+def _draw(generator, d: int, r: int, count: int):
+    """The (count, d, d) gradient frames and (count, d, r - d) extra
+    directions (None when r = d) of ``count`` iterations, as columns, from
+    one normal draw: row k holds what iteration k's ``stiefel_sample(d, d)``
+    then ``stiefel_sample(d, r - d)`` would draw."""
+    normals = generator.standard_normal((count, d * r))
+    return (_stiefel_columns(normals[:, :d * d], d),
+            _stiefel_columns(normals[:, d * d:], d) if r > d else None)
+
+
 def _fixed_directions(state: SolverState, d: int, r: int,
                       config: SolverConfig, rng: RngStream):
     """This iteration's frame, its r - d extra directions (None when r = d)
-    and the block to carry on, drawing a new block when none is left: as
-    many iterations as fit in ``_BLOCK_BYTES`` of normals, at least one, and
-    no more than the config's iterations left. Each iteration's row of
-    normals is what ``stiefel_sample(d, d)`` then ``stiefel_sample(d, r - d)``
-    would draw, so each set is the one those calls return, F-ordered."""
-    block = state._block
-    if block is None:
-        fit = _BLOCK_BYTES // (8 * d * r)
+    and the block to carry on, F-ordered.
+
+    A state that carries no block draws one here: as many iterations as fit
+    in ``_BLOCK_BYTES`` of normals, at least one, and no more than the
+    config's iterations left. When no two iterations fit, every block is
+    one iteration and its draw is on the critical path, so unless this is
+    the config's last iteration the block carried on is the next
+    iteration's draw as a :class:`_helpers.Task`, for :func:`iterate` to
+    hand to a helper."""
+    fit = _BLOCK_BYTES // (8 * d * r)
+    if state._block is None:
         left = config.max_iterations - state.iteration
-        normals = rng.generator.standard_normal((max(1, min(fit, left)),
-                                                 d * r))
-        block = (_stiefel_columns(normals[:, :d * d], d),
-                 _stiefel_columns(normals[:, d * d:], d) if r > d else None)
+        block = _draw(rng.generator, d, r, max(1, min(fit, left)))
+    else:
+        block = state._block[1]
+        if isinstance(block, _helpers.Task):
+            block = block.result()
     frames, extras = block
     frame = DirectionSet._owned(frames[0].T, frame_size=d)
     extra = (None if extras is None
              else DirectionSet._owned(extras[0].T, frame_size=d))
-    if len(frames) == 1:
+    if len(frames) > 1:
+        rest = (frames[1:], None if extras is None else extras[1:])
+    elif fit <= 1 and state.iteration + 1 < config.max_iterations:
+        rest = _helpers.Task(_draw, rng.generator, d, r, 1)
+    else:
         return frame, extra, None
-    return frame, extra, (frames[1:], None if extras is None else extras[1:])
+    return frame, extra, ((d, r), rest)
 
 
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
@@ -442,8 +472,11 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
     normals, capped by ``config.max_iterations`` less the state's iteration;
     the iteration's sets are views of the block, and the returned state
-    carries the rest of it. Pass the same stream to every call of a run,
-    and draw nothing else from it.
+    carries the rest of it. A block of one iteration is drawn an iteration
+    ahead, possibly on a helper thread that is still drawing from ``rng``
+    when this returns, and the returned state carries that pending draw. A
+    draw that raised there raises here, in the next call. Pass the same
+    stream to every call of a run, and draw nothing else from it.
     """
     _validate_run_inputs(oracle, config)
     if state.status != RUNNING:
@@ -452,9 +485,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     policy = config.r_policy
     fixed = isinstance(policy, FixedDirections)
     if state._block is not None:
-        frames, extras = state._block
-        drawn = (frames.shape[-1], frames.shape[-1]
-                 + (0 if extras is None else extras.shape[-1]))
+        drawn = state._block[0]
         if not fixed or drawn != (d, policy.r):
             raise ValueError(
                 f"the state carries directions drawn for (d, r) = {drawn}, "
@@ -469,6 +500,10 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     else:
         frame, block = stiefel_sample(d, d, rng), None
     probe = oracle.probe_batch(x, frame, config.mu)
+    if block is not None and isinstance(block[1], _helpers.Task):
+        # Once the batch is done with the helpers, so that the draw runs
+        # while this iteration updates and steps.
+        _helpers.submit([block[1]])
     curvatures = directional_curvature(probe)
     if _probe_failed(x, curvatures, config.mu):
         return _numerical_stop(state, oracle.eval_count,

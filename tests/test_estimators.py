@@ -102,6 +102,18 @@ class TestRankOneUpdate:
         with pytest.raises(ValueError):
             HessianEstimate(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_a_nan_direction_and_keeps_the_estimate(self):
+        est = HessianEstimate.zero(3)
+        with pytest.raises(ValueError, match="unit norm"):
+            est.update(np.array([np.nan, 0.0, 0.0]), 1.0)
+        np.testing.assert_array_equal(est.matrix, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_init_as_not_finite(self, value):
+        # a symmetric matrix: the message must not say "symmetric"
+        with pytest.raises(ValueError, match="must be finite"):
+            HessianEstimate(np.array([[value, 0.0], [0.0, 1.0]]))
+
 
 @st.composite
 def frame_probes(draw):

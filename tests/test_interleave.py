@@ -88,3 +88,13 @@ def test_the_quadratic_solve_is_perfbenchs(modules):
     got = interleave.quadratic_workload(zonewton, bench.d)(3)
     assert len(want) > 1
     assert interleave._pin(got) == interleave._pin(want)
+
+
+def test_the_logistic_solve_is_perfbenchs(modules):
+    interleave, workloads = modules
+    bench = workloads.Logistic(0)
+    want = bench.solve(bench._build(), None, 1,
+                       lambda fn, *args: fn(*args)).trace.records
+    got = interleave.logistic_workload(zonewton)(1)
+    assert len(want) > 1
+    assert interleave._pin(got) == interleave._pin(want)

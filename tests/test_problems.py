@@ -6,8 +6,8 @@ import decimal
 import os
 import subprocess
 import sys
-import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -33,11 +33,13 @@ from zonewton import (
     run,
     stiefel_sample,
 )
+from zonewton import _helpers as helpers_module
 from zonewton import problems as problems_module
 from zonewton.cli import ExperimentConfig, _build_problem
 from zonewton.problems import Dataset, check_known_derivatives
 from zonewton.solver import STOPPED_NUMERICAL
 from tests.test_experiments import created_oracles
+from tests.test_helpers import fresh_helpers  # noqa: F401 (a fixture)
 
 
 class TestQuadratic:
@@ -574,7 +576,7 @@ def test_batch_values_do_not_depend_on_the_worker_count(monkeypatch, seed):
     for name, fn in fns.items():
         values = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(problems_module, "_WORKERS", workers)
+            monkeypatch.setattr(helpers_module, "_WORKERS", workers)
             values.append(fn.batch(points))
         assert np.isnan(values[0][3]) and values[0][20] == np.inf, name
         for other in values[1:]:
@@ -587,9 +589,9 @@ def test_many_workers_with_frequent_switches_keep_every_value(monkeypatch):
     data_set, _ = _block_dataset_and_points(25)
     points = np.random.default_rng(25).standard_normal((97, 4))
     fn = logistic_objective(data_set, 0.1, 0.5)
-    monkeypatch.setattr(problems_module, "_WORKERS", 1)
+    monkeypatch.setattr(helpers_module, "_WORKERS", 1)
     expected = fn.batch(points)
-    monkeypatch.setattr(problems_module, "_WORKERS", 5)
+    monkeypatch.setattr(helpers_module, "_WORKERS", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -610,20 +612,27 @@ def _loss_raising_on_zero_margins(z, scratch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_worker_exception_reaches_the_caller(monkeypatch, workers):
-    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+def test_worker_exception_reaches_the_caller(monkeypatch, fresh_helpers,
+                                             workers):
+    monkeypatch.setattr(helpers_module, "_WORKERS", workers)
     data_set, points = _block_dataset_and_points(22)
     points[16:24] = 0.0  # the third block, a worker's with 2 or 3 workers
-    before = threading.active_count()
     with pytest.raises(_ThirdBlockError):
         problems_module._sample_sums(points, data_set,
                                      _loss_raising_on_zero_margins)
-    assert threading.active_count() == before
+    # the helpers outlive the run that raised, and no batch starts more
+    assert len(fresh_helpers) <= workers - 1
+    assert all(helper.is_alive() for helper in fresh_helpers)
+    fn = logistic_objective(data_set, 0.1, 0.5)
+    monkeypatch.setattr(helpers_module, "_WORKERS", 1)
+    expected = fn.batch(points)
+    monkeypatch.setattr(helpers_module, "_WORKERS", workers)
+    assert np.array_equal(fn.batch(points), expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_workers_keep_the_caller_error_state(monkeypatch, workers):
-    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+    monkeypatch.setattr(helpers_module, "_WORKERS", workers)
     data_set, points = _block_dataset_and_points(23)
     points[16:24] = 1e308  # the margins of the third block overflow
     loss = problems_module._logistic_loss
@@ -640,7 +649,7 @@ def test_workers_keep_the_caller_error_state(monkeypatch, workers):
 def test_a_one_block_batch_matches_its_rows_in_a_batch_of_several(
         monkeypatch, workers):
     # a batch of one block takes its own path, with no block loop
-    monkeypatch.setattr(problems_module, "_WORKERS", workers)
+    monkeypatch.setattr(helpers_module, "_WORKERS", workers)
     data_set, points = _block_dataset_and_points(26)
     points[3] = np.nan
     points[20, 1] = np.inf
@@ -654,22 +663,32 @@ def test_a_one_block_batch_matches_its_rows_in_a_batch_of_several(
                                                                      start)
 
 
-def test_only_a_batch_of_several_blocks_starts_threads(monkeypatch):
-    started = []
+def test_only_a_batch_of_several_blocks_uses_the_helpers(monkeypatch):
+    submitted = []
 
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def record(tasks):
+        submitted.extend(tasks)
 
-    monkeypatch.setattr(problems_module.threading, "Thread", CountingThread)
-    monkeypatch.setattr(problems_module, "_WORKERS", 2)
+    monkeypatch.setattr(helpers_module, "submit", record)
+    monkeypatch.setattr(helpers_module, "_WORKERS", 2)
     data_set, points = _block_dataset_and_points(24)
     fn = logistic_objective(data_set, 0.1, 0.5)
     fn.batch(points[:8])
-    assert started == []
+    assert submitted == []
     fn.batch(points)
-    assert len(started) == 1
+    assert len(submitted) == 1
+
+
+def test_a_batch_leaves_nothing_to_its_helpers(monkeypatch):
+    # a helper that kept its last run would keep the dataset and the points
+    monkeypatch.setattr(helpers_module, "_WORKERS", 2)
+    data_set, points = _block_dataset_and_points(27)
+    refs = [weakref.ref(data_set.features), weakref.ref(points)]
+    sums = problems_module._sample_sums(points, data_set,
+                                        problems_module._logistic_loss)
+    assert np.isfinite(sums).all()
+    del data_set, points
+    assert [ref() for ref in refs] == [None, None]
 
 
 _margins = st.one_of(

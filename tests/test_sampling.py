@@ -184,6 +184,14 @@ class TestDirectionSet:
         with pytest.raises(ValueError):
             DirectionSet(np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize("frame_size", [1, 2])
+    def test_rejects_nan_rows(self, frame_size):
+        with pytest.raises(ValueError, match="unit norm"):
+            DirectionSet(np.full((2, 3), np.nan), frame_size=frame_size)
+        with pytest.raises(ValueError, match="unit norm"):
+            DirectionSet(np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]),
+                         frame_size=frame_size)
+
     def test_rejects_false_orthonormal_flag(self):
         # a frame of size 2 whose rows are not orthogonal, first or later
         v = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from zonewton import (
     update_rate_bound,
     zo_floor_stop,
 )
+from zonewton import _helpers as helpers_module
 from zonewton import solver as solver_module
 from zonewton.experiments import (
     gradient_bound_verification,
@@ -52,6 +55,7 @@ from zonewton.solver import (
     _clip_inverse,
     _newton_direction,
 )
+from tests.test_helpers import dead_soon
 
 
 class TestEigenvalueClip:
@@ -660,6 +664,112 @@ class TestDirectionBlocks:
         assert oracle.eval_count == 0
 
 
+def record_bits(records):
+    """Every field of every record, arrays as bytes and floats by repr, so
+    that a signed zero or a NaN payload counts."""
+    return [[value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+             for value in (getattr(record, f.name)
+                           for f in dataclasses.fields(TraceRecord))]
+            for record in records]
+
+
+class _DrawError(Exception):
+    pass
+
+
+class TestDrawAhead:
+    """At d = 100 one iteration's normals fill a block, so the next
+    iteration's are drawn while the iteration updates and steps, on a helper
+    when there is a second CPU. The directions, and so every output, are
+    the same bits with and without a helper."""
+
+    @staticmethod
+    def cubic_run(monkeypatch, workers, r, max_iterations=30, budget=None):
+        monkeypatch.setattr(helpers_module, "_WORKERS", workers)
+        d = 100
+        problem = make_cubic_box(d, 0.25)
+        known = problem.known
+        oracle, probed = recording_oracle(problem.make_oracle(budget=budget))
+        config = SolverConfig(mu=1e-2, r_policy=FixedDirections(r),
+                              alpha=1.0, lambda_min=known.m,
+                              lambda_max=known.L1,
+                              max_iterations=max_iterations, L1=known.L1,
+                              L2=known.L2, m=known.m)
+        trace = run(np.full(d, 0.2), oracle, config, RngStream(r))
+        return trace, probed
+
+    # r = 150 ends in a short frame of 50 directions. The zeroth-order floor
+    # stops the run in its fourth iteration, with the fifth's draw pending.
+    # A budget of two iterations and a first batch stops r = 150 in its
+    # third iteration's second batch, with a draw pending, and r = 100 in
+    # its fourth iteration's batch, before that hands on its draw.
+    @pytest.mark.parametrize("r", [100, 150])
+    @pytest.mark.parametrize("stop", [STOPPED_MAX_ITER, STOPPED_ZO_FLOOR,
+                                      STOPPED_BUDGET])
+    def test_the_same_bits_with_and_without_a_helper(self, monkeypatch, r,
+                                                     stop):
+        assert solver_module._BLOCK_BYTES // (8 * 100 * r) <= 1
+        kwargs, records = {
+            STOPPED_MAX_ITER: (dict(max_iterations=3), 3),
+            STOPPED_ZO_FLOOR: ({}, 4),
+            STOPPED_BUDGET: (dict(budget=2 * (2 * r + 1) + 2 * 100 + 5),
+                             2 if r > 100 else 3),
+        }[stop]
+        (one, one_probed), (two, two_probed) = (
+            self.cubic_run(monkeypatch, workers, r, **kwargs)
+            for workers in (1, 2))
+        assert one.status == two.status == stop
+        assert len(one.records) == records
+        assert record_bits(one.records) == record_bits(two.records)
+        iterations_probed = len(one.records) + (stop == STOPPED_BUDGET)
+        want, _ = per_iteration_draws(100, [r] * iterations_probed, seed=r)
+        assert_same_sets(one_probed, want[:len(one_probed)])
+        assert_same_sets(two_probed, want[:len(two_probed)])
+
+    def test_a_draw_that_raises_on_a_helper_reaches_the_next_iterate(
+            self, monkeypatch):
+        monkeypatch.setattr(helpers_module, "_WORKERS", 2)
+        main = threading.get_ident()
+        raised = threading.Event()
+        stiefel_columns = solver_module._stiefel_columns
+
+        def failing_off_the_caller(normals, d):
+            if threading.get_ident() != main:
+                raised.set()
+                raise _DrawError
+            return stiefel_columns(normals, d)
+
+        monkeypatch.setattr(solver_module, "_stiefel_columns",
+                            failing_off_the_caller)
+        d = 100
+        oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                              max_iterations=5)
+        rng = RngStream(17)
+        state, _ = iterate(SolverState.initial(np.zeros(d), d), oracle,
+                           config, rng)
+        assert raised.wait(10)
+        spent = oracle.eval_count
+        with pytest.raises(_DrawError):
+            iterate(state, oracle, config, rng)
+        assert oracle.eval_count == spent
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_drawn_block_dies_with_its_state(self, monkeypatch, workers):
+        monkeypatch.setattr(helpers_module, "_WORKERS", workers)
+        d = 100
+        oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                              max_iterations=5)
+        state, _ = iterate(SolverState.initial(np.zeros(d), d), oracle,
+                           config, RngStream(18))
+        frames, extras = state._block[1].result()
+        assert extras is None
+        ref = weakref.ref(frames)
+        del state, frames
+        assert dead_soon([ref])
+
+
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_step_stops_numerical_at_its_iteration():
     # alpha = 1e300 throws x to ~1e300, whose squared norm overflows
@@ -699,7 +809,9 @@ def test_an_estimate_left_not_finite_stops_numerical_before_the_count():
     # Before, the adaptive count raised "cannot convert float NaN to
     # integer" on the residuals of an infinite estimate (exit 2 at the CLI).
     d = 3
-    inf = HessianEstimate(np.full((d, d), np.inf))
+    # the constructor refuses a non-finite estimate; an update can leave one
+    inf = HessianEstimate.zero(d)
+    inf.matrix[:] = np.inf
     state = SolverState(x=np.ones(d), hessian=inf, iteration=0)
     oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
     config = SolverConfig(mu=1e-3, r_policy=AdaptiveDirections(r_max=9),

@@ -1,6 +1,7 @@
 """Time two zonewton source trees against each other in one process.
 
-    python tools/interleave.py A B [--workload gates|quadratic] [--pairs N]
+    python tools/interleave.py A B [--workload gates|quadratic|logistic]
+                               [--pairs N]
                                [--seed K ...] [--gates NAME ...] [--d D]
 
 A and B are directories that hold ``zonewton``. Each tree's package is
@@ -24,6 +25,11 @@ Workloads:
   until the f-gap is 0.3 of its start; ``--d`` sets d (default 100). The
   seeds are direction seeds, 0-3 by default, and the problem is built from
   seed 0, outside the timing.
+- ``logistic``: the solve of ``perfbench``'s ``logistic_d200``: ridge
+  logistic regression on n = 2000 synthetic samples at d = 200, r = d,
+  run to the zeroth-order stop. The seeds are direction seeds, 1 and 2 by
+  default; the dataset and problem are built from seed 0, outside the
+  timing, and ``--d`` does not apply.
 
 Alternating pair by pair in one process resolves a few microseconds per
 iteration, which separate benchmark runs cannot, and both sides run under
@@ -56,7 +62,8 @@ GATES = {
     "sampling": ("sampling_comparison", dict(d=20, r=20, trials=200,
                                              mu=1e-6)),
 }
-DEFAULT_SEEDS = {"gates": [1, 101, 201, 301, 401], "quadratic": [0, 1, 2, 3]}
+DEFAULT_SEEDS = {"gates": [1, 101, 201, 301, 401], "quadratic": [0, 1, 2, 3],
+                 "logistic": [1, 2]}
 
 
 def _pin(value) -> bytes:
@@ -127,6 +134,32 @@ def quadratic_workload(pkg, d):
     return solve
 
 
+def logistic_workload(pkg):
+    """A function of the direction seed that runs one logistic solve, as
+    ``perfbench``'s ``Logistic.solve`` does, and returns its records.
+    tests/test_interleave.py checks that they are those of
+    ``Logistic(0)``."""
+    import numpy as np
+
+    problems = importlib.import_module(f"{pkg.__name__}.problems")
+    sampling = importlib.import_module(f"{pkg.__name__}.sampling")
+    solver = importlib.import_module(f"{pkg.__name__}.solver")
+    n, d, mu = 2000, 200, 1.3e-3
+    data = problems.make_synthetic_dataset(n, d, sampling.RngStream(0))
+    problem = problems.make_logistic(data, 0.1)
+    known = problem.known
+    config = solver.SolverConfig(
+        mu=mu, r_policy=solver.FixedDirections(d), alpha=1.0,
+        lambda_min=known.m, lambda_max=known.L1, max_iterations=100,
+        L1=known.L1, L2=known.L2, m=known.m)
+
+    def solve(seed):
+        return solver.run(np.zeros(d), problem.make_oracle(), config,
+                          sampling.RngStream(seed)).records
+
+    return solve
+
+
 def _timed(work, seed) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -177,6 +210,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.workload == "logistic" and args.d is not None:
+        parser.error("--d does not apply to --workload logistic")
     seeds = args.seeds or DEFAULT_SEEDS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
         pkg_a = load(args.a, "zonewton_a", workdir)
@@ -184,10 +219,12 @@ def main(argv=None) -> int:
         if args.workload == "gates":
             work_a, work_b = (gates_workload(p, args.gates, args.d)
                               for p in (pkg_a, pkg_b))
-        else:
+        elif args.workload == "quadratic":
             d = 100 if args.d is None else args.d
             work_a, work_b = (quadratic_workload(p, d)
                               for p in (pkg_a, pkg_b))
+        else:
+            work_a, work_b = (logistic_workload(p) for p in (pkg_a, pkg_b))
         times = interleave(work_a, work_b, seeds, args.pairs)
     for line in summary(times):
         print(line)
