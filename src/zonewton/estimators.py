@@ -118,6 +118,8 @@ class HessianEstimate:
         k = directions.frame_size
         if k == 1:
             return np.array([self.update(u, c) for u, c in zip(v, curvatures)])
+        if len(v) == k:
+            return _frame_update(self.matrix, v, curvatures)
         return np.concatenate([
             _frame_update(self.matrix, v[start:start + k],
                           curvatures[start:start + k])

@@ -130,8 +130,12 @@ class Oracle:
         The whole batch is charged in one locked step, so the budget can
         never be overrun by concurrent callers. When the budget allows only
         a prefix of the rows, that prefix is charged and evaluated, and the
-        raised error's ``consumed`` is its length.
+        raised error's ``consumed`` is its length. Points of another shape
+        raise ``ValueError``, naming it, before anything is charged.
         """
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError(f"points have shape {points.shape}, oracle "
+                             f"expects (m, {self.dimension})")
         with self._lock:
             allowed = len(points)
             if self.budget is not None:

@@ -9,7 +9,10 @@ Hessian estimate, and (iv) takes the damped Newton step
 x <- x - alpha * Z * g, where Z is the estimate's inverse with its spectrum
 clipped into [lambda_min, lambda_max]. When the spectrum already lies
 strictly inside the bounds, Z g is one linear solve with the estimate;
-otherwise it comes from an eigendecomposition. The center value f(x) is
+otherwise it comes from an eigendecomposition. Two Cholesky tests tell the
+cases apart, except after a clipped step: then the eigendecomposition comes
+first, and an eigenvalue beyond a bound by more than a rounding margin,
+which proves a test would fail, skips the tests. The center value f(x) is
 shared between the two probe phases, so one iteration costs exactly
 2 r_k + 1 evaluations. A probe batch that holds a non-finite value or
 second difference, or whose probe steps are lost to rounding at x, ends the
@@ -167,7 +170,10 @@ class SolverState:
     pending draw of the next iteration's, a :class:`_helpers.Task` that may
     be running on a helper thread. It belongs to the run, a pending draw
     owns the run's stream, and ``iterate`` refuses a state whose block does
-    not fit its config."""
+    not fit its config. ``_clipped`` records whether the step that made
+    this state clipped, so that the next step's direction starts from an
+    eigendecomposition (:func:`_newton_direction`); it changes no bit of
+    the run."""
 
     x: np.ndarray
     hessian: HessianEstimate
@@ -175,6 +181,7 @@ class SolverState:
     status: str = RUNNING
     _block: Optional[tuple[tuple[int, int], object]] = field(
         default=None, repr=False)
+    _clipped: bool = field(default=False, repr=False)
 
     @classmethod
     def initial(cls, x0, d: int) -> "SolverState":
@@ -228,21 +235,22 @@ class RunTrace:
         return self.records[-1].evals if self.records else 0
 
 
-def _clip_inverse(h: np.ndarray, lambda_min: float,
-                  lambda_max: float) -> tuple[np.ndarray, bool]:
+def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
+                  decomposition=None) -> tuple[np.ndarray, bool]:
     """Clamp the spectrum of h into [lambda_min, lambda_max] and invert:
     Z = Q clamp(Lambda)^(-1) Q^T. Returns Z and whether any eigenvalue was
-    clamped.
+    clamped. ``decomposition``, when given, is ``np.linalg.eigh(h)``,
+    already computed.
 
     Every eigenvalue of Z lies in [1/lambda_max, 1/lambda_min], and when the
     spectrum of h already sits inside the bounds Z is exactly the inverse.
     Nothing is checked: ``h`` must be an exactly symmetric float matrix, as
     every update keeps the solver's estimate, and the bounds must satisfy
     0 < lambda_min <= lambda_max < inf, as :class:`SolverConfig` checks. The
-    solver calls it through :func:`_newton_direction`, when a Cholesky test
-    finds an eigenvalue of h outside the bounds or on one.
+    solver calls it through :func:`_newton_direction`, whenever the spectrum
+    of h is not strictly inside the bounds.
     """
-    w, q = np.linalg.eigh(h)
+    w, q = np.linalg.eigh(h) if decomposition is None else decomposition
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
     w_clamped = np.clip(w, lambda_min, lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
@@ -250,8 +258,49 @@ def _clip_inverse(h: np.ndarray, lambda_min: float,
     return z, clipped
 
 
+def _cholesky_margin(d: int, w: np.ndarray, lambda_min: float,
+                     lambda_max: float) -> float:
+    """The margin delta = 2 d^2 eps (|w_1| + |w_d| + lambda_min + lambda_max)
+    beyond which an eigenvalue computed by ``np.linalg.eigh`` proves that a
+    Cholesky test of :func:`_newton_direction` fails; ``w`` are the computed
+    eigenvalues of the d x d matrix h, in ascending order.
+
+    Let A be the tested h - lambda_min I (the case lambda_max I - h is the
+    same with lambda_max), u = eps / 2 and ||.|| the 2-norm. Its shifted
+    diagonal is rounded once, so A = h - lambda_min I + D with
+    ||D|| <= u (||h|| + lambda_min). If the Cholesky factorisation of A runs
+    to completion, its computed factor R satisfies R^T R = A + dA with
+    |dA| <= gamma_(d+1) |R^T| |R| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3, whose proof uses only that the
+    factorisation completes; any order of the inner products, as in
+    LAPACK's blocked potrf, gives the same bound), hence
+    ||dA|| <= d gamma_(d+1) ||A|| / (1 - d gamma_(d+1)), which is
+    d (d + 1) u ||A|| to first order in u. R^T R is positive semidefinite,
+    so the smallest eigenvalue of h is at least
+    lambda_min - (d^2 + d + 1) u (||h|| + lambda_min). A backward stable
+    symmetric eigensolver computes each eigenvalue within p(d) eps ||h|| of
+    the exact one (Weyl's inequality on its backward error; LAPACK's
+    documented bound, with p(d) a modest function of d), so a completed
+    factorisation gives w_1 >= lambda_min - delta' with
+    delta' = ((d^2 + d + 2) / 2) eps (||h|| + lambda_min) + p(d) eps ||h||,
+    the extra u covering the rounding of the comparison. With
+    ||h|| <= |w_1| + |w_d| to first order, delta covers delta' for any
+    p(d) <= (3 d^2 - d - 2) / 2, which is at least d^2 from d = 2 on; at
+    d = 1 the eigenvalue is h itself and the test is exact. So
+    w_1 < lambda_min - delta, or w_d > lambda_max + delta, means the test
+    fails. The margins the solver meets are far larger: on the linear-rate
+    gate (gate seeds 1-10) no clipped eigenvalue came within 1e-8 of a
+    bound, against a delta below 1e-11.
+    The sum is taken in Python floats, so an infinite delta (never
+    exceeded) comes without a warning.
+    """
+    return 2.0 * d * d * _EPS * (abs(float(w[0])) + abs(float(w[-1]))
+                                 + lambda_min + lambda_max)
+
+
 def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
-                      lambda_max: float) -> tuple[np.ndarray, bool]:
+                      lambda_max: float, eigh_first: bool = False,
+                      ) -> tuple[np.ndarray, bool]:
     """The direction Z g, with Z the clipped inverse of :func:`_clip_inverse`,
     and whether any eigenvalue of h was clipped.
 
@@ -263,6 +312,14 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     exactly symmetric: a Cholesky factorisation of a non-finite matrix need
     not raise.
 
+    With ``eigh_first`` (the solver passes whether its previous step
+    clipped, since clipped steps come in runs) the eigendecomposition of h
+    comes first. An eigenvalue more than :func:`_cholesky_margin` outside
+    the bounds proves that a Cholesky test fails, so the clipped inverse is
+    returned from that decomposition with no test; otherwise the two tests
+    decide as above, and a failed test reuses the decomposition. Either way
+    the direction and the verdict are the same bits as without it.
+
     The two tested matrices are ``h.copy()`` and ``0.0 - h`` with only the
     diagonal shifted, in place, by -lambda_min and +lambda_max: bit for bit
     the matrices ``h - lambda_min * np.eye(d)`` and
@@ -270,6 +327,14 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     an identity.
     """
     d = len(g)
+    decomposition = None
+    if eigh_first:
+        decomposition = w, _ = np.linalg.eigh(h)
+        delta = _cholesky_margin(d, w, lambda_min, lambda_max)
+        if w[0] < lambda_min - delta or w[-1] > lambda_max + delta:
+            z, clipped = _clip_inverse(h, lambda_min, lambda_max,
+                                       decomposition)
+            return z @ g, clipped
     lower = h.copy()
     lower.reshape(-1)[::d + 1] -= lambda_min
     upper = np.subtract(0.0, h, order="C")
@@ -278,7 +343,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
         np.linalg.cholesky(lower)
         np.linalg.cholesky(upper)
     except np.linalg.LinAlgError:
-        z, clipped = _clip_inverse(h, lambda_min, lambda_max)
+        z, clipped = _clip_inverse(h, lambda_min, lambda_max, decomposition)
         return z @ g, clipped
     return np.linalg.solve(h, g), False
 
@@ -396,8 +461,8 @@ def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
                     r_used: int):
     """Stopped state and trace record for a failed probe batch, gradient,
-    Hessian update or step; the Hessian estimate is left as it was and the record keeps the offending
-    point."""
+    Hessian update or step; the Hessian estimate is left as it was and the
+    record keeps the offending point."""
     x = state.x
     new_state = SolverState(
         x=x.copy(), hessian=state.hessian,
@@ -508,64 +573,67 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     if _probe_failed(x, curvatures, config.mu):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, d)
-    # An overflow in the gradient, its norm or the update shows as a
-    # non-finite norm or estimate, which ends the run here. The frame is one
-    # full orthonormal basis, so the gradient skips estimate_gradient's check.
+    # One error state from the gradient to the step: an overflow anywhere
+    # shows as a non-finite norm, estimate, direction or iterate, which ends
+    # the run. A second probe batch, an objective call, runs under the
+    # caller's error state instead. The frame is one full orthonormal basis,
+    # so the gradient skips estimate_gradient's check.
     hess = state.hessian.copy()
+    caller = None if fixed and extra is None else np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         g = _gradient(probe.plus_values, probe.minus_values, probe.mu,
                       frame.vectors)
         g_norm = math.sqrt(g.dot(g))
         residuals = hess.apply_probe(frame, curvatures)
-    if not (math.isfinite(g_norm) and np.isfinite(hess.matrix).all()):
-        return _numerical_stop(state, oracle.eval_count,
-                               probe.center_value, d)
+        if not (math.isfinite(g_norm) and np.isfinite(hess.matrix).all()):
+            return _numerical_stop(state, oracle.eval_count,
+                                   probe.center_value, d)
 
-    # (ii) zeroth-order floor check, when the constants are known.
-    if config.L2 is not None and config.m is not None:
-        bound = zo_floor_stop(g_norm, d, config.L2, config.mu, config.m)
-        if bound is not None:
-            new_state = SolverState(
-                x=x.copy(), hessian=hess,
-                iteration=state.iteration + 1, status=STOPPED_ZO_FLOOR)
-            record = TraceRecord(
-                iteration=state.iteration, evals=oracle.eval_count,
-                f_value=probe.center_value, grad_norm_est=g_norm,
-                r_used=d, alpha=alpha, step_norm=0.0, x=x.copy(),
-                zo_bound=bound)
-            return new_state, record
+        # (ii) zeroth-order floor check, when the constants are known.
+        if config.L2 is not None and config.m is not None:
+            bound = zo_floor_stop(g_norm, d, config.L2, config.mu, config.m)
+            if bound is not None:
+                new_state = SolverState(
+                    x=x.copy(), hessian=hess,
+                    iteration=state.iteration + 1, status=STOPPED_ZO_FLOOR)
+                record = TraceRecord(
+                    iteration=state.iteration, evals=oracle.eval_count,
+                    f_value=probe.center_value, grad_norm_est=g_norm,
+                    r_used=d, alpha=alpha, step_norm=0.0, x=x.copy(),
+                    zo_bound=bound)
+                return new_state, record
 
-    # (iii) direction count for this iteration; probe the remaining
-    # r_k - d directions, sharing the already-known center value.
-    if fixed:
-        r_k = policy.r
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+        # (iii) direction count for this iteration; probe the remaining
+        # r_k - d directions, sharing the already-known center value.
+        if fixed:
+            r_k = policy.r
+        else:
             rho = math.sqrt(float(np.mean(residuals ** 2)))
-        proxy = rho * math.sqrt(d * (d + 2) / 2.0)
-        r_k = adaptive_direction_count(
-            g_norm, d, config.L1, config.L2 if config.L2 is not None else 0.0,
-            config.mu, update_rate_bound(d), proxy, policy.r_max)
-        extra = stiefel_sample(d, r_k - d, rng) if r_k > d else None
-    if extra is not None:
-        probe2 = oracle.probe_batch(x, extra, config.mu,
-                                    center=probe.center_value)
-        curvatures = directional_curvature(probe2)
-        if _probe_failed(x, curvatures, config.mu):
-            return _numerical_stop(state, oracle.eval_count,
-                                   probe.center_value, r_k)
-        with np.errstate(over="ignore", invalid="ignore"):
+            proxy = rho * math.sqrt(d * (d + 2) / 2.0)
+            r_k = adaptive_direction_count(
+                g_norm, d, config.L1,
+                config.L2 if config.L2 is not None else 0.0, config.mu,
+                update_rate_bound(d), proxy, policy.r_max)
+            extra = stiefel_sample(d, r_k - d, rng) if r_k > d else None
+        if extra is not None:
+            with np.errstate(**caller):
+                probe2 = oracle.probe_batch(x, extra, config.mu,
+                                            center=probe.center_value)
+            curvatures = directional_curvature(probe2)
+            if _probe_failed(x, curvatures, config.mu):
+                return _numerical_stop(state, oracle.eval_count,
+                                       probe.center_value, r_k)
             hess.apply_probe(extra, curvatures)
-        if not np.isfinite(hess.matrix).all():
-            return _numerical_stop(state, oracle.eval_count,
-                                   probe.center_value, r_k)
+            if not np.isfinite(hess.matrix).all():
+                return _numerical_stop(state, oracle.eval_count,
+                                       probe.center_value, r_k)
 
-    # (iv) clip, invert, step; SolverConfig has checked the bounds, and the
-    # checks above let only a finite estimate through. An overflow anywhere
-    # in the step shows as a non-finite result.
-    with np.errstate(over="ignore", invalid="ignore"):
+        # (iv) clip, invert, step; SolverConfig has checked the bounds, and
+        # the checks above let only a finite estimate through. After a
+        # clipped step the direction starts from an eigendecomposition.
         direction, clipped = _newton_direction(
-            hess.matrix, g, config.lambda_min, config.lambda_max)
+            hess.matrix, g, config.lambda_min, config.lambda_max,
+            state._clipped)
         x_new = x - alpha * direction
         step = x_new - x
         step_norm = math.sqrt(step.dot(step))
@@ -575,7 +643,7 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
 
     new_state = SolverState(
         x=x_new, hessian=hess, iteration=state.iteration + 1, status=RUNNING,
-        _block=block)
+        _block=block, _clipped=clipped)
     record = TraceRecord(
         iteration=state.iteration, evals=oracle.eval_count,
         f_value=probe.center_value, grad_norm_est=g_norm, r_used=r_k,

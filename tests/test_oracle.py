@@ -14,6 +14,7 @@ from zonewton import (
     RngStream,
     deterministic_fd_costs,
     gaussian_sphere_sample,
+    make_cubic_box,
     stiefel_sample,
 )
 
@@ -302,3 +303,17 @@ def test_probe_batch_rejects_values_of_the_wrong_shape(bad, shape):
                        r"shape \(7, 4\); expected \(7,\)"):
         oracle.probe_batch(np.zeros(4), directions, 0.1)
     assert oracle.eval_count == 7
+
+
+@pytest.mark.parametrize("points, shape", [
+    (np.zeros((2, 5)), r"\(2, 5\)"),
+    (np.zeros(3), r"\(3,\)"),
+], ids=["2-D-wrong-width", "1-D"])
+def test_evaluate_points_rejects_other_shapes_before_charging(points, shape):
+    oracle = make_cubic_box(3, 0.25).make_oracle()
+    oracle.evaluate_points(np.zeros((3, 3)))
+    with pytest.raises(ValueError,
+                       match=rf"points have shape {shape}, oracle expects "
+                             r"\(m, 3\)"):
+        oracle.evaluate_points(points)
+    assert oracle.eval_count == 3

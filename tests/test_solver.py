@@ -194,13 +194,6 @@ class TestNewtonDirection:
         # the linear-rate gate's setting (d = 10, cond 100, gate seed 1):
         # the bounds are the true Hessian's extreme eigenvalues, so the
         # estimate's spectrum sits on both sides of them
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _clip_inverse(*args)
-
-        monkeypatch.setattr(solver_module, "_clip_inverse", counted)
         d, seed = 10, 1
         stream = RngStream(seed)
         problem = make_quadratic(random_spd(d, 100.0, stream),
@@ -211,19 +204,109 @@ class TestNewtonDirection:
             alpha=optimal_stepsize(m, L1), lambda_min=m, lambda_max=L1,
             max_iterations=300)
         v = stream.generator.standard_normal(d)
-        state = SolverState.initial(
-            problem.known.x_star + v / np.linalg.norm(v), d)
-        oracle, rng = problem.make_oracle(), RngStream(seed + 1)
-        verdicts = []
-        for _ in range(config.max_iterations):
-            state, record = iterate(state, oracle, config, rng)
+        x0 = problem.known.x_star + v / np.linalg.norm(v)
+
+        def records():
+            state = SolverState.initial(x0, d)
+            oracle, rng = problem.make_oracle(), RngStream(seed + 1)
+            for _ in range(config.max_iterations):
+                state, record = iterate(state, oracle, config, rng)
+                yield state, record
+            assert state.status == RUNNING
+
+        calls, factored = [], []
+        cholesky = np.linalg.cholesky
+
+        def counted(*args):
+            calls.append(1)
+            return _clip_inverse(*args)
+
+        def spy(a):
+            factored.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(solver_module, "_clip_inverse", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        verdicts, run = [], []
+        for state, record in records():
             w = np.linalg.eigh(state.hessian.matrix)[0]
             assert record.clipped == bool(w[0] < m or w[-1] > L1)
+            # a clipped step that follows a clipped step factors nothing
+            if verdicts and verdicts[-1] and record.clipped:
+                assert not factored
+            factored.clear()
             verdicts.append(record.clipped)
-        assert state.status == RUNNING
+            run.append(record)
         # both branches: some steps took the linear solve, some the fallback
         assert 0 < len(calls) < len(verdicts)
         assert any(verdicts)
+        assert any(a and b for a, b in zip(verdicts, verdicts[1:]))
+        monkeypatch.undo()
+        monkeypatch.setattr(solver_module, "_newton_direction",
+                            _two_cholesky_direction)
+        reference = [record for _, record in records()]
+        assert record_bits(run) == record_bits(reference)
+
+
+def _two_cholesky_direction(h, g, lambda_min, lambda_max, eigh_first=False):
+    """The Newton direction in the two-Cholesky order, written out: test
+    h - lambda_min I and lambda_max I - h, solve with h when both have a
+    factor, and else clamp the spectrum from an eigendecomposition. It
+    ignores ``eigh_first``."""
+    d = len(g)
+    try:
+        np.linalg.cholesky(h - lambda_min * np.eye(d))
+        np.linalg.cholesky(lambda_max * np.eye(d) - h)
+    except np.linalg.LinAlgError:
+        w, q = np.linalg.eigh(h)
+        z = (q * (1.0 / np.clip(w, lambda_min, lambda_max))) @ q.T
+        z = 0.5 * (z + z.T)
+        return z @ g, bool(w[0] < lambda_min or w[-1] > lambda_max)
+    return np.linalg.solve(h, g), False
+
+
+class TestEighFirstMargin:
+    """After a clipped step the direction starts from an eigendecomposition,
+    and an eigenvalue 2 delta or more outside the bounds skips the Cholesky
+    tests, with delta = 2 d^2 eps (|w_1| + |w_d| + lambda_min + lambda_max).
+    """
+
+    LO, HI = 0.5, 20.0
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 100])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("k", [-10, -2, -0.5, 0, 0.5, 2, 10])
+    def test_direction_and_verdict_are_the_two_cholesky_bits(
+            self, d, bound, k, monkeypatch):
+        gen = np.random.default_rng([d, k < 0, int(abs(k) * 2)])
+        span = self.HI - self.LO
+        w = gen.uniform(self.LO + 0.1 * span, self.HI - 0.1 * span, d)
+        w[0] = self.LO if bound == "lower" else self.HI
+        delta = (2 * d * d * np.finfo(float).eps
+                 * (abs(w.min()) + abs(w.max()) + self.LO + self.HI))
+        w[0] += k * delta
+        h = _symmetric_with_spectrum(w, gen)
+        g = gen.standard_normal(d)
+        want = _two_cholesky_direction(h, g, self.LO, self.HI)
+        cholesky, factored = np.linalg.cholesky, []
+
+        def spy(a):
+            factored.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        for eigh_first in (False, True):
+            factored.clear()
+            direction, clipped = _newton_direction(h, g, self.LO, self.HI,
+                                                   eigh_first)
+            assert clipped is want[1]
+            assert np.array_equal(direction.view(np.int64),
+                                  want[0].view(np.int64))
+            outside = -k if bound == "lower" else k
+            if eigh_first and outside >= 2:
+                assert clipped is True and not factored
+            else:
+                assert factored
 
 
 def test_optimal_stepsize_and_gamma():
@@ -847,6 +930,27 @@ def test_an_extra_update_that_overflows_stops_numerical_before_the_step():
     assert len(trace.records) == 1
     assert trace.records[0].r_used == 2 * d
     np.testing.assert_array_equal(trace.x_final, np.zeros(d))
+
+
+@pytest.mark.parametrize("policy", [FixedDirections(5),
+                                    AdaptiveDirections(r_max=9)])
+def test_both_probe_batches_run_under_the_caller_error_state(policy):
+    # the solver ignores overflow in its own arithmetic, not the objective's
+    d, states = 3, []
+
+    def batch(points):
+        states.append(np.geterr())
+        return 0.5 * np.sum(points * points, axis=1)
+
+    oracle = Oracle(Objective(batch), d)
+    config = SolverConfig(mu=1e-3, r_policy=policy, L1=1.0, L2=0.0,
+                          max_iterations=3)
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        trace = run(np.ones(d), oracle, config, RngStream(18))
+    assert any(record.r_used > d for record in trace.records)
+    assert len(states) > len(trace.records)
+    assert all(state == caller for state in states)
 
 
 @pytest.mark.parametrize("name", ["g_norm", "error_proxy"])
