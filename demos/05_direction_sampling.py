@@ -23,6 +23,6 @@ print(f"{'r':>4}  {'stiefel':>10}  {'gaussian':>10}  {'ratio':>6}")
 for r in (5, 10, 20, 40):
     rep = sampling_comparison(d=20, r=r, trials=100, seed=9)
     print(f"{r:4d}  {rep.stiefel_mean:10.4f}  {rep.gaussian_mean:10.4f}"
-          f"  {rep.stiefel_mean / rep.gaussian_mean:6.3f}")
+          f"  {rep.ratio:6.3f}")
 print("\nratios below 1, and well below once r reaches d: orthonormal "
       "frames extract more curvature information per evaluation")

@@ -1,18 +1,36 @@
-"""Empirical verification experiments.
+"""Empirical verification experiments behind the ``verify-*`` subcommands.
 
 Each experiment checks one of the toolkit's guarantees at desk scale and
-returns a small report with a ``passed`` flag and printable lines. A gate's
-parameters are exactly what a caller may vary: the CLI builds each
-verify-* subcommand's flags, types and defaults from the gate's signature,
-so the gate and the command line cannot drift apart. Everything else a
-gate uses (update counts, slacks, floors, iteration caps, problem sizes)
-is a constant in its body, named in its docstring.
+returns a report: a dataclass whose ``passed`` flag is the verdict and
+whose other fields hold the numbers the verdict compares. ``lines()``
+prints it as one line, ``name=value`` for each field but ``passed``, in
+field order, then PASS or FAIL; a float prints as the shortest text that
+reads back to the same bits, and an array, tuple or list element by
+element, in brackets.
+
+A gate's parameters are exactly what a caller may vary: the CLI builds
+each verify-* subcommand's flags, types and defaults from the gate's
+signature, so the gate and the command line cannot drift apart. Everything
+else a gate uses (update counts, slacks, floors, iteration caps, problem
+sizes) is a constant in its body, named in its docstring.
+
+The rate, Lemma 1 and sampling gates run their trials in blocks, each
+trial one probe batch. A block's probe points fit in 256 KiB: without
+blocks the gates' allocation peaks grow with the trial count (to 7-8 MB at
+the CLI defaults). Each gate draws all its trials' directions, in trial
+order, from one stream: a block's raw normals are one draw, normalised
+(``_unit_rows``) or orthonormalised (``_stiefel_columns``) in one call, to
+exactly the directions successive public sampler calls on that stream
+would give (bar a zero-norm row, never seen, which is redrawn after its
+block); no gate calls a public sampler. The linear-rate, quadratic-rate
+and stopping gates consume ``solver.iterations``; none calls
+``solver.run``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -64,14 +82,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The rate, Lemma 1 and sampling gates run their trials in blocks, each
-# trial one probe batch. A block's probe points fit in _BLOCK_BYTES: without
-# blocks the gates' allocation peaks grow with the trial count (to 7-8 MB
-# at the CLI defaults). Each gate draws all its trials' directions, in trial
-# order, from one stream: a block's raw normals are one draw, normalised
-# (``_unit_rows``) or orthonormalised (``_stiefel_columns``) in one call, to
-# exactly the directions successive sampler calls on that stream would give
-# (bar a zero-norm row, never seen, which is redrawn after its block).
+# Trial blocks and probes shared by the gates.
 
 _BLOCK_BYTES = 2**18
 
@@ -130,10 +141,36 @@ def _solver_iterations(gate: str, x0: np.ndarray, oracle: Oracle,
 
 
 # ---------------------------------------------------------------------------
+# Report lines.
+
+def _text(value) -> str:
+    """A report field as its line prints it: a float, Python or numpy, as
+    ``repr(float(value))``, which reads back exactly; an array, tuple or
+    list element by element, in brackets; anything else by ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (np.ndarray, tuple, list)):
+        return "[" + ",".join(map(_text, value)) + "]"
+    return str(value)
+
+
+class _Report:
+    """The base of the gate reports, each a dataclass with a ``passed``
+    field."""
+
+    def lines(self):
+        """One line: ``name=value`` for each field but ``passed``, in field
+        order, then PASS or FAIL."""
+        return [" ".join([f"{f.name}={_text(getattr(self, f.name))}"
+                          for f in fields(self) if f.name != "passed"]
+                         + ["PASS" if self.passed else "FAIL"])]
+
+
+# ---------------------------------------------------------------------------
 # Per-update contraction rate of the incremental Hessian estimator.
 
 @dataclass
-class RateReport:
+class RateReport(_Report):
     d: int
     trials: int
     eta: float
@@ -142,15 +179,6 @@ class RateReport:
     max_ratio: float
     geomean_ratio: float
     passed: bool
-
-    def lines(self):
-        return [
-            f"d={self.d} trials={self.trials} "
-            f"max_step_ratio={self.max_ratio:.5f} "
-            f"geomean_ratio={self.geomean_ratio:.5f} "
-            f"bound={self.eta:.5f} threshold={self.threshold:.5f} "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
@@ -208,7 +236,7 @@ def rate_verification(d: int = 5, trials: int = 2000, seed: int = 0,
 # Deterministic gradient-error bound.
 
 @dataclass
-class GradientBoundReport:
+class GradientBoundReport(_Report):
     d: int
     L2: float
     mus: tuple
@@ -216,15 +244,6 @@ class GradientBoundReport:
     violations: int
     worst_slack: float
     passed: bool
-
-    def lines(self):
-        return [
-            f"d={self.d} L2={self.L2} mus={list(self.mus)} "
-            f"checks={self.n_points * len(self.mus)} "
-            f"violations={self.violations} "
-            f"worst_error/bound={self.worst_slack:.4f} "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -286,7 +305,7 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
 # Global linear rate of the solver on a strongly convex quadratic.
 
 @dataclass
-class LinearRateReport:
+class LinearRateReport(_Report):
     d: int
     cond: float
     gamma_star: float
@@ -294,18 +313,6 @@ class LinearRateReport:
     max_ratio: float
     iterations_to_floor: Optional[int]
     passed: bool
-
-    def lines(self):
-        reached = ("floor reached after "
-                   f"{self.iterations_to_floor} iterations"
-                   if self.iterations_to_floor is not None
-                   else "floor NOT reached")
-        return [
-            f"d={self.d} cond={self.cond} gamma*={self.gamma_star:.3e} "
-            f"max_fgap_ratio={self.max_ratio:.6f} "
-            f"bound={self.ratio_bound:.6f} ({reached}) "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
@@ -316,9 +323,12 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
     gamma* = m lambda_min / (L1 lambda_max). The gate stops the solver's
     ``iterations`` there, with 2500 iterations as a guard; if the guard
     ends it first the floor is not reached and the gate fails. Raises
-    ``ValueError`` for d < 2 (a 1 x 1 problem has condition number 1) and
-    ``FloatingPointError`` if the run ends ``stopped_numerical``."""
+    ``ValueError`` for d < 2 (a 1 x 1 problem has condition number 1) or
+    cond <= 1, where both 1 - gamma* and the f-gap ratios are rounding
+    residue, and ``FloatingPointError`` if the run ends
+    ``stopped_numerical``."""
     _check_count("d", d, 2)
+    _check_real("cond", cond, above=1)
     problem_stream = RngStream(seed)
     a = random_spd(d, cond, problem_stream)
     b = problem_stream.generator.standard_normal(d)
@@ -356,26 +366,15 @@ def linear_rate_verification(seed: int = 0, d: int = 10, cond: float = 100.0,
 # Local quadratic rate on regularized logistic regression.
 
 @dataclass
-class QuadraticRateReport:
+class QuadraticRateReport(_Report):
     errors: np.ndarray
     window_start: Optional[int]
     window_length: int
     fitted_K: Optional[float]
+    K_bound: float
     bound_checks: int
     bound_violations: int
     passed: bool
-
-    def lines(self):
-        window = ("no quadratic window found"
-                  if self.window_start is None else
-                  f"window at k={self.window_start} length="
-                  f"{self.window_length} K={self.fitted_K:.3g}")
-        return [
-            f"errors={np.array2string(self.errors, precision=2, max_line_width=200)}",
-            f"{window}; local-bound checks={self.bound_checks} "
-            f"violations={self.bound_violations} "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def _quadratic_window(errors, qualifies):
@@ -408,7 +407,8 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     and lambda_min = 0.01, from distance 0.1 to x*. The gate stops the
     solver's ``iterations`` after the first iteration whose new error
     is at or below the measurement floor, where no later pair can be
-    measured; 25 iterations stay as a guard.
+    measured (after 4 iterations on each of gate seeds 0-399); 25
+    iterations stay as a guard.
 
     With a fixed r the Hessian error contracts by a constant factor per
     iteration and e_k quadratically; at r = d^2 the bound's Hessian-error
@@ -428,8 +428,9 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     K = (L2 + 2) / (2 lambda_min), and whose per-step contraction sharpens
     (see ``_quadratic_window``); (2) on every measurable pair, of which
     there must be at least one, the measured error never exceeds
-    (L2/(2 lm)) e_k^2 + (||H_k - hess(x_k)||/lm) e_k + d L2 mu^2/(6 lm)
-    by more than 1e-10 relative, with H_k the estimate that step k inverts.
+    (L2/(2 lm)) e_k^2 + (||H_k - hess(x_k)||_2/lm) e_k + d L2 mu^2/(6 lm)
+    by more than 1e-10 relative, with H_k the estimate that step k inverts
+    and ||.||_2 the spectral norm.
 
     The floor combines the zeroth-order bias bound with the reference
     minimizer's own accuracy (||grad|| <= 1e-13, i.e. distance <= 1e-13/m):
@@ -479,7 +480,8 @@ def quadratic_rate_verification(seed: int = 0) -> QuadraticRateReport:
     passed = start is not None and violations == 0 and checks > 0
     return QuadraticRateReport(errors=errors,
                                window_start=start, window_length=length,
-                               fitted_K=fitted_k, bound_checks=checks,
+                               fitted_K=fitted_k, K_bound=k_bound,
+                               bound_checks=checks,
                                bound_violations=violations, passed=passed)
 
 
@@ -494,7 +496,7 @@ _SAMPLING_MIN_Z = 3.0
 
 
 @dataclass
-class SamplingReport:
+class SamplingReport(_Report):
     d: int
     r: int
     trials: int
@@ -502,24 +504,11 @@ class SamplingReport:
     stiefel_stderr: float
     gaussian_mean: float
     gaussian_stderr: float
+    ratio: float
     ratio_threshold: float
+    z: float
+    min_z: float
     passed: bool
-
-    def lines(self):
-        ratio = (self.stiefel_mean / self.gaussian_mean
-                 if self.gaussian_mean > 0 else float("nan"))
-        stderr = math.hypot(self.stiefel_stderr, self.gaussian_stderr)
-        z = ((self.gaussian_mean - self.stiefel_mean) / stderr
-             if stderr > 0 else float("nan"))
-        return [
-            f"d={self.d} r={self.r} trials={self.trials} "
-            f"stiefel={self.stiefel_mean:.4f}+-{self.stiefel_stderr:.4f} "
-            f"gaussian={self.gaussian_mean:.4f}+-{self.gaussian_stderr:.4f} "
-            f"ratio={ratio:.4f} "
-            f"threshold={self.ratio_threshold} "
-            f"z={z:.2f} min_z={_SAMPLING_MIN_Z} "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
@@ -570,35 +559,30 @@ def sampling_comparison(d: int = 20, r: int = 20, trials: int = 200,
     g_mean = float(err_gauss.mean())
     s_stderr = float(err_stiefel.std(ddof=1) / math.sqrt(trials))
     g_stderr = float(err_gauss.std(ddof=1) / math.sqrt(trials))
-    resolved = g_mean - s_mean > _SAMPLING_MIN_Z * math.hypot(s_stderr, g_stderr)
+    stderr = math.hypot(s_stderr, g_stderr)
     return SamplingReport(
         d=d, r=r, trials=trials,
         stiefel_mean=s_mean, stiefel_stderr=s_stderr,
         gaussian_mean=g_mean, gaussian_stderr=g_stderr,
+        ratio=s_mean / g_mean if g_mean > 0 else math.nan,
         ratio_threshold=_SAMPLING_RATIO,
-        passed=s_mean <= _SAMPLING_RATIO * g_mean and resolved)
+        z=(g_mean - s_mean) / stderr if stderr > 0 else math.nan,
+        min_z=_SAMPLING_MIN_Z,
+        passed=(s_mean <= _SAMPLING_RATIO * g_mean
+                and g_mean - s_mean > _SAMPLING_MIN_Z * stderr))
 
 
 # ---------------------------------------------------------------------------
 # Zeroth-order stopping criterion.
 
 @dataclass
-class StoppingReport:
+class StoppingReport(_Report):
     status: str
     threshold: float
     final_grad_norm: float
     guarantee: float
     final_error: float
     passed: bool
-
-    def lines(self):
-        return [
-            f"status={self.status} grad_norm={self.final_grad_norm:.3e} "
-            f"threshold={self.threshold:.3e} "
-            f"final_error={self.final_error:.3e} "
-            f"guarantee={self.guarantee:.3e} "
-            f"{'PASS' if self.passed else 'FAIL'}",
-        ]
 
 
 def stopping_criterion_check(seed: int = 0) -> StoppingReport:

@@ -90,8 +90,10 @@ def load_libsvm(path, dimension: Optional[int] = None) -> Dataset:
     Labels must parse to +1/-1; 0/1 labels are mapped to -1/+1. Indices are
     1-based and must be strictly increasing within a line; values must be
     finite. The feature dimension is the largest index seen unless
-    ``dimension`` overrides it.
+    ``dimension``, a count >= 1, overrides it.
     """
+    if dimension is not None:
+        _check_count("dimension", dimension)
     labels = []
     rows = []
     max_index = 0
@@ -188,7 +190,10 @@ class ProblemSpec:
 def check_known_derivatives(problem: ProblemSpec, seed: int = 0,
                             n_points: int = 10, mu: float = 1e-5):
     """Cross-check closed-form gradient and Hessian diagonal against central
-    differences at seeded random points; raises on disagreement."""
+    differences at ``n_points`` (a count >= 1) seeded random points with
+    step ``mu`` (> 0); raises on disagreement."""
+    _check_count("n_points", n_points)
+    _check_real("mu", mu)
     known = problem.known
     gen = np.random.default_rng(seed)
     d = problem.dimension
@@ -366,8 +371,11 @@ def logistic_objective(dataset: Dataset, ridge: float,
     """f(x) = weight * sum_i log(1 + exp(-y_i a_i^T x)) + (ridge/2) ||x||^2.
 
     Weight 1/n gives the full-dataset objective of :func:`make_logistic`;
-    ``fedsim`` gives each client shard weight n_clients/N.
+    ``fedsim`` gives each client shard weight n_clients/N. The ridge must
+    be finite and >= 0, the weight finite and > 0.
     """
+    _check_real("ridge", ridge, 0)
+    _check_real("weight", weight)
 
     def batch(points):
         return (weight * _sample_sums(points, dataset, _logistic_loss)

@@ -47,16 +47,17 @@ def _check_count(name: str, value, minimum: int = 1):
     raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_real(name: str, value, minimum=None):
+def _check_real(name: str, value, minimum=None, above=0):
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
-    > 0, or >= ``minimum`` when given, numpy floats included."""
+    > ``above``, or >= ``minimum`` when given, numpy floats included."""
     try:
-        if (0 < value < np.inf if minimum is None
+        if (above < value < np.inf if minimum is None
                 else minimum <= value < np.inf):
             return
     except (TypeError, ValueError):
         pass
-    bound = "positive" if minimum is None else f">= {minimum}"
+    bound = (f">= {minimum}" if minimum is not None
+             else f"> {above}" if above else "positive")
     raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 

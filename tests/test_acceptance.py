@@ -111,7 +111,7 @@ def test_criterion_6_local_quadratic_rate():
     """Quadratic error contraction window and the per-iteration local bound
     on regularized logistic regression with r = d^2, mu = 1e-7."""
     report = experiments.quadratic_rate_verification(seed=0)
-    _report("local quadratic rate", report.passed, report.lines()[1])
+    _report("local quadratic rate", report.passed, report.lines()[0])
     assert report.passed
     assert report.window_length >= 3
     assert report.bound_violations == 0

@@ -19,9 +19,11 @@ give an equal report.
 
 The fault matrix plants one bug per gate and checks that the gate, which
 passes on gate seed 1 without it, rejects it there. The quadratic gate's
-window search is checked on hand-built error sequences.
+window search is checked on hand-built error sequences. Every report's
+line must be its fields, every float in it reading back bit for bit.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -176,7 +178,7 @@ def full_run_quadratic_report(seed):
         errors = errors[:at_floor[0] + 1]
     return experiments.QuadraticRateReport(
         errors=errors, window_start=start, window_length=length,
-        fitted_K=fitted_k, bound_checks=checks,
+        fitted_K=fitted_k, K_bound=k_bound, bound_checks=checks,
         bound_violations=violations,
         passed=start is not None and violations == 0 and checks > 0)
 
@@ -489,3 +491,61 @@ def test_quadratic_window_prefers_a_longer_later_window():
     assert (start, length) == (4, 4)
     assert fitted_k == max(errors[k + 1] / errors[k] ** 2
                            for k in range(4, 8))
+
+
+# Each gate at a small setting; a single direction is distribution-identical
+# under both samplers, so "sampling_r1" FAILs.
+SMALL_REPORTS = {
+    "rate": lambda: experiments.rate_verification(d=3, trials=100, seed=1),
+    "lemma1": lambda: experiments.gradient_bound_verification(seed=1,
+                                                              n_points=10),
+    "linear": lambda: experiments.linear_rate_verification(seed=1, d=3,
+                                                           cond=10.0),
+    "quadratic": lambda: experiments.quadratic_rate_verification(seed=1),
+    "sampling": lambda: experiments.sampling_comparison(d=5, r=5, trials=30,
+                                                        seed=1),
+    "sampling_r1": lambda: experiments.sampling_comparison(d=5, r=1,
+                                                           trials=30, seed=1),
+    "stopping": lambda: experiments.stopping_criterion_check(seed=1),
+}
+
+
+def _same_text(text, value):
+    """Whether ``text`` is ``value`` as a report line prints it: a float
+    bit for bit (NaN where it is NaN), a sequence element by element."""
+    if isinstance(value, (np.ndarray, tuple, list)):
+        items = text[1:-1].split(",") if len(value) else []
+        return (text[0] + text[-1] == "[]" and len(items) == len(value)
+                and all(map(_same_text, items, value)))
+    if isinstance(value, (float, np.floating)):
+        return float(text).hex() == float(value).hex()
+    return text == str(value)
+
+
+@pytest.mark.parametrize("gate", list(SMALL_REPORTS))
+def test_report_line_is_its_fields(gate):
+    report = SMALL_REPORTS[gate]()
+    assert report.passed == (gate != "sampling_r1")
+    [line] = report.lines()
+    *pairs, verdict = line.split(" ")
+    assert verdict == ("PASS" if report.passed else "FAIL")
+    names = [f.name for f in dataclasses.fields(report) if f.name != "passed"]
+    assert [pair.split("=", 1)[0] for pair in pairs] == names
+    for pair, name in zip(pairs, names):
+        assert _same_text(pair.split("=", 1)[1], getattr(report, name)), name
+
+
+def test_report_line_prints_nan_signed_zero_and_none_exactly():
+    report = dataclasses.replace(
+        SMALL_REPORTS["sampling"](), ratio=math.nan, z=-0.0,
+        stiefel_mean=np.float32(0.1))
+    assert " ratio=nan " in report.lines()[0]
+    assert " z=-0.0 " in report.lines()[0]
+    # a numpy float32 prints as the double it widens to
+    assert f" stiefel_mean={float(np.float32(0.1))!r} " in report.lines()[0]
+    quadratic = dataclasses.replace(SMALL_REPORTS["quadratic"](),
+                                    window_start=None, fitted_K=None,
+                                    errors=np.array([]))
+    assert quadratic.lines()[0].startswith(
+        "errors=[] window_start=None ")
+    assert " fitted_K=None " in quadratic.lines()[0]

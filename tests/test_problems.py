@@ -321,6 +321,16 @@ class TestLoadLibsvm(object):
         with pytest.raises(ValueError):
             load_libsvm(path, dimension=1)
 
+    @pytest.mark.parametrize("dimension", [2.5, "3", 0, float("nan")])
+    def test_dimension_that_is_not_a_count_rejected(self, tmp_path,
+                                                     dimension):
+        # before, 2.5 loaded 2 columns and "3" loaded 3
+        path = tmp_path / "data.txt"
+        path.write_text("+1 2:1.0\n")
+        with pytest.raises(ValueError,
+                           match="^dimension must be an integer >= 1, got "):
+            load_libsvm(path, dimension=dimension)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("\n\n")

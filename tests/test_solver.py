@@ -27,11 +27,13 @@ from zonewton import (
     gradient_error_bound,
     iterate,
     iterations,
+    logistic_objective,
     make_cubic_box,
     make_logistic,
     make_quadratic,
     make_synthetic_dataset,
     optimal_stepsize,
+    partition_dataset,
     random_spd,
     run,
     stiefel_sample,
@@ -46,6 +48,7 @@ from zonewton.experiments import (
     rate_verification,
     sampling_comparison,
 )
+from zonewton.problems import check_known_derivatives
 from zonewton.solver import (
     RUNNING,
     STOPPED_BUDGET,
@@ -1082,6 +1085,9 @@ _PUBLIC_COUNTS = {
     "dataset_n": ("n", lambda n: make_synthetic_dataset(n, 3, RngStream(0))),
     "dataset_d": ("d", lambda n: make_synthetic_dataset(20, n, RngStream(0))),
     "frame_size": ("frame_size", lambda n: DirectionSet(np.eye(3), n)),
+    # Before, n_points = 0 checked nothing and returned as if it passed.
+    "known_derivatives_points": ("n_points", lambda n: check_known_derivatives(
+        make_cubic_box(2, 0.4), n_points=n)),
 }
 
 
@@ -1146,6 +1152,17 @@ _PUBLIC_REALS = {
     "random_spd_cond": ("cond", 1, lambda v: random_spd(4, v, RngStream(0))),
     "rate_gate_mu": ("mu", None,
                      lambda v: rate_verification(trials=30, mu=v)),
+    # Before, a NaN ridge or weight built an objective that returned NaN.
+    "objective_ridge": ("ridge", 0, lambda v: logistic_objective(
+        make_synthetic_dataset(20, 3, RngStream(0)), v, 0.05)),
+    "objective_weight": ("weight", None, lambda v: logistic_objective(
+        make_synthetic_dataset(20, 3, RngStream(0)), 0.1, v)),
+    "partition_ridge": ("ridge", 0, lambda v: partition_dataset(
+        make_synthetic_dataset(20, 3, RngStream(0)), FederationConfig(2),
+        RngStream(1), ridge=v)),
+    # central differences are exact on a quadratic at any step
+    "known_derivatives_mu": ("mu", None, lambda v: check_known_derivatives(
+        make_quadratic(np.eye(2), np.ones(2)), mu=v)),
     # Before, contraction_gamma(nan, 1, 2, 1, 2) and
     # zo_floor_stop(1e-9, 4, 2.0, 1e-3, nan) returned nan.
     "gamma_alpha": ("alpha", None, lambda v: contraction_gamma(v, 1, 2, 1, 2)),
