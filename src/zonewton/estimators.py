@@ -146,27 +146,29 @@ def _frame_update(h, v, c):
     ``h`` is (..., d, d), ``v`` (..., k, d) with orthonormal rows and ``c``
     (..., k). Nothing is checked.
     """
-    residual = c - np.sum((v @ h) * v, axis=-1)
-    increment = (np.swapaxes(v, -1, -2) * residual[..., None, :]) @ v
-    h += 0.5 * (increment + np.swapaxes(increment, -1, -2))
+    residual = c - ((v @ h) * v).sum(axis=-1)
+    increment = (v.swapaxes(-1, -2) * residual[..., None, :]) @ v
+    h += 0.5 * (increment + increment.swapaxes(-1, -2))
     return residual
 
 
 def directional_curvature(probe: ProbeResult) -> np.ndarray:
     """Second central differences (f+ - 2 f0 + f-) / mu^2, one per probed
-    direction, in direction order."""
-    return _second_difference(probe.plus_values, probe.center_value,
-                              probe.minus_values, probe.mu)
+    direction, in direction order (:func:`_second_difference`). A
+    non-finite result (an overflow, a non-finite value, or mu^2
+    underflowing to 0) comes without a warning, for the caller to test with
+    ``np.isfinite``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _second_difference(probe.plus_values, probe.center_value,
+                                  probe.minus_values, probe.mu)
 
 
 def _second_difference(plus, center, minus, mu):
-    """(plus - 2 center + minus) / mu^2, elementwise. mu^2 is a numpy
-    float64 power: the value Python's ``mu**2`` gives, but an overflow
-    gives inf instead of raising ``OverflowError``. A non-finite result
-    (an overflow, a non-finite value, or mu^2 underflowing to 0) comes
-    without a warning, for the caller to test with ``np.isfinite``."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (plus - 2.0 * center + minus) / np.float64(mu) ** 2
+    """(plus - 2 center + minus) / mu^2, elementwise, under the caller's
+    error state. mu^2 is a numpy float64 power: the value Python's
+    ``mu**2`` gives, but an overflow gives inf instead of raising
+    ``OverflowError``. Nothing is checked."""
+    return (plus - 2.0 * center + minus) / np.float64(mu) ** 2
 
 
 def estimate_hessian(oracle: Oracle, x, directions: DirectionSet, mu: float,
@@ -216,11 +218,11 @@ def _gradient(plus, minus, mu, v):
     """sum_j (plus_j - minus_j) / (2 mu) u_j for every index of the leading
     axes.
 
-    ``plus`` and ``minus`` are (..., d), ``mu`` a scalar or (...) and ``v``
-    (..., d, d) with orthonormal rows u_j; the leading axes broadcast as in
-    numpy. Nothing is checked.
+    ``plus`` and ``minus`` are (..., d), ``mu`` a scalar or (..., 1) and
+    ``v`` (..., d, d) with orthonormal rows u_j; the leading axes broadcast
+    as in numpy. Nothing is checked.
     """
-    coeffs = (plus - minus) / (2.0 * np.asarray(mu)[..., None])
+    coeffs = (plus - minus) / (2.0 * mu)
     return (coeffs[..., None, :] @ v)[..., 0, :]
 
 

@@ -119,7 +119,8 @@ def _origin_curvatures(oracle: Oracle, vectors: np.ndarray, mu: float,
     values = _probe_values(oracle, np.zeros((1, vectors.shape[-1])),
                            mu * vectors)
     center, plus, minus = _probe_sides(values)
-    curvatures = _second_difference(plus, center, minus, mu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curvatures = _second_difference(plus, center, minus, mu)
     if not np.all(np.isfinite(curvatures)):
         raise FloatingPointError(
             f"{gate}: non-finite directional curvature at mu={mu!r}")
@@ -290,7 +291,7 @@ def gradient_bound_verification(seed: int = 0, d: int = 4,
             basis_gen.standard_normal((size, d * d)), d).swapaxes(-1, -2)
         values = _probe_values(oracle, x, mu[rows, None, None] * v)
         _, plus, minus = _probe_sides(values)
-        g = _gradient(plus, minus, mu[rows], v)
+        g = _gradient(plus, minus, mu[rows, None], v)
         exact = problem.known.gradient(x)
         error[rows] = _norms(exact - g)
         allowance[rows] = bound[rows] + 1e-12 * (1.0 + _norms(exact))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .oracle import Objective, Oracle, ProbeResult
 from .problems import Dataset, logistic_objective
-from .sampling import DirectionSet, RngStream, _check_count
+from .sampling import DirectionSet, RngStream, _check_count, _check_real
 from .solver import RunTrace, SolverConfig, run as solver_run
 
 __all__ = [
@@ -70,7 +70,9 @@ def partition_dataset(dataset: Dataset, config: FederationConfig,
     logistic losses, plus the ridge term, so the client average
     (1/n) sum_i f_i equals the full-dataset objective of
     :func:`zonewton.problems.make_logistic` regardless of shard sizes.
+    The ridge is checked (finite and >= 0) before ``rng`` is drawn from.
     """
+    _check_real("ridge", ridge, 0)
     n = dataset.n_samples
     if config.n_clients > n:
         raise ValueError(

@@ -216,8 +216,9 @@ def _probe_points(x: np.ndarray, steps: np.ndarray,
     points = np.empty((*lead, 2 * k + first, d))
     if with_center:
         points[..., 0, :] = x
-    np.add(x[..., None, :], steps, out=points[..., first::2, :])
-    np.subtract(x[..., None, :], steps, out=points[..., first + 1::2, :])
+    rows = x[..., None, :]
+    np.add(rows, steps, out=points[..., first::2, :])
+    np.subtract(rows, steps, out=points[..., first + 1::2, :])
     return points
 
 

@@ -494,8 +494,18 @@ def logistic_gap_objective(dataset: Dataset, ridge: float,
     log(sigma(z*) + sigma(-z*) exp(a)), a logaddexp of log-sigmoids; a NaN
     margin still gives NaN. Same minimizer, derivatives, and regularity
     constants as the raw objective; its optimum value is exactly 0.
+
+    The ridge must be finite and >= 0, and ``x_star`` a finite vector of
+    the dataset's dimension; anything else raises ``ValueError`` naming the
+    parameter.
     """
+    _check_real("ridge", ridge, 0)
     x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (dataset.dimension,):
+        raise ValueError(f"x_star has shape {x_star.shape}, expected "
+                         f"({dataset.dimension},)")
+    if not np.isfinite(x_star).all():
+        raise ValueError(f"x_star must be finite, got {x_star!r}")
     z_star = dataset.labels * (dataset.features @ x_star)
     s_star = _sigmoid(-z_star)
     # Below the smallest normal double sigma(-z*) carries few digits, or

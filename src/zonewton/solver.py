@@ -51,7 +51,7 @@ from . import _helpers
 from .estimators import (
     HessianEstimate,
     _gradient,
-    directional_curvature,
+    _second_difference,
     gradient_error_bound,
     update_rate_bound,
 )
@@ -252,7 +252,7 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
     """
     w, q = np.linalg.eigh(h) if decomposition is None else decomposition
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
-    w_clamped = np.clip(w, lambda_min, lambda_max)
+    w_clamped = np.minimum(np.maximum(w, lambda_min), lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
     z = 0.5 * (z + z.T)
     return z, clipped
@@ -439,23 +439,15 @@ def _validate_run_inputs(oracle: Oracle, config: SolverConfig):
 _EPS = float(np.finfo(float).eps)
 
 
-def _probe_failed(x: np.ndarray, curvatures: np.ndarray, mu: float) -> bool:
-    """True when a probe batch, with second differences ``curvatures`` at
-    step ``mu``, cannot carry information about f.
-
-    Either a second difference is not finite, or the probe step mu is no
-    larger than the rounding unit eps * ||x|| of the iterate. The first
-    covers a non-finite function value, which always gives a non-finite
-    second difference, and a mu whose square underflows to 0. In the
-    second, the probe points x +/- mu*u are lost to rounding (a point equal
-    to x implies eps * ||x|| > 2 mu), and a gradient estimate of exactly 0
-    would pass the floor test.
-    ||x|| is ``math.sqrt(x.dot(x))``, the formula ``np.linalg.norm`` runs
-    for a real vector.
+def _steps_lost(x: np.ndarray, mu: float) -> bool:
+    """True when the probe step mu is no larger than the rounding unit
+    eps * ||x|| of the iterate: the probe points x +/- mu*u are then lost
+    to rounding (a point equal to x implies eps * ||x|| > 2 mu), and a
+    gradient estimate of exactly 0 would pass the floor test. A non-finite
+    x fails too. ||x|| is ``math.sqrt(x.dot(x))``, the formula
+    ``np.linalg.norm`` runs for a real vector.
     """
-    # Written so that a non-finite x fails too.
-    return not (np.isfinite(curvatures).all()
-                and _EPS * math.sqrt(x.dot(x)) < mu)
+    return not _EPS * math.sqrt(x.dot(x)) < mu
 
 
 def _numerical_stop(state: SolverState, evals: int, f_value: float,
@@ -522,13 +514,18 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
 
     Budget exhaustion inside either probe phase propagates as
     :class:`BudgetExhaustedError`; :func:`iterations` catches it and marks
-    the run stopped_budget. A probe batch that fails
-    :func:`_probe_failed` stops the run as stopped_numerical before any
-    Hessian update. A gradient norm that is not finite, or a Hessian update
-    that leaves the estimate not finite, stops it before the floor test, the
-    adaptive count and the step; so does a step whose direction, new
-    iterate or length is not finite. Each stops it as stopped_numerical at
-    this iteration, with x and the state's estimate kept.
+    the run stopped_budget. A first probe batch whose steps are lost to
+    rounding at x (:func:`_steps_lost`) stops the run before any Hessian
+    update. A gradient norm that is not finite, or a Hessian update that
+    leaves the estimate not finite (as a non-finite value or second
+    difference does), stops it before the floor test, the adaptive count
+    and the step; so does a step whose length is not finite, which a
+    direction or new iterate that is not finite gives. Each stops it as
+    stopped_numerical at this iteration, with x and the state's estimate
+    kept. The iteration computes under one error state that ignores every
+    floating-point error, from the rounding test to the step, and calls the
+    objective under the caller's; so a caller's ``np.errstate(all="raise")``
+    raises nothing here.
     A direction policy that does not fit the oracle (a fixed r below d, an
     adaptive r_max below d or no L1), or a state carrying directions drawn
     for another (d, r) or policy, raises ``ValueError`` before any
@@ -569,22 +566,28 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         # Once the batch is done with the helpers, so that the draw runs
         # while this iteration updates and steps.
         _helpers.submit([block[1]])
-    curvatures = directional_curvature(probe)
-    if _probe_failed(x, curvatures, config.mu):
-        return _numerical_stop(state, oracle.eval_count,
-                               probe.center_value, d)
-    # One error state from the gradient to the step: an overflow anywhere
-    # shows as a non-finite norm, estimate, direction or iterate, which ends
-    # the run. A second probe batch, an objective call, runs under the
-    # caller's error state instead. The frame is one full orthonormal basis,
-    # so the gradient skips estimate_gradient's check.
+    # One error state from the rounding test to the step: an overflow
+    # anywhere shows as a non-finite norm, estimate, direction or iterate,
+    # which ends the run. A non-finite value or second difference (a mu^2
+    # that underflows to 0 included) leaves the updated estimate not
+    # finite. Every other divisor in the block (2 mu, the clamped
+    # eigenvalues) is positive, and an underflow only loses digits below
+    # the smallest normal double. A second probe batch, an objective call,
+    # runs under the caller's error state instead; its x and mu passed the
+    # rounding test here. The frame is one full orthonormal basis, so the
+    # gradient skips estimate_gradient's check.
     hess = state.hessian.copy()
     caller = None if fixed and extra is None else np.geterr()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if _steps_lost(x, config.mu):
+            return _numerical_stop(state, oracle.eval_count,
+                                   probe.center_value, d)
         g = _gradient(probe.plus_values, probe.minus_values, probe.mu,
                       frame.vectors)
         g_norm = math.sqrt(g.dot(g))
-        residuals = hess.apply_probe(frame, curvatures)
+        residuals = hess.apply_probe(frame, _second_difference(
+            probe.plus_values, probe.center_value, probe.minus_values,
+            probe.mu))
         if not (math.isfinite(g_norm) and np.isfinite(hess.matrix).all()):
             return _numerical_stop(state, oracle.eval_count,
                                    probe.center_value, d)
@@ -619,11 +622,9 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
             with np.errstate(**caller):
                 probe2 = oracle.probe_batch(x, extra, config.mu,
                                             center=probe.center_value)
-            curvatures = directional_curvature(probe2)
-            if _probe_failed(x, curvatures, config.mu):
-                return _numerical_stop(state, oracle.eval_count,
-                                       probe.center_value, r_k)
-            hess.apply_probe(extra, curvatures)
+            hess.apply_probe(extra, _second_difference(
+                probe2.plus_values, probe2.center_value,
+                probe2.minus_values, probe2.mu))
             if not np.isfinite(hess.matrix).all():
                 return _numerical_stop(state, oracle.eval_count,
                                        probe.center_value, r_k)
@@ -637,7 +638,9 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
         x_new = x - alpha * direction
         step = x_new - x
         step_norm = math.sqrt(step.dot(step))
-    if not (math.isfinite(step_norm) and np.isfinite(x_new).all()):
+    # x is finite (_steps_lost), so a finite step means a finite x_new and
+    # direction.
+    if not math.isfinite(step_norm):
         return _numerical_stop(state, oracle.eval_count,
                                probe.center_value, r_k)
 

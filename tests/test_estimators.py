@@ -22,6 +22,7 @@ from zonewton import (
     update_rate_bound,
 )
 from zonewton.estimators import _frame_update, _rank_one
+from zonewton.sampling import _stiefel_columns
 
 
 def quad_oracle(a):
@@ -412,3 +413,33 @@ def test_stacked_frame_update_matches_apply_probe(trials, d, data):
         np.testing.assert_allclose(h[t], est.matrix,
                                    rtol=0, atol=1e-12 * scale)
         assert np.array_equal(h[t], h[t].T)
+
+
+def _frame_update_function_form(h, v, c):
+    """``_frame_update`` written with numpy's function forms np.sum and
+    np.swapaxes, the reference for its array-method form."""
+    residual = c - np.sum((v @ h) * v, axis=-1)
+    increment = (np.swapaxes(v, -1, -2) * residual[..., None, :]) @ v
+    h += 0.5 * (increment + np.swapaxes(increment, -1, -2))
+    return residual
+
+
+@pytest.mark.parametrize("lead, d, r", [
+    ((), 1, 1), ((), 2, 2), ((), 10, 10), ((), 100, 100),
+    # frames of 10, 10 and a short last one of 5
+    ((), 10, 25),
+    ((3,), 10, 10), ((3,), 4, 10)])
+def test_frame_update_is_its_function_form_bit_for_bit(lead, d, r):
+    gen = np.random.default_rng(d + r)
+    w = gen.standard_normal((*lead, d, d))
+    got_h = w + np.swapaxes(w, -1, -2)
+    want_h = got_h.copy()
+    v = _stiefel_columns(gen.standard_normal((*lead, d * r)),
+                         d).swapaxes(-1, -2)
+    c = gen.standard_normal((*lead, r))
+    for start in range(0, r, d):
+        frame = v[..., start:start + d, :], c[..., start:start + d]
+        got = _frame_update(got_h, *frame)
+        want = _frame_update_function_form(want_h, *frame)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got_h.view(np.int64), want_h.view(np.int64))

@@ -95,6 +95,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_dataset(ds, FederationConfig(4), RngStream(4), ridge=0.1)
 
+    @pytest.mark.parametrize("ridge", [np.nan, -1.0])
+    def test_a_rejected_ridge_leaves_the_stream_untouched(self, ridge):
+        ds = make_synthetic_dataset(5, 2, RngStream(0))
+        rng = RngStream(1)
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            partition_dataset(ds, FederationConfig(2), rng, ridge=ridge)
+        np.testing.assert_array_equal(
+            rng.generator.permutation(5),
+            RngStream(1).generator.permutation(5))
+
 
 
 class TestFederatedProbe:

@@ -47,6 +47,9 @@ def test_a_tree_times_against_itself():
     proc = _interleave(SRC, SRC, "--workload", "quadratic", "--d", "5",
                        "--pairs", "2")
     assert proc.returncode == 0, proc.stderr
+    proc = _interleave(SRC, SRC, "--workload", "fed", "--seed", "1",
+                       "--pairs", "2")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_trees_with_different_outputs_are_refused(tmp_path):
@@ -96,5 +99,15 @@ def test_the_logistic_solve_is_perfbenchs(modules):
     want = bench.solve(bench._build(), None, 1,
                        lambda fn, *args: fn(*args)).trace.records
     got = interleave.logistic_workload(zonewton)(1)
+    assert len(want) > 1
+    assert interleave._pin(got) == interleave._pin(want)
+
+
+def test_the_federated_solve_is_perfbenchs(modules):
+    interleave, workloads = modules
+    bench = workloads.FedLogistic(0)
+    want = bench.solve(bench._build(), None, 1,
+                       lambda fn, *args: fn(*args)).trace.records
+    got = interleave.fed_workload(zonewton)(1)
     assert len(want) > 1
     assert interleave._pin(got) == interleave._pin(want)

@@ -157,6 +157,25 @@ def _one_sample_gap(z_star: float):
 
 
 class TestGapObjective:
+    @pytest.mark.parametrize("ridge", [np.nan, -1.0, np.inf, "0.1"])
+    def test_rejects_a_bad_ridge_by_name(self, ridge):
+        # a NaN ridge used to give NaN values, and -1 a gap of -1.156 at
+        # x = 1 on this dataset
+        data_set = make_synthetic_dataset(20, 3, RngStream(0))
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            logistic_gap_objective(data_set, ridge, np.zeros(3))
+
+    @pytest.mark.parametrize("x_star, match", [
+        (np.zeros(2), r"^x_star has shape \(2,\), expected \(3,\)"),
+        (np.zeros((1, 3)), r"^x_star has shape \(1, 3\)"),
+        (np.array([0.0, np.nan, 0.0]), "^x_star must be finite"),
+        (np.array([np.inf, 0.0, 0.0]), "^x_star must be finite"),
+    ], ids=["short", "matrix", "nan", "inf"])
+    def test_rejects_a_bad_reference_by_name(self, x_star, match):
+        data_set = make_synthetic_dataset(20, 3, RngStream(0))
+        with pytest.raises(ValueError, match=match):
+            logistic_gap_objective(data_set, 0.1, x_star)
+
     def test_zero_at_reference(self):
         data_set = make_synthetic_dataset(40, 5, RngStream(5))
         p = make_logistic(data_set, ridge=0.2)

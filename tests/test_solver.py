@@ -97,6 +97,23 @@ class TestEigenvalueClip:
         assert _clip_inverse(np.diag([5.0, 1.0]), 0.5, 2.0)[1] is True
         assert _clip_inverse(np.eye(2), 0.5, 2.0)[1] is False
 
+    @pytest.mark.parametrize("w", [
+        [-2.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0,
+         4.0, np.nextafter(4.0, 5.0), 7.0],
+        [0.5, 1.0, 4.0]], ids=["clipped", "on-the-bounds"])
+    def test_the_clamp_is_np_clip_bit_for_bit(self, w):
+        # the decomposition is given, so eigenvalues sit exactly on a bound
+        lo, hi = 0.5, 4.0
+        w = np.sort(np.array(w))
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal(
+            (len(w), len(w))))
+        h = (q * w) @ q.T
+        z, clipped = _clip_inverse(0.5 * (h + h.T), lo, hi, (w, q))
+        want = (q * (1.0 / np.clip(w, lo, hi))) @ q.T
+        want = 0.5 * (want + want.T)
+        assert np.array_equal(z.view(np.int64), want.view(np.int64))
+        assert clipped is bool(w[0] < lo or w[-1] > hi)
+
 
 def test_dot_product_norm_is_numpy_norm_bit_for_bit():
     # the solver's 1-D norms are math.sqrt(v.dot(v)), the formula
@@ -854,6 +871,30 @@ class TestDrawAhead:
         ref = weakref.ref(frames)
         del state, frames
         assert dead_soon([ref])
+
+
+@pytest.mark.parametrize("objective, x0", [
+    # the probe points round to x = 1: the rounding test stops it
+    (make_quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3)).fn, np.ones(3)),
+    # at x = 0 the points survive, mu^2 underflows to 0 and the second
+    # differences are 0 / 0
+    (Objective(lambda p: p @ np.array([1.0, -2.0, 3.0])), np.zeros(3))],
+    ids=["quadratic", "linear-at-0"])
+def test_an_underflowing_mu_stops_numerical_under_a_raising_error_state(
+        objective, x0):
+    # Before, mu^2 raised "underflow encountered in scalar power" here.
+    d = 3
+    oracle = Oracle(objective, d)
+    config = SolverConfig(mu=1e-300, r_policy=FixedDirections(d),
+                          max_iterations=5)
+    with np.errstate(all="raise"):
+        state, record = iterate(SolverState.initial(x0, d), oracle, config,
+                                RngStream(0))
+    assert state.status == STOPPED_NUMERICAL
+    assert record.r_used == d
+    assert oracle.eval_count == 2 * d + 1
+    np.testing.assert_array_equal(state.x, x0)
+    assert not state.hessian.matrix.any()
 
 
 @pytest.mark.filterwarnings("error")

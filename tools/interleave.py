@@ -1,8 +1,8 @@
 """Time two zonewton source trees against each other in one process.
 
-    python tools/interleave.py A B [--workload gates|quadratic|logistic]
-                               [--pairs N]
-                               [--seed K ...] [--gates NAME ...] [--d D]
+    python tools/interleave.py A B
+        [--workload gates|quadratic|logistic|fed] [--pairs N]
+        [--seed K ...] [--gates NAME ...] [--d D]
 
 A and B are directories that hold ``zonewton``. Each tree's package is
 copied into a temporary directory as ``zonewton_a`` and ``zonewton_b`` (the
@@ -30,6 +30,11 @@ Workloads:
   run to the zeroth-order stop. The seeds are direction seeds, 1 and 2 by
   default; the dataset and problem are built from seed 0, outside the
   timing, and ``--d`` does not apply.
+- ``fed``: the solve of ``perfbench``'s ``fed_logistic_c50``: the same
+  logistic regression at d = 20, split over 50 clients, r = d, run to the
+  zeroth-order stop through ``fedsim.federated_run``. The seeds are
+  direction seeds, 1-4 by default; the dataset and the clients are built
+  from seeds 0 and 1, outside the timing, and ``--d`` does not apply.
 
 Alternating pair by pair in one process resolves a few microseconds per
 iteration, which separate benchmark runs cannot, and both sides run under
@@ -62,8 +67,10 @@ GATES = {
     "sampling": ("sampling_comparison", dict(d=20, r=20, trials=200,
                                              mu=1e-6)),
 }
+# The ridge of perfbench's logistic workloads.
+RIDGE = 0.1
 DEFAULT_SEEDS = {"gates": [1, 101, 201, 301, 401], "quadratic": [0, 1, 2, 3],
-                 "logistic": [1, 2]}
+                 "logistic": [1, 2], "fed": [1, 2, 3, 4]}
 
 
 def _pin(value) -> bytes:
@@ -134,6 +141,23 @@ def quadratic_workload(pkg, d):
     return solve
 
 
+def _logistic_setup(pkg, d, mu):
+    """The n = 2000 synthetic dataset of seed 0 at dimension d, its ridge
+    logistic problem and the solver config, as ``perfbench``'s ``Logistic``
+    builds them."""
+    problems = importlib.import_module(f"{pkg.__name__}.problems")
+    sampling = importlib.import_module(f"{pkg.__name__}.sampling")
+    solver = importlib.import_module(f"{pkg.__name__}.solver")
+    data = problems.make_synthetic_dataset(2000, d, sampling.RngStream(0))
+    problem = problems.make_logistic(data, RIDGE)
+    known = problem.known
+    config = solver.SolverConfig(
+        mu=mu, r_policy=solver.FixedDirections(d), alpha=1.0,
+        lambda_min=known.m, lambda_max=known.L1, max_iterations=100,
+        L1=known.L1, L2=known.L2, m=known.m)
+    return data, problem, config
+
+
 def logistic_workload(pkg):
     """A function of the direction seed that runs one logistic solve, as
     ``perfbench``'s ``Logistic.solve`` does, and returns its records.
@@ -141,21 +165,35 @@ def logistic_workload(pkg):
     ``Logistic(0)``."""
     import numpy as np
 
-    problems = importlib.import_module(f"{pkg.__name__}.problems")
     sampling = importlib.import_module(f"{pkg.__name__}.sampling")
     solver = importlib.import_module(f"{pkg.__name__}.solver")
-    n, d, mu = 2000, 200, 1.3e-3
-    data = problems.make_synthetic_dataset(n, d, sampling.RngStream(0))
-    problem = problems.make_logistic(data, 0.1)
-    known = problem.known
-    config = solver.SolverConfig(
-        mu=mu, r_policy=solver.FixedDirections(d), alpha=1.0,
-        lambda_min=known.m, lambda_max=known.L1, max_iterations=100,
-        L1=known.L1, L2=known.L2, m=known.m)
+    d = 200
+    _, problem, config = _logistic_setup(pkg, d, 1.3e-3)
 
     def solve(seed):
         return solver.run(np.zeros(d), problem.make_oracle(), config,
                           sampling.RngStream(seed)).records
+
+    return solve
+
+
+def fed_workload(pkg):
+    """A function of the direction seed that runs one federated solve over
+    50 clients, as ``perfbench``'s ``FedLogistic.solve`` does, and returns
+    its records. tests/test_interleave.py checks that they are those of
+    ``FedLogistic(0)``."""
+    import numpy as np
+
+    fedsim = importlib.import_module(f"{pkg.__name__}.fedsim")
+    sampling = importlib.import_module(f"{pkg.__name__}.sampling")
+    d = 20
+    data, _, config = _logistic_setup(pkg, d, 1.35e-3)
+    clients = fedsim.partition_dataset(data, fedsim.FederationConfig(50),
+                                       sampling.RngStream(1), ridge=RIDGE)
+
+    def solve(seed):
+        return fedsim.federated_run(np.zeros(d), clients, config,
+                                    sampling.RngStream(seed)).records
 
     return solve
 
@@ -210,8 +248,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.workload == "logistic" and args.d is not None:
-        parser.error("--d does not apply to --workload logistic")
+    if args.workload in ("logistic", "fed") and args.d is not None:
+        parser.error(f"--d does not apply to --workload {args.workload}")
     seeds = args.seeds or DEFAULT_SEEDS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
         pkg_a = load(args.a, "zonewton_a", workdir)
@@ -223,8 +261,10 @@ def main(argv=None) -> int:
             d = 100 if args.d is None else args.d
             work_a, work_b = (quadratic_workload(p, d)
                               for p in (pkg_a, pkg_b))
-        else:
+        elif args.workload == "logistic":
             work_a, work_b = (logistic_workload(p) for p in (pkg_a, pkg_b))
+        else:
+            work_a, work_b = (fed_workload(p) for p in (pkg_a, pkg_b))
         times = interleave(work_a, work_b, seeds, args.pairs)
     for line in summary(times):
         print(line)
