@@ -245,4 +245,10 @@ def gradient_error_bound(d: int, L2: float, mu: float) -> float:
     _check_count("d", d)
     _check_real("L2", L2, 0)
     _check_real("mu", mu)
+    return _gradient_error_bound(d, L2, mu)
+
+
+def _gradient_error_bound(d: int, L2: float, mu: float) -> float:
+    """:func:`gradient_error_bound` without its checks, for a caller whose
+    d, L2 and mu are already checked."""
     return d * L2 * mu * mu / 6.0

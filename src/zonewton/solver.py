@@ -12,13 +12,17 @@ strictly inside the bounds, Z g is one linear solve with the estimate;
 otherwise it comes from an eigendecomposition. Two Cholesky tests tell the
 cases apart, except after a clipped step: then the eigendecomposition comes
 first, and an eigenvalue beyond a bound by more than a rounding margin,
-which proves a test would fail, skips the tests. The center value f(x) is
-shared between the two probe phases, so one iteration costs exactly
-2 r_k + 1 evaluations. A probe batch that holds a non-finite value or
-second difference, or whose probe steps are lost to rounding at x, ends the
-run as stopped_numerical, and so does a gradient norm or Hessian estimate
-that overflows, or a step whose direction, new iterate or length is not
-finite.
+which proves a test would fail, skips the tests. The eigendecomposition,
+the Cholesky tests and the solve call the float64 LAPACK gufuncs that
+``np.linalg`` runs, directly, through the private seam :class:`_Lapack`:
+the same bits, without ``np.linalg``'s per-call wrapper, and with a
+failure shown as a NaN output instead of ``LinAlgError``. The center
+value f(x) is shared between the two probe phases, so one iteration costs
+exactly 2 r_k + 1 evaluations. A probe batch that holds a non-finite value
+or second difference, or whose probe steps are lost to rounding at x, ends
+the run as stopped_numerical, and so does a gradient norm or Hessian
+estimate that overflows, or a step whose direction, new iterate or length
+is not finite, as an eigensolver that fails gives.
 
 Under a fixed policy the directions are drawn a block of iterations ahead:
 one normal draw of up to 64 KiB, capped by the iterations the run has left,
@@ -46,11 +50,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _helpers
 from .estimators import (
     HessianEstimate,
     _gradient,
+    _gradient_error_bound,
     _second_difference,
     gradient_error_bound,
     update_rate_bound,
@@ -235,12 +241,48 @@ class RunTrace:
         return self.records[-1].evals if self.records else 0
 
 
+class _Lapack:
+    """The solver's seam to LAPACK: the float64 loops of the gufuncs in
+    numpy's private ``numpy.linalg._umath_linalg`` that ``np.linalg.eigh``,
+    ``np.linalg.cholesky`` and ``np.linalg.solve`` run on a float64 matrix
+    (syevd, potrf and gesv), called directly. Only ``np.linalg``'s per-call
+    wrapper goes (array conversion, type resolution, a nested error state,
+    ``astype`` and ``wrap``), so every output is the same bits.
+
+    A failure (an eigensolver that does not converge, a matrix that is not
+    positive definite, a singular system) fills the output with NaN and
+    raises the floating-point error ``invalid`` under the caller's error
+    state, where ``np.linalg`` raises ``LinAlgError``. The errors of
+    LAPACK's own arithmetic (overflow, divide, underflow), which
+    ``np.linalg`` ignores, come under the caller's error state too. Nothing
+    is checked: each argument must be a float64 array of the right shape.
+    tests/test_solver.py checks the bits and the failures against
+    ``np.linalg``, so a numpy whose private module changes fails there.
+    """
+
+    @staticmethod
+    def eigh(h):
+        """(w, q): the eigenvalues of h in ascending order and its
+        eigenvectors as columns, from the lower triangle."""
+        return _umath_linalg.eigh_lo(h, signature="d->dd")
+
+    @staticmethod
+    def cholesky(a):
+        """The lower Cholesky factor of a, from its lower triangle."""
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+    @staticmethod
+    def solve(h, g):
+        """The solution of h x = g for a vector g."""
+        return _umath_linalg.solve1(h, g, signature="dd->d")
+
+
 def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
                   decomposition=None) -> tuple[np.ndarray, bool]:
     """Clamp the spectrum of h into [lambda_min, lambda_max] and invert:
     Z = Q clamp(Lambda)^(-1) Q^T. Returns Z and whether any eigenvalue was
-    clamped. ``decomposition``, when given, is ``np.linalg.eigh(h)``,
-    already computed.
+    clamped. ``decomposition``, when given, is ``_Lapack.eigh(h)``, already
+    computed.
 
     Every eigenvalue of Z lies in [1/lambda_max, 1/lambda_min], and when the
     spectrum of h already sits inside the bounds Z is exactly the inverse.
@@ -248,9 +290,11 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
     every update keeps the solver's estimate, and the bounds must satisfy
     0 < lambda_min <= lambda_max < inf, as :class:`SolverConfig` checks. The
     solver calls it through :func:`_newton_direction`, whenever the spectrum
-    of h is not strictly inside the bounds.
+    of h is not strictly inside the bounds. An eigensolver that fails gives
+    NaN eigenvalues and vectors, so Z is NaN and the verdict False; the
+    arithmetic runs under the caller's error state.
     """
-    w, q = np.linalg.eigh(h) if decomposition is None else decomposition
+    w, q = _Lapack.eigh(h) if decomposition is None else decomposition
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
     w_clamped = np.minimum(np.maximum(w, lambda_min), lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
@@ -261,9 +305,10 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
 def _cholesky_margin(d: int, w: np.ndarray, lambda_min: float,
                      lambda_max: float) -> float:
     """The margin delta = 2 d^2 eps (|w_1| + |w_d| + lambda_min + lambda_max)
-    beyond which an eigenvalue computed by ``np.linalg.eigh`` proves that a
-    Cholesky test of :func:`_newton_direction` fails; ``w`` are the computed
-    eigenvalues of the d x d matrix h, in ascending order.
+    beyond which an eigenvalue computed by ``_Lapack.eigh`` (LAPACK's
+    syevd, as ``np.linalg.eigh`` runs it) proves that a Cholesky test of
+    :func:`_newton_direction` fails; ``w`` are the computed eigenvalues of
+    the d x d matrix h, in ascending order.
 
     Let A be the tested h - lambda_min I (the case lambda_max I - h is the
     same with lambda_max), u = eps / 2 and ||.|| the 2-norm. Its shifted
@@ -292,7 +337,8 @@ def _cholesky_margin(d: int, w: np.ndarray, lambda_min: float,
     gate (gate seeds 1-10) no clipped eigenvalue came within 1e-8 of a
     bound, against a delta below 1e-11.
     The sum is taken in Python floats, so an infinite delta (never
-    exceeded) comes without a warning.
+    exceeded) comes without a warning, and so does the NaN delta of a
+    failed eigensolver, which no eigenvalue exceeds.
     """
     return 2.0 * d * d * _EPS * (abs(float(w[0])) + abs(float(w[-1]))
                                  + lambda_min + lambda_max)
@@ -310,7 +356,15 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     ``_clip_inverse(h, ...)[0] @ g`` with that function's verdict, so an
     eigenvalue exactly on a bound is not clipped. ``h`` must be finite and
     exactly symmetric: a Cholesky factorisation of a non-finite matrix need
-    not raise.
+    not fail.
+
+    The LAPACK calls go through :class:`_Lapack`. A failed Cholesky test
+    shows as a NaN factor, of which the test reads one element, and a
+    failed eigensolver as a NaN direction, which :func:`iterate` stops on.
+    Each sets the floating-point error ``invalid``, and the function
+    computes under its caller's error state: :func:`iterate` holds one that
+    ignores every error, and a direct caller must ignore ``invalid``
+    itself, or a failed test warns or raises.
 
     With ``eigh_first`` (the solver passes whether its previous step
     clipped, since clipped steps come in runs) the eigendecomposition of h
@@ -329,7 +383,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     d = len(g)
     decomposition = None
     if eigh_first:
-        decomposition = w, _ = np.linalg.eigh(h)
+        decomposition = w, _ = _Lapack.eigh(h)
         delta = _cholesky_margin(d, w, lambda_min, lambda_max)
         if w[0] < lambda_min - delta or w[-1] > lambda_max + delta:
             z, clipped = _clip_inverse(h, lambda_min, lambda_max,
@@ -339,13 +393,11 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     lower.reshape(-1)[::d + 1] -= lambda_min
     upper = np.subtract(0.0, h, order="C")
     upper.reshape(-1)[::d + 1] += lambda_max
-    try:
-        np.linalg.cholesky(lower)
-        np.linalg.cholesky(upper)
-    except np.linalg.LinAlgError:
+    if (math.isnan(_Lapack.cholesky(lower)[0, 0])
+            or math.isnan(_Lapack.cholesky(upper)[0, 0])):
         z, clipped = _clip_inverse(h, lambda_min, lambda_max, decomposition)
         return z @ g, clipped
-    return np.linalg.solve(h, g), False
+    return _Lapack.solve(h, g), False
 
 
 def optimal_stepsize(lambda_min: float, L1: float) -> float:
@@ -376,9 +428,19 @@ def zo_floor_stop(g_norm: float, d: int, L2: float, mu: float,
     floor d L2 mu^2 / 6, the iterate is already within d L2 mu^2 / (3 m) of
     the minimizer; returns that guarantee (signal to stop) or None.
     """
-    threshold = gradient_error_bound(d, L2, mu)
+    _check_count("d", d)
+    _check_real("L2", L2, 0)
+    _check_real("mu", mu)
     _check_real("m", m)
-    if g_norm <= threshold:
+    return _zo_floor_stop(g_norm, d, L2, mu, m)
+
+
+def _zo_floor_stop(g_norm: float, d: int, L2: float, mu: float,
+                   m: float) -> Optional[float]:
+    """:func:`zo_floor_stop` without its checks, for :func:`iterate`, whose
+    d is the oracle's dimension and whose L2, mu and m
+    :class:`SolverConfig` has checked."""
+    if g_norm <= _gradient_error_bound(d, L2, mu):
         return d * L2 * mu * mu / (3.0 * m)
     return None
 
@@ -520,7 +582,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     leaves the estimate not finite (as a non-finite value or second
     difference does), stops it before the floor test, the adaptive count
     and the step; so does a step whose length is not finite, which a
-    direction or new iterate that is not finite gives. Each stops it as
+    direction or new iterate that is not finite gives (an eigensolver that
+    fails gives a NaN direction). Each stops it as
     stopped_numerical at this iteration, with x and the state's estimate
     kept. The iteration computes under one error state that ignores every
     floating-point error, from the rounding test to the step, and calls the
@@ -594,7 +657,8 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
 
         # (ii) zeroth-order floor check, when the constants are known.
         if config.L2 is not None and config.m is not None:
-            bound = zo_floor_stop(g_norm, d, config.L2, config.mu, config.m)
+            bound = _zo_floor_stop(g_norm, d, config.L2, config.mu,
+                                   config.m)
             if bound is not None:
                 new_state = SolverState(
                     x=x.copy(), hessian=hess,

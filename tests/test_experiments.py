@@ -417,9 +417,10 @@ FAULT_MATRIX = {
     "sampling": (experiments.sampling_comparison,
                  [(experiments, "_stiefel_columns", _unorthogonal_columns)],
                  "FAIL"),
-    # the floor constant is defined once and imported by both modules
+    # the floor constant is defined once and imported by both modules; the
+    # solver takes it unchecked, its config having checked the constants
     "stopping": (experiments.stopping_criterion_check,
-                 [(solver, "gradient_error_bound", _scaled_floor),
+                 [(solver, "_gradient_error_bound", _scaled_floor),
                   (experiments, "gradient_error_bound", _scaled_floor)],
                  "FAIL"),
     # the run ends stopped_numerical, which the CLI reports with exit code 3

@@ -4,6 +4,7 @@ It must time a tree against itself, refuse two trees whose outputs differ
 before it times anything, and time what ``perfbench`` times.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -30,10 +31,16 @@ def modules(monkeypatch):
     return interleave, workloads
 
 
-def _interleave(a, b, *args):
-    return subprocess.run(
-        [sys.executable, "-B", str(TOOL), str(a), str(b), *args],
-        capture_output=True, text=True)
+def _interleave(a, b, *args, cpus=None):
+    """Run the tool; with ``cpus``, from a child that sets its affinity set
+    to ``cpus`` and then execs it."""
+    command = [sys.executable, "-B", str(TOOL), str(a), str(b), *args]
+    if cpus is not None:
+        command = [sys.executable, "-c",
+                   "import os, sys; "
+                   f"os.sched_setaffinity(0, {sorted(cpus)}); "
+                   "os.execv(sys.argv[1], sys.argv[1:])", *command]
+    return subprocess.run(command, capture_output=True, text=True)
 
 
 def test_a_tree_times_against_itself():
@@ -50,6 +57,20 @@ def test_a_tree_times_against_itself():
     proc = _interleave(SRC, SRC, "--workload", "fed", "--seed", "1",
                        "--pairs", "2")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_an_unpinned_run_warns(pinned):
+    # a child inherits this process's affinity set unless pinned to one CPU
+    cpus = os.sched_getaffinity(0)
+    proc = _interleave(SRC, SRC, "--gates", "linear", "--d", "3",
+                       "--seed", "1", "--pairs", "1",
+                       cpus={min(cpus)} if pinned else None)
+    assert proc.returncode == 0, proc.stderr
+    warnings = [line for line in proc.stderr.splitlines()
+                if line.startswith("warning: unpinned")]
+    assert len(warnings) == (not pinned and len(cpus) > 1)
+    assert len(proc.stdout.splitlines()) == 4
 
 
 def test_trees_with_different_outputs_are_refused(tmp_path):

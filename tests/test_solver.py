@@ -144,6 +144,103 @@ def _symmetric_with_spectrum(w, gen):
     return 0.5 * (h + h.T)
 
 
+def _linear_gate_setting(max_iterations):
+    """The linear-rate gate's problem, config and start at d = 10, cond 100
+    and gate seed 1, whose direction stream is ``RngStream(2)``: the bounds
+    are the true Hessian's extreme eigenvalues, so the estimate's spectrum
+    sits on both sides of them and runs of steps clip."""
+    d = 10
+    stream = RngStream(1)
+    problem = make_quadratic(random_spd(d, 100.0, stream),
+                             stream.generator.standard_normal(d))
+    m, L1 = problem.known.m, problem.known.L1
+    config = SolverConfig(
+        mu=1e-6, r_policy=FixedDirections(d), alpha=optimal_stepsize(m, L1),
+        lambda_min=m, lambda_max=L1, max_iterations=max_iterations)
+    v = stream.generator.standard_normal(d)
+    return problem, config, problem.known.x_star + v / np.linalg.norm(v)
+
+
+def _outputs(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+class TestLapackSeam:
+    """``solver._Lapack`` calls numpy's private LAPACK gufuncs directly. It
+    must give ``np.linalg``'s outputs bit for bit, and a NaN output exactly
+    where ``np.linalg`` raises ``LinAlgError``, so that a numpy whose
+    private module changes fails here."""
+
+    LO, HI = 0.5, 20.0
+
+    @staticmethod
+    def succeeds(seam, reference, *args):
+        """Whether ``reference(*args)`` succeeds; asserts that ``seam``
+        gives its bits, or an all-NaN output where it raises. The seam runs
+        under an error state that ignores what ``np.linalg`` ignores (LAPACK
+        divides by zero on an inf matrix) and the failure's ``invalid``."""
+        with np.errstate(all="ignore"):
+            got = _outputs(seam(*args))
+        try:
+            want = _outputs(reference(*args))
+        except np.linalg.LinAlgError:
+            assert all(np.isnan(out).all() for out in got)
+            return False
+        assert len(got) == len(want)
+        for out, ref in zip(got, want):
+            assert out.dtype == ref.dtype == np.float64
+            assert out.shape == ref.shape
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        return True
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 100, 200])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1], ids=["outside", "on",
+                                                       "inside"])
+    def test_a_spectrum_at_a_bound_gives_np_linalg_bits(self, d, bound,
+                                                          ulps):
+        gen = np.random.default_rng([d, ulps + 1, bound == "upper"])
+        span = self.HI - self.LO
+        w = gen.uniform(self.LO + 0.1 * span, self.HI - 0.1 * span, d)
+        edge, inward = ((self.LO, np.inf) if bound == "lower"
+                        else (self.HI, -np.inf))
+        w[0] = edge if ulps == 0 else np.nextafter(edge, ulps * inward)
+        h = _symmetric_with_spectrum(w, gen)
+        g = gen.standard_normal(d)
+        lapack = solver_module._Lapack
+        assert self.succeeds(lapack.eigh, np.linalg.eigh, h)
+        eye = np.eye(d)
+        tested = {"lower": h - self.LO * eye, "upper": self.HI * eye - h}
+        factored = {name: self.succeeds(lapack.cholesky,
+                                        np.linalg.cholesky, a)
+                    for name, a in tested.items()}
+        if d == 1:
+            # h is w itself, so only the bound's own test fails, and it
+            # fails on the bound and outside it
+            assert factored[bound] is (ulps > 0)
+        assert self.succeeds(lapack.solve, np.linalg.solve, h, g)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 100, 200])
+    def test_a_singular_solve_is_nan(self, d):
+        gen = np.random.default_rng(d)
+        h = _symmetric_with_spectrum(gen.uniform(1.0, 2.0, d), gen)
+        h[0], h[:, 0] = 0.0, 0.0
+        assert not self.succeeds(solver_module._Lapack.solve, np.linalg.solve,
+                                 h, gen.standard_normal(d))
+
+    def test_an_eigensolver_failure_is_nan(self):
+        # np.linalg.eigh raises on some matrices of NaN or inf (with
+        # OpenBLAS 0.3.31, d = 10 of NaN and d = 4 of inf) and returns NaN
+        # on others
+        raised = 0
+        for d in (1, 2, 4, 10, 100, 200):
+            for value in (np.nan, np.inf):
+                raised += not self.succeeds(solver_module._Lapack.eigh,
+                                            np.linalg.eigh,
+                                            np.full((d, d), value))
+        assert raised
+
+
 class TestNewtonDirection:
     LO, HI = 0.5, 20.0
 
@@ -155,7 +252,8 @@ class TestNewtonDirection:
         w = np.concatenate([[lo, hi][:d], gen.uniform(lo, hi, max(d - 2, 0))])
         h = _symmetric_with_spectrum(w, gen)
         g = gen.standard_normal(d)
-        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        with np.errstate(invalid="ignore"):
+            direction, clipped = _newton_direction(h, g, self.LO, self.HI)
         assert clipped is False
         np.testing.assert_allclose(
             direction, _clip_inverse(h, self.LO, self.HI)[0] @ g, rtol=1e-10)
@@ -169,7 +267,8 @@ class TestNewtonDirection:
         w[0] = -1.0 if outside == "below" else 3.0 * self.HI
         h = _symmetric_with_spectrum(w, gen)
         g = gen.standard_normal(d)
-        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        with np.errstate(invalid="ignore"):
+            direction, clipped = _newton_direction(h, g, self.LO, self.HI)
         assert clipped is True
         assert np.array_equal(
             direction, _clip_inverse(h, self.LO, self.HI)[0] @ g)
@@ -177,7 +276,8 @@ class TestNewtonDirection:
     def test_eigenvalue_on_a_bound_takes_the_fallback_unclipped(self):
         h = np.diag([self.LO, 2.0 * self.LO])
         g = np.array([1.0, -3.0])
-        direction, clipped = _newton_direction(h, g, self.LO, self.HI)
+        with np.errstate(invalid="ignore"):
+            direction, clipped = _newton_direction(h, g, self.LO, self.HI)
         assert clipped is False
         assert np.array_equal(
             direction, _clip_inverse(h, self.LO, self.HI)[0] @ g)
@@ -195,14 +295,15 @@ class TestNewtonDirection:
         if d > 1:
             assert np.signbit(h[upper][h[upper] == 0.0]).any()
         tested = []
-        cholesky = np.linalg.cholesky
+        cholesky = solver_module._Lapack.cholesky
 
         def spy(a):
             tested.append(a.copy())
             return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        _newton_direction(h, gen.standard_normal(d), self.LO, self.HI)
+        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+        with np.errstate(invalid="ignore"):
+            _newton_direction(h, gen.standard_normal(d), self.LO, self.HI)
         lower, upper = tested
         eye = np.eye(d)
         assert np.array_equal(lower.view(np.int64),
@@ -211,20 +312,9 @@ class TestNewtonDirection:
                               (self.HI * eye - h).view(np.int64))
 
     def test_clip_flag_matches_the_eigenvalues_along_a_run(self, monkeypatch):
-        # the linear-rate gate's setting (d = 10, cond 100, gate seed 1):
-        # the bounds are the true Hessian's extreme eigenvalues, so the
-        # estimate's spectrum sits on both sides of them
         d, seed = 10, 1
-        stream = RngStream(seed)
-        problem = make_quadratic(random_spd(d, 100.0, stream),
-                                 stream.generator.standard_normal(d))
+        problem, config, x0 = _linear_gate_setting(300)
         m, L1 = problem.known.m, problem.known.L1
-        config = SolverConfig(
-            mu=1e-6, r_policy=FixedDirections(d),
-            alpha=optimal_stepsize(m, L1), lambda_min=m, lambda_max=L1,
-            max_iterations=300)
-        v = stream.generator.standard_normal(d)
-        x0 = problem.known.x_star + v / np.linalg.norm(v)
 
         def records():
             state = SolverState.initial(x0, d)
@@ -235,7 +325,7 @@ class TestNewtonDirection:
             assert state.status == RUNNING
 
         calls, factored = [], []
-        cholesky = np.linalg.cholesky
+        cholesky = solver_module._Lapack.cholesky
 
         def counted(*args):
             calls.append(1)
@@ -246,7 +336,7 @@ class TestNewtonDirection:
             return cholesky(a)
 
         monkeypatch.setattr(solver_module, "_clip_inverse", counted)
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
         verdicts, run = [], []
         for state, record in records():
             w = np.linalg.eigh(state.hessian.matrix)[0]
@@ -308,17 +398,18 @@ class TestEighFirstMargin:
         h = _symmetric_with_spectrum(w, gen)
         g = gen.standard_normal(d)
         want = _two_cholesky_direction(h, g, self.LO, self.HI)
-        cholesky, factored = np.linalg.cholesky, []
+        cholesky, factored = solver_module._Lapack.cholesky, []
 
         def spy(a):
             factored.append(1)
             return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
         for eigh_first in (False, True):
             factored.clear()
-            direction, clipped = _newton_direction(h, g, self.LO, self.HI,
-                                                   eigh_first)
+            with np.errstate(invalid="ignore"):
+                direction, clipped = _newton_direction(
+                    h, g, self.LO, self.HI, eigh_first)
             assert clipped is want[1]
             assert np.array_equal(direction.view(np.int64),
                                   want[0].view(np.int64))
@@ -913,6 +1004,57 @@ def test_an_overflowing_step_stops_numerical_at_its_iteration():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path, calls", [
+    ("clipped", ["cholesky", "eigh"]),
+    ("eigh-first", ["cholesky", "eigh", "eigh", "cholesky"])])
+def test_an_eigensolver_failure_stops_numerical_at_its_iteration(
+        path, calls, monkeypatch):
+    # Before, an eigensolver that did not converge raised LinAlgError out
+    # of iterate. The estimate of the identity's curvature lies below the
+    # bounds [2, 3], so every step clips: the first from the Cholesky
+    # tests, the second eigh first after a clipped step. Here the seam's
+    # eigh fails at the first step or at the second.
+    d = 3
+    lapack, seen = solver_module._Lapack, []
+    eigh, cholesky = lapack.eigh, lapack.cholesky
+
+    def failing_eigh(h):
+        seen.append("eigh")
+        if path == "eigh-first" and seen.count("eigh") == 1:
+            return eigh(h)
+        return np.full(d, np.nan), np.full((d, d), np.nan)
+
+    def spied_cholesky(a):
+        seen.append("cholesky")
+        return cholesky(a)
+
+    monkeypatch.setattr(lapack, "eigh", failing_eigh)
+    monkeypatch.setattr(lapack, "cholesky", spied_cholesky)
+    oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
+    config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                          lambda_min=2.0, lambda_max=3.0, max_iterations=5)
+    x0 = np.full(d, 0.5)
+    with np.errstate(all="raise"):
+        steps = list(iterations(SolverState.initial(x0, d), oracle, config,
+                                RngStream(19)))
+    assert seen == calls
+    (state, record), before = steps[-1], steps[:-1]
+    assert state.status == STOPPED_NUMERICAL
+    assert len(steps) == record.iteration + 1 == (path == "eigh-first") + 1
+    assert oracle.eval_count == len(steps) * (2 * d + 1)
+    assert record.r_used == d and record.step_norm is None
+    if before:
+        kept = before[-1][0]
+        assert kept.status == RUNNING and kept._clipped
+        assert state.hessian is kept.hessian
+        np.testing.assert_array_equal(state.x, kept.x)
+    else:
+        assert not state.hessian.matrix.any()
+        np.testing.assert_array_equal(state.x, x0)
+    np.testing.assert_array_equal(record.x, state.x)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("policy", [FixedDirections(3),
                                     AdaptiveDirections(r_max=9)])
 def test_an_overflowing_gradient_norm_stops_numerical(policy):
@@ -977,23 +1119,47 @@ def test_an_extra_update_that_overflows_stops_numerical_before_the_step():
 
 
 @pytest.mark.parametrize("policy", [FixedDirections(5),
-                                    AdaptiveDirections(r_max=9)])
-def test_both_probe_batches_run_under_the_caller_error_state(policy):
-    # the solver ignores overflow in its own arithmetic, not the objective's
-    d, states = 3, []
+                                    AdaptiveDirections(r_max=9),
+                                    "linear-gate"])
+def test_both_probe_batches_run_under_the_caller_error_state(policy,
+                                                             monkeypatch):
+    # the solver ignores overflow in its own arithmetic, not the objective's;
+    # on the linear gate's setting steps clip and Cholesky tests fail, which
+    # raise "invalid" under the solver's error state, not the caller's
+    states, failed = [], []
+    if policy == "linear-gate":
+        problem, config, x0 = _linear_gate_setting(60)
+        d, seed, objective = len(x0), 2, problem.fn.batch
+        cholesky = solver_module._Lapack.cholesky
+
+        def spy(a):
+            factor = cholesky(a)
+            failed.append(math.isnan(factor[0, 0]))
+            return factor
+
+        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+    else:
+        d, seed, x0 = 3, 18, np.ones(3)
+        config = SolverConfig(mu=1e-3, r_policy=policy, L1=1.0, L2=0.0,
+                              max_iterations=3)
+
+        def objective(points):
+            return 0.5 * np.sum(points * points, axis=1)
 
     def batch(points):
         states.append(np.geterr())
-        return 0.5 * np.sum(points * points, axis=1)
+        return objective(points)
 
     oracle = Oracle(Objective(batch), d)
-    config = SolverConfig(mu=1e-3, r_policy=policy, L1=1.0, L2=0.0,
-                          max_iterations=3)
     with np.errstate(all="raise"):
         caller = np.geterr()
-        trace = run(np.ones(d), oracle, config, RngStream(18))
-    assert any(record.r_used > d for record in trace.records)
-    assert len(states) > len(trace.records)
+        trace = run(x0, oracle, config, RngStream(seed))
+    if policy == "linear-gate":
+        assert trace.status == STOPPED_MAX_ITER
+        assert any(failed) and any(record.clipped for record in trace.records)
+    else:
+        assert any(record.r_used > d for record in trace.records)
+        assert len(states) > len(trace.records)
     assert all(state == caller for state in states)
 
 

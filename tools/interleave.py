@@ -40,6 +40,12 @@ Alternating pair by pair in one process resolves a few microseconds per
 iteration, which separate benchmark runs cannot, and both sides run under
 one interpreter: between processes, ``quadratic_d100`` moves by about
 10 % with the memory layout of code it never runs.
+
+Run it pinned to one CPU, as ``taskset -c 1 python tools/interleave.py
+...``. Where the scheduler does not balance load, an unpinned run can share
+a CPU with its own helper threads: a tree timed against itself then read
+1.0565, against 0.9987-1.0069 pinned. The tool prints a warning line to
+standard error when its affinity set holds more than one CPU.
 """
 
 from __future__ import annotations
@@ -251,6 +257,10 @@ def main(argv=None) -> int:
     if args.workload in ("logistic", "fed") and args.d is not None:
         parser.error(f"--d does not apply to --workload {args.workload}")
     seeds = args.seeds or DEFAULT_SEEDS[args.workload]
+    cpus = len(os.sched_getaffinity(0))
+    if cpus > 1:
+        print(f"warning: unpinned, on {cpus} CPUs; the ratios are steady "
+              "only under taskset -c CPU", file=sys.stderr)
     with tempfile.TemporaryDirectory() as workdir:
         pkg_a = load(args.a, "zonewton_a", workdir)
         pkg_b = load(args.b, "zonewton_b", workdir)
