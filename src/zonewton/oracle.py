@@ -123,16 +123,19 @@ class Oracle:
     def eval_count(self) -> int:
         return self._count
 
-    def evaluate_points(self, points: np.ndarray) -> np.ndarray:
+    def evaluate_points(self, points) -> np.ndarray:
         """Charge and evaluate the rows of an (m, d) array ``points`` in
         order; every query of the oracle goes through here.
 
         The whole batch is charged in one locked step, so the budget can
         never be overrun by concurrent callers. When the budget allows only
         a prefix of the rows, that prefix is charged and evaluated, and the
-        raised error's ``consumed`` is its length. Points of another shape
-        raise ``ValueError``, naming it, before anything is charged.
+        raised error's ``consumed`` is its length. ``points`` are read as a
+        float array first, so any array-like of numbers will do; points
+        that are not numbers, or of another shape, raise ``ValueError``, the
+        latter naming it, before anything is charged.
         """
+        points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(f"points have shape {points.shape}, oracle "
                              f"expects (m, {self.dimension})")

@@ -32,15 +32,21 @@ into the columns those calls return. The state carries the rest of the
 block, so the direction stream is consumed in blocks: a caller that draws
 from it after ``run`` or ``iterate`` sees other numbers than with
 per-iteration draws (no caller in the package does). When one iteration's
-normals take more than half of the 64 KiB (from d = 65 at r = d), every
-block is one iteration, and the next one is drawn a block ahead: handed,
-after the iteration's first probe batch, to a helper thread pinned to
-another CPU (``_helpers``), which draws it while the iteration updates and
-steps. On one CPU the next iteration draws it itself. Either way the
-directions are the same bits, but the stream is being drawn from on a
-helper while such a draw is pending, even after a stop: it belongs to the
-run. The adaptive policy's r_k depends on the state, so it draws per
-iteration.
+normals take more than half of the 64 KiB (from d = 65 at r = d), the
+first block is iteration 0 alone, and every later one is drawn a block
+ahead: the iteration that takes a block hands the next one's draw, after
+its first probe batch, to a helper thread pinned to another CPU
+(``_helpers``), which draws it while iterations update and step. Such a
+block holds B = floor(500 / d) + 1 iterations, capped by the iterations
+left: the fewest whose stacked QR of gradient frames runs without the GIL
+(``sampling._householder_q``), so that the helper's QR does not stall this
+thread. Where B iterations' normals would exceed 512 KiB (from d = 129 at
+r = d), a block holds one iteration, since a longer draw keeps the helper
+longer from the objective's batches of several blocks. On one CPU the
+iteration that needs a block draws it itself. Either way the directions
+are the same bits, but the stream is being drawn from on a helper while
+such a draw is pending, even after a stop: it belongs to the run. The
+adaptive policy's r_k depends on the state, so it draws per iteration.
 """
 
 from __future__ import annotations
@@ -62,8 +68,9 @@ from .estimators import (
     update_rate_bound,
 )
 from .oracle import BudgetExhaustedError, Oracle
-from .sampling import (DirectionSet, RngStream, _check_count, _check_real,
-                       _stiefel_columns, stiefel_sample)
+from .sampling import (_GIL_FREE_SIZE, DirectionSet, RngStream,
+                       _check_count, _check_real, _stiefel_columns,
+                       stiefel_sample)
 
 __all__ = [
     "AdaptiveDirections",
@@ -164,6 +171,9 @@ class SolverConfig:
 # Bytes of float64 normals a fixed policy draws at once: the directions of
 # as many iterations as fit, at least one.
 _BLOCK_BYTES = 64 * 1024
+# Bytes of float64 normals a draw ahead of several iterations may hold;
+# a longer draw keeps a helper away from the objective's batches longer.
+_AHEAD_BYTES = 512 * 1024
 
 
 @dataclass
@@ -171,12 +181,14 @@ class SolverState:
     """The iterate, the Hessian estimate and the iteration count of a run.
 
     ``_block`` holds the directions a fixed policy drew ahead and has not
-    used yet, with the (d, r) they were drawn for: (B, d, d) gradient frames
-    and (B, d, r - d) extra directions (None when r = d), as columns, or the
-    pending draw of the next iteration's, a :class:`_helpers.Task` that may
-    be running on a helper thread. It belongs to the run, a pending draw
-    owns the run's stream, and ``iterate`` refuses a state whose block does
-    not fit its config. ``_clipped`` records whether the step that made
+    used yet, as ``((d, r), rest, pending)`` with the (d, r) they were
+    drawn for. ``rest`` is what is left of the current block, (B, d, d)
+    gradient frames and (B, d, r - d) extra directions (None when r = d),
+    as columns, or None when it is used up; ``pending`` is the draw of the
+    next block, a :class:`_helpers.Task` that may be running on a helper
+    thread, or None. It belongs to the run, a pending draw owns the run's
+    stream, and ``iterate`` refuses a state whose block does not fit its
+    config. ``_clipped`` records whether the step that made
     this state clipped, so that the next step's direction starts from an
     eigendecomposition (:func:`_newton_direction`); it changes no bit of
     the run."""
@@ -185,7 +197,7 @@ class SolverState:
     hessian: HessianEstimate
     iteration: int
     status: str = RUNNING
-    _block: Optional[tuple[tuple[int, int], object]] = field(
+    _block: Optional[tuple[tuple[int, int], object, object]] = field(
         default=None, repr=False)
     _clipped: bool = field(default=False, repr=False)
 
@@ -537,41 +549,74 @@ def _draw(generator, d: int, r: int, count: int):
             _stiefel_columns(normals[:, d * d:], d) if r > d else None)
 
 
+def _ahead_count(d: int, r: int) -> int:
+    """Iterations a fixed policy draws in one draw ahead: the fewest whose
+    stacked QR of (B, d, d) gradient frames runs without the GIL
+    (B d > ``_GIL_FREE_SIZE``, see ``sampling._householder_q``), or one
+    where that many iterations' normals exceed ``_AHEAD_BYTES``."""
+    count = _GIL_FREE_SIZE // d + 1
+    return count if 8 * count * d * r <= _AHEAD_BYTES else 1
+
+
 def _fixed_directions(state: SolverState, d: int, r: int,
                       config: SolverConfig, rng: RngStream):
-    """This iteration's frame, its r - d extra directions (None when r = d)
-    and the block to carry on, F-ordered.
+    """This iteration's frame and its r - d extra directions (None when
+    r = d), F-ordered; the block to carry on; and the draw to hand to a
+    helper, a :class:`_helpers.Task`, or None.
 
     A state that carries no block draws one here: as many iterations as fit
     in ``_BLOCK_BYTES`` of normals, at least one, and no more than the
-    config's iterations left. When no two iterations fit, every block is
-    one iteration and its draw is on the critical path, so unless this is
-    the config's last iteration the block carried on is the next
-    iteration's draw as a :class:`_helpers.Task`, for :func:`iterate` to
-    hand to a helper."""
+    config's iterations left. When no two iterations fit, that draw holds
+    one iteration, and every later block is drawn a block ahead instead:
+    the iteration that takes a block hands the next one's draw, of
+    :func:`_ahead_count` iterations capped by the config's iterations left
+    after the block it took, to :func:`iterate` for a helper."""
     fit = _BLOCK_BYTES // (8 * d * r)
+    left = config.max_iterations - state.iteration
     if state._block is None:
-        left = config.max_iterations - state.iteration
         block = _draw(rng.generator, d, r, max(1, min(fit, left)))
+        pending = None
     else:
-        block = state._block[1]
-        if isinstance(block, _helpers.Task):
-            block = block.result()
+        _, block, pending = state._block
+        if block is None:
+            block, pending = pending.result(), None
     frames, extras = block
     frame = DirectionSet._owned(frames[0].T, frame_size=d)
     extra = (None if extras is None
              else DirectionSet._owned(extras[0].T, frame_size=d))
+    ahead = None
+    if fit <= 1 and pending is None and left > len(frames):
+        pending = ahead = _helpers.Task(
+            _draw, rng.generator, d, r,
+            min(_ahead_count(d, r), left - len(frames)))
+    rest = None
     if len(frames) > 1:
-        rest = (frames[1:], None if extras is None else extras[1:])
-    elif fit <= 1 and state.iteration + 1 < config.max_iterations:
-        rest = _helpers.Task(_draw, rng.generator, d, r, 1)
-    else:
-        return frame, extra, None
-    return frame, extra, ((d, r), rest)
+        rest = frames[1:], None if extras is None else extras[1:]
+    carried = (None if rest is None and pending is None
+               else ((d, r), rest, pending))
+    return frame, extra, carried, ahead
+
+
+def _checked_alpha(state: SolverState, oracle: Oracle,
+                   config: SolverConfig) -> float:
+    """The checks of :func:`iterate`, which raise before any evaluation;
+    returns the config's resolved alpha."""
+    _validate_run_inputs(oracle, config)
+    if state.status != RUNNING:
+        raise ValueError(f"cannot iterate a solver in status {state.status!r}")
+    if state._block is not None:
+        policy, drawn = config.r_policy, state._block[0]
+        if (not isinstance(policy, FixedDirections)
+                or drawn != (oracle.dimension, policy.r)):
+            raise ValueError(
+                f"the state carries directions drawn for (d, r) = {drawn}, "
+                f"which do not fit {policy!r} at d={oracle.dimension}")
+    return config.resolved_alpha()
 
 
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
-            rng: RngStream) -> tuple[SolverState, TraceRecord]:
+            rng: RngStream, *, _alpha: Optional[float] = None,
+            ) -> tuple[SolverState, TraceRecord]:
     """Run one solver iteration; returns the new state and its trace record.
 
     Budget exhaustion inside either probe phase propagates as
@@ -597,38 +642,37 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     Under a fixed policy ``rng`` is consumed in blocks of up to 64 KiB of
     normals, capped by ``config.max_iterations`` less the state's iteration;
     the iteration's sets are views of the block, and the returned state
-    carries the rest of it. A block of one iteration is drawn an iteration
-    ahead, possibly on a helper thread that is still drawing from ``rng``
-    when this returns, and the returned state carries that pending draw. A
-    draw that raised there raises here, in the next call. Pass the same
-    stream to every call of a run, and draw nothing else from it.
+    carries the rest of it. Where no two iterations fit in a block (from
+    d = 65 at r = d), the first block is one iteration and each later one
+    is drawn a block ahead, possibly on a helper thread that is still
+    drawing from ``rng`` when this returns, and the returned state carries
+    that pending draw. A draw that raised there raises here, in the call
+    that takes its block. Pass the same stream to every call of a run, and
+    draw nothing else from it.
+
+    ``_alpha`` is for :func:`iterations`, which makes the checks once per
+    run: when given, they are skipped, and it is the config's resolved
+    alpha. (``iterations`` calls ``iterate`` itself, so the benchmark's
+    tracer, which wraps ``iterate`` by name, still sees every iteration.)
     """
-    _validate_run_inputs(oracle, config)
-    if state.status != RUNNING:
-        raise ValueError(f"cannot iterate a solver in status {state.status!r}")
+    alpha = (_checked_alpha(state, oracle, config) if _alpha is None
+             else _alpha)
     d = oracle.dimension
     policy = config.r_policy
     fixed = isinstance(policy, FixedDirections)
-    if state._block is not None:
-        drawn = state._block[0]
-        if not fixed or drawn != (d, policy.r):
-            raise ValueError(
-                f"the state carries directions drawn for (d, r) = {drawn}, "
-                f"which do not fit {policy!r} at d={d}")
     x = state.x
-    alpha = config.resolved_alpha()
 
     # (i) one orthonormal frame: gradient + the first d Hessian updates.
     if fixed:
-        frame, extra, block = _fixed_directions(state, d, policy.r, config,
-                                                rng)
+        frame, extra, block, ahead = _fixed_directions(state, d, policy.r,
+                                                       config, rng)
     else:
-        frame, block = stiefel_sample(d, d, rng), None
+        frame, block, ahead = stiefel_sample(d, d, rng), None, None
     probe = oracle.probe_batch(x, frame, config.mu)
-    if block is not None and isinstance(block[1], _helpers.Task):
+    if ahead is not None:
         # Once the batch is done with the helpers, so that the draw runs
         # while this iteration updates and steps.
-        _helpers.submit([block[1]])
+        _helpers.submit([ahead])
     # One error state from the rounding test to the step: an overflow
     # anywhere shows as a non-finite norm, estimate, direction or iterate,
     # which ends the run. A non-finite value or second difference (a mu^2
@@ -727,13 +771,19 @@ def iterations(state: SolverState, oracle: Oracle, config: SolverConfig,
     carries the stop status: the generator marks it stopped_budget when a
     probe phase exhausts the budget and stopped_max_iter at the cap. A
     caller that stops early leaves the state as ``iterate`` returned it.
+    ``iterate``'s checks run once, before the first call; a caller changes
+    neither the config nor a yielded state while it iterates.
     """
+    alpha = None
     while state.status == RUNNING:
         if state.iteration >= config.max_iterations:
             state.status = STOPPED_MAX_ITER
             return
+        if alpha is None:
+            alpha = _checked_alpha(state, oracle, config)
         try:
-            state, record = iterate(state, oracle, config, rng)
+            state, record = iterate(state, oracle, config, rng,
+                                    _alpha=alpha)
         except BudgetExhaustedError:
             state.status = STOPPED_BUDGET
             return

@@ -59,17 +59,27 @@ def test_a_tree_times_against_itself():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_an_unpinned_run_warns(pinned):
-    # a child inherits this process's affinity set unless pinned to one CPU
+@pytest.mark.parametrize("workload, args", [
+    ("gates", ["--gates", "linear", "--d", "3", "--seed", "1"]),
+    ("quadratic", ["--d", "5", "--seed", "0"])])
+@pytest.mark.parametrize("count", [None, 1, 2])
+def test_an_unpinned_run_warns(workload, args, count):
+    # a child inherits this process's affinity set unless given ``count``
+    # of its CPUs: one CPU suits the gates, two a workload with a helper
     cpus = os.sched_getaffinity(0)
-    proc = _interleave(SRC, SRC, "--gates", "linear", "--d", "3",
-                       "--seed", "1", "--pairs", "1",
-                       cpus={min(cpus)} if pinned else None)
+    if count is not None:
+        cpus = set(sorted(cpus)[:count])
+    proc = _interleave(SRC, SRC, "--workload", workload, *args, "--pairs",
+                       "1", cpus=None if count is None else cpus)
     assert proc.returncode == 0, proc.stderr
     warnings = [line for line in proc.stderr.splitlines()
-                if line.startswith("warning: unpinned")]
-    assert len(warnings) == (not pinned and len(cpus) > 1)
+                if line.startswith("warning: ")]
+    if workload == "gates":
+        assert len(warnings) == (len(cpus) > 1)
+        assert all(line.startswith("warning: unpinned") for line in warnings)
+    else:
+        assert len(warnings) == (len(cpus) != 2)
+        assert all("taskset -c 0,1" in line for line in warnings)
     assert len(proc.stdout.splitlines()) == 4
 
 

@@ -317,3 +317,21 @@ def test_evaluate_points_rejects_other_shapes_before_charging(points, shape):
                              r"\(m, 3\)"):
         oracle.evaluate_points(points)
     assert oracle.eval_count == 3
+
+
+def test_evaluate_points_takes_an_array_like():
+    # Before, a list raised AttributeError ('list' has no 'ndim')
+    oracle = Oracle(half_sq, 2)
+    values = oracle.evaluate_points([[3.0, 4.0], [0, 1]])
+    assert values.tolist() == [12.5, 0.5]
+    assert oracle.eval_count == 2
+
+
+def test_evaluate_points_refuses_points_that_are_not_numbers_uncharged():
+    # Before, the row was charged and then the objective raised
+    # UFuncTypeError
+    oracle = make_cubic_box(2, 0.25).make_oracle()
+    oracle.evaluate_points(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="could not convert"):
+        oracle.evaluate_points(np.array([["a", "b"]]))
+    assert oracle.eval_count == 1

@@ -98,6 +98,21 @@ def test_haar_frames_of_a_stack_equal_per_matrix_calls():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(10, 10), (100, 100), (200, 200),
+                                   (100, 7), (6, 50, 50), (3, 2, 20, 4)])
+def test_haar_frames_are_the_sign_fixed_q_of_np_linalg_qr(shape):
+    # the QR seam runs the gufuncs np.linalg.qr runs, without its wrapper:
+    # the same bits, and the caller's normals are left as they were
+    normals = np.random.default_rng(37).standard_normal(shape)
+    kept = normals.copy()
+    q, r = np.linalg.qr(normals)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    np.testing.assert_array_equal(_haar_frames(normals),
+                                  q * signs[..., None, :])
+    np.testing.assert_array_equal(normals, kept)
+
+
 class TestGaussianSphereSample:
     def test_unit_norms(self):
         ds = gaussian_sphere_sample(5, 3, RngStream(3))

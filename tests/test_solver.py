@@ -41,6 +41,7 @@ from zonewton import (
     zo_floor_stop,
 )
 from zonewton import _helpers as helpers_module
+from zonewton import sampling as sampling_module
 from zonewton import solver as solver_module
 from zonewton.experiments import (
     gradient_bound_verification,
@@ -872,10 +873,10 @@ class _DrawError(Exception):
 
 
 class TestDrawAhead:
-    """At d = 100 one iteration's normals fill a block, so the next
-    iteration's are drawn while the iteration updates and steps, on a helper
-    when there is a second CPU. The directions, and so every output, are
-    the same bits with and without a helper."""
+    """At d = 100 one iteration's normals fill a block, so each block after
+    the first is drawn a block ahead, while iterations update and step, on
+    a helper when there is a second CPU. The directions, and so every
+    output, are the same bits with and without a helper."""
 
     @staticmethod
     def cubic_run(monkeypatch, workers, r, max_iterations=30, budget=None):
@@ -892,11 +893,12 @@ class TestDrawAhead:
         trace = run(np.full(d, 0.2), oracle, config, RngStream(r))
         return trace, probed
 
-    # r = 150 ends in a short frame of 50 directions. The zeroth-order floor
-    # stops the run in its fourth iteration, with the fifth's draw pending.
-    # A budget of two iterations and a first batch stops r = 150 in its
-    # third iteration's second batch, with a draw pending, and r = 100 in
-    # its fourth iteration's batch, before that hands on its draw.
+    # r = 150 ends in a short frame of 50 directions, and each of its draws
+    # ahead holds one iteration; r = 100's hold six. The zeroth-order floor
+    # stops the run in its fourth iteration, with a draw pending. A budget
+    # of two iterations and a first batch stops r = 150 in its third
+    # iteration's second batch, with a draw pending, and r = 100 in its
+    # fourth iteration's batch, inside a block, with the next one pending.
     @pytest.mark.parametrize("r", [100, 150])
     @pytest.mark.parametrize("stop", [STOPPED_MAX_ITER, STOPPED_ZO_FLOOR,
                                       STOPPED_BUDGET])
@@ -925,21 +927,22 @@ class TestDrawAhead:
         monkeypatch.setattr(helpers_module, "_WORKERS", 2)
         main = threading.get_ident()
         raised = threading.Event()
-        stiefel_columns = solver_module._stiefel_columns
+        draw = solver_module._draw
+        rng = RngStream(17)
 
-        def failing_off_the_caller(normals, d):
-            if threading.get_ident() != main:
+        # Only this run's draws: a helper may still be drawing ahead for a
+        # run that an earlier test stopped.
+        def failing_off_the_caller(generator, *args):
+            if generator is rng.generator and threading.get_ident() != main:
                 raised.set()
                 raise _DrawError
-            return stiefel_columns(normals, d)
+            return draw(generator, *args)
 
-        monkeypatch.setattr(solver_module, "_stiefel_columns",
-                            failing_off_the_caller)
+        monkeypatch.setattr(solver_module, "_draw", failing_off_the_caller)
         d = 100
         oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
         config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
                               max_iterations=5)
-        rng = RngStream(17)
         state, _ = iterate(SolverState.initial(np.zeros(d), d), oracle,
                            config, rng)
         assert raised.wait(10)
@@ -957,11 +960,135 @@ class TestDrawAhead:
                               max_iterations=5)
         state, _ = iterate(SolverState.initial(np.zeros(d), d), oracle,
                            config, RngStream(18))
-        frames, extras = state._block[1].result()
+        frames, extras = state._block[2].result()
         assert extras is None
         ref = weakref.ref(frames)
         del state, frames
         assert dead_soon([ref])
+
+
+class TestStackedDraws:
+    """From d = 65 at r = d, a fixed policy draws iteration 0 in the caller
+    and each later block of ``_ahead_count`` iterations a block ahead: the
+    fewest whose stacked QR runs without the GIL, or one where their
+    normals would exceed ``_AHEAD_BYTES``. Every set is the one the
+    per-iteration ``stiefel_sample`` calls give, with and without a
+    helper."""
+
+    AHEAD = {(65, 65): 8, (65, 72): 8, (91, 91): 6, (91, 98): 6,
+             (100, 100): 6, (100, 107): 6, (128, 128): 4, (128, 135): 1}
+
+    @staticmethod
+    def cubic_run(monkeypatch, workers, d, r, max_iterations=30,
+                  budget=None, floor=True):
+        monkeypatch.setattr(helpers_module, "_WORKERS", workers)
+        problem = make_cubic_box(d, 0.25)
+        known = problem.known
+        oracle, probed = recording_oracle(problem.make_oracle(budget=budget))
+        config = SolverConfig(mu=1e-2, r_policy=FixedDirections(r),
+                              alpha=1.0, lambda_min=known.m,
+                              lambda_max=known.L1,
+                              max_iterations=max_iterations, L1=known.L1,
+                              L2=known.L2 if floor else None, m=known.m)
+        rng = RngStream(d + r)
+        trace = run(np.full(d, 0.2), oracle, config, rng)
+        return trace, probed, rng
+
+    # The cap, with no floor test, ends the run two iterations into its
+    # third block, which it cut short. The zeroth-order floor stops it in
+    # its fourth iteration, and the budget in that iteration's first batch:
+    # inside the second block wherever a block holds four iterations or
+    # more.
+    @pytest.mark.parametrize("d, r", list(AHEAD))
+    @pytest.mark.parametrize("stop", [STOPPED_MAX_ITER, STOPPED_ZO_FLOOR,
+                                      STOPPED_BUDGET])
+    def test_the_same_bits_as_per_iteration_draws(self, monkeypatch, d, r,
+                                                  stop):
+        ahead = solver_module._ahead_count(d, r)
+        assert ahead == self.AHEAD[d, r]
+        assert solver_module._BLOCK_BYTES // (8 * d * r) <= 1
+        kwargs, records = {
+            STOPPED_MAX_ITER: (dict(max_iterations=ahead + 3, floor=False),
+                               ahead + 3),
+            STOPPED_ZO_FLOOR: ({}, 4),
+            STOPPED_BUDGET: (dict(budget=3 * (2 * r + 1) + d), 3),
+        }[stop]
+        (one, one_probed, one_rng), (two, two_probed, two_rng) = (
+            self.cubic_run(monkeypatch, workers, d, r, **kwargs)
+            for workers in (1, 2))
+        assert one.status == two.status == stop
+        assert len(one.records) == records
+        assert record_bits(one.records) == record_bits(two.records)
+        iterations_probed = records + (stop == STOPPED_BUDGET)
+        want, stream = per_iteration_draws(d, [r] * iterations_probed,
+                                           seed=d + r)
+        assert_same_sets(one_probed, want[:len(one_probed)])
+        assert_same_sets(two_probed, want[:len(two_probed)])
+        if stop == STOPPED_MAX_ITER:
+            # the last block was cut at the cap: nothing more was drawn
+            next_normal = stream.generator.standard_normal()
+            for rng in (one_rng, two_rng):
+                assert rng.generator.standard_normal() == next_normal
+
+    @pytest.mark.parametrize("d, counts", [(128, [1, 4, 4, 1]),
+                                           (129, [1] * 10)])
+    def test_a_draw_ahead_holds_at_most_512_kib(self, monkeypatch, d,
+                                                counts):
+        # four iterations at d = 128 hold exactly 512 KiB of normals, four
+        # at d = 129 more: that draw ahead holds one iteration
+        assert 8 * 4 * 128 * 128 == solver_module._AHEAD_BYTES
+        monkeypatch.setattr(helpers_module, "_WORKERS", 2)
+        drawn, draw = [], solver_module._draw
+
+        def spied_draw(generator, d, r, count):
+            drawn.append(count)
+            return draw(generator, d, r, count)
+
+        monkeypatch.setattr(solver_module, "_draw", spied_draw)
+        oracle, probed = recording_oracle(
+            make_quadratic(np.eye(d), np.ones(d)).make_oracle())
+        config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
+                              max_iterations=10)
+        trace = run(np.zeros(d), oracle, config, RngStream(d))
+        assert trace.status == STOPPED_MAX_ITER
+        assert drawn == counts
+        want, _ = per_iteration_draws(d, [d] * 10, seed=d)
+        assert_same_sets(probed, want)
+
+    @pytest.mark.parametrize("d, r", [key for key, ahead in AHEAD.items()
+                                      if ahead > 1])
+    def test_every_qr_drawn_ahead_is_stacked_past_the_gil_threshold(
+            self, monkeypatch, d, r):
+        # numpy's gufunc loop releases the GIL when the outer size times
+        # the output's core size exceeds 500 (sampling._householder_q)
+        monkeypatch.setattr(helpers_module, "_WORKERS", 2)
+        events = []
+        draw = solver_module._draw
+        householder_q = sampling_module._householder_q
+
+        def spied_draw(generator, d, r, count):
+            events.append(("draw", count))
+            return draw(generator, d, r, count)
+
+        def spied_householder_q(a):
+            events.append(("qr", a.shape))
+            return householder_q(a)
+
+        monkeypatch.setattr(solver_module, "_draw", spied_draw)
+        monkeypatch.setattr(sampling_module, "_householder_q",
+                            spied_householder_q)
+        trace, _, _ = self.cubic_run(monkeypatch, 2, d, r, floor=False,
+                                     max_iterations=2 * self.AHEAD[d, r] + 1)
+        assert trace.status == STOPPED_MAX_ITER
+        # draws never overlap: each starts once the one before was taken
+        assert [event for event in events if event[0] == "draw"] == [
+            ("draw", 1), ("draw", self.AHEAD[d, r]),
+            ("draw", self.AHEAD[d, r])]
+        ahead = events[events.index(("draw", self.AHEAD[d, r])):]
+        stacks = [shape for kind, shape in ahead if kind == "qr"]
+        assert len(stacks) == 2 * (1 + (r > d))
+        for shape in stacks:
+            assert shape[-2] == d and math.prod(shape[:-2]) * d > 500
 
 
 @pytest.mark.parametrize("objective, x0", [

@@ -41,11 +41,16 @@ iteration, which separate benchmark runs cannot, and both sides run under
 one interpreter: between processes, ``quadratic_d100`` moves by about
 10 % with the memory layout of code it never runs.
 
-Run it pinned to one CPU, as ``taskset -c 1 python tools/interleave.py
-...``. Where the scheduler does not balance load, an unpinned run can share
-a CPU with its own helper threads: a tree timed against itself then read
-1.0565, against 0.9987-1.0069 pinned. The tool prints a warning line to
-standard error when its affinity set holds more than one CPU.
+Run ``gates`` and ``fed`` pinned to one CPU, as ``taskset -c 1 python
+tools/interleave.py ...``. Where the scheduler does not balance load, an
+unpinned run can share a CPU with its own helper threads: a tree timed
+against itself then read 1.0565, against 0.9987-1.0069 pinned. Run
+``quadratic`` and ``logistic`` on two CPUs, as ``taskset -c 0,1``: their
+solves hand work to a helper thread (``zonewton._helpers``), which never
+starts on one CPU, so a pinned run times another program. On two CPUs the
+ratios are less steady, so run a tree against itself beside them as a
+control. The tool prints a warning line to standard error when its
+affinity set holds another number of CPUs than its workload's.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ GATES = {
 RIDGE = 0.1
 DEFAULT_SEEDS = {"gates": [1, 101, 201, 301, 401], "quadratic": [0, 1, 2, 3],
                  "logistic": [1, 2], "fed": [1, 2, 3, 4]}
+# Workloads whose solves hand work to a helper thread: run on two CPUs.
+HELPER_WORKLOADS = ("quadratic", "logistic")
 
 
 def _pin(value) -> bytes:
@@ -258,7 +265,11 @@ def main(argv=None) -> int:
         parser.error(f"--d does not apply to --workload {args.workload}")
     seeds = args.seeds or DEFAULT_SEEDS[args.workload]
     cpus = len(os.sched_getaffinity(0))
-    if cpus > 1:
+    if args.workload in HELPER_WORKLOADS and cpus != 2:
+        print(f"warning: on {cpus} CPUs; --workload {args.workload} hands "
+              "work to a helper thread, so run it on two CPUs (taskset -c "
+              "0,1) beside a tree-against-itself control", file=sys.stderr)
+    elif args.workload not in HELPER_WORKLOADS and cpus > 1:
         print(f"warning: unpinned, on {cpus} CPUs; the ratios are steady "
               "only under taskset -c CPU", file=sys.stderr)
     with tempfile.TemporaryDirectory() as workdir:
