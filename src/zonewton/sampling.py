@@ -9,13 +9,13 @@ every draw is reproducible bit-for-bit.
 Each sampler's formula is written once, as a private routine that
 broadcasts over leading axes: ``_stiefel_columns`` turns rows of normals
 into the columns of orthonormal frames (through ``_haar_frames``, one QR
-call per frame shape, run in place through the LAPACK seam
-``_householder_q``) and ``_unit_rows`` normalises a stack of normal rows;
-both overwrite the normals they are handed. The Lemma 1, rate and sampling
-gates, and the solver under a fixed direction count, apply them to a block
-of raw normals drawn from one stream, and get exactly the directions that
-successive sampler calls on that stream would give; such a caller consumes
-its stream a block ahead.
+call per frame shape, run in place through the package's LAPACK seam
+``_lapack.householder_q``) and ``_unit_rows`` normalises a stack of
+normal rows; both overwrite the normals they are handed. The Lemma 1, rate
+and sampling gates, and the solver under a fixed direction count, apply
+them to a block of raw normals drawn from one stream, and get exactly the
+directions that successive sampler calls on that stream would give; such a
+caller consumes its stream a block ahead.
 Every public number of the package is judged by one of the two checks
 here, ``_check_count`` for counts and ``_check_real`` for reals.
 """
@@ -26,7 +26,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import _lapack
 
 __all__ = [
     "DirectionSet",
@@ -140,72 +141,18 @@ class DirectionSet:
         return self.vectors.shape[1]
 
 
-# numpy's gufunc loop releases the GIL for a call only when the call's
-# outer iterations times the core size of its first output exceed this.
-_GIL_FREE_SIZE = 500
-
-
-def _householder_q(a: np.ndarray) -> np.ndarray:
-    """The Q factor of each matrix of a (..., m, n) float64 stack ``a``,
-    n <= m, as a new C-ordered (..., m, n) array; ``a`` is overwritten with
-    what LAPACK's geqrf leaves, R on and above the diagonal.
-
-    The seam to the float64 loops of the two gufuncs in numpy 2's private
-    ``numpy.linalg._umath_linalg`` that ``np.linalg.qr`` runs: ``qr_r_raw``
-    (geqrf) in place on ``a``, then ``qr_reduced`` (orgqr). Only the
-    wrapper goes (its ``astype`` copy, error state and ``triu``), so Q is
-    the same bits. Nothing is checked: ``a`` must be finite, as normals
-    are, and may be a strided view.
-
-    The gufunc loop releases the GIL for a call only when its outer
-    iterations times the core size of its output exceed
-    ``_GIL_FREE_SIZE`` (500); ``qr_r_raw``'s output holds min(m, n)
-    reflector scalars, ``qr_reduced``'s the m x n matrix Q. So a stacked
-    geqrf of (B, d, d) frames runs without the GIL from B d > 500, and one
-    of (B, d, k) extra directions, k < d, only from B k > 500; orgqr runs
-    without it from m n > 500. Measured with numpy 2.4.6 on a 2-CPU host:
-    the main thread's median overshoot of a 200 us sleep, the time it
-    waits to take the GIL back, while a helper thread loops a copy of the
-    stack (which releases the GIL) and the call; median of three processes,
-    against 66-77 us with the helper idle.
-
-    ==============  ==============  ==============  ===========
-    call            stack           outer x output  main thread
-    ==============  ==============  ==============  ===========
-    ``qr_r_raw``    (1, 100, 100)   100             89 us
-    ``qr_r_raw``    (5, 100, 100)   500             1 045 us
-    ``qr_r_raw``    (6, 100, 100)   600             60 us
-    ``qr_r_raw``    (4, 125, 125)   500             1 605 us
-    ``qr_r_raw``    (4, 126, 126)   504             59 us
-    ``qr_r_raw``    (10, 50, 50)    500             330 us
-    ``qr_r_raw``    (11, 50, 50)    550             58 us
-    ``qr_r_raw``    (1, 200, 200)   200             737 us
-    ``qr_r_raw``    (1, 501, 501)   501             63 us
-    ``qr_r_raw``    (6, 100, 7)     42              85 us
-    ``qr_r_raw``    (72, 100, 7)    504             61 us
-    ``qr_reduced``  (1, 100, 7)     700             60 us
-    ``qr_reduced``  (1, 100, 100)   10 000          59 us
-    ==============  ==============  ==============  ===========
-
-    ``BENCH_ahead_blocks.json`` holds every run.
-    """
-    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-    return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-
-
-def _haar_frames(normals: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _haar_frames(normals: np.ndarray) -> np.ndarray:
     """Uniform orthonormal frames from a (..., d, k) stack of standard
     normals, k <= d: the Q factor of each matrix with each column signed by
     its diag(R) entry, which makes the frame Haar-distributed (Mezzadri
-    2007, arXiv:math-ph/0609050). One :func:`_householder_q` call takes
-    the whole stack, on ``normals`` itself with ``overwrite`` and on a copy
-    otherwise; each matrix comes out exactly as it would alone, and as
-    ``np.linalg.qr`` gives it. The signs are read from the diagonal that
-    the QR leaves and applied to Q in place.
+    2007, arXiv:math-ph/0609050). One ``_lapack.householder_q`` call takes
+    the whole stack, in place: ``normals`` is overwritten. Each matrix
+    comes out exactly as it would alone, and as ``np.linalg.qr`` gives it.
+    The signs are read from the diagonal that the QR leaves and applied to
+    Q in place.
     """
-    a = normals if overwrite else normals.copy()
-    q = _householder_q(a)
-    signs = np.sign(np.diagonal(a, axis1=-2, axis2=-1))
+    q = _lapack.householder_q(normals)
+    signs = np.sign(np.diagonal(normals, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     q *= signs[..., None, :]
     return q
@@ -237,12 +184,10 @@ def _stiefel_columns(normals: np.ndarray, d: int) -> np.ndarray:
     split = n_full * d * d
     parts = []
     if n_full:
-        full = _haar_frames(
-            normals[..., :split].reshape(*lead, n_full, d, d), overwrite=True)
+        full = _haar_frames(normals[..., :split].reshape(*lead, n_full, d, d))
         parts.append(np.moveaxis(full, -3, -2).reshape(*lead, d, n_full * d))
     if rem:
-        parts.append(_haar_frames(
-            normals[..., split:].reshape(*lead, d, rem), overwrite=True))
+        parts.append(_haar_frames(normals[..., split:].reshape(*lead, d, rem)))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 

@@ -14,15 +14,15 @@ cases apart, except after a clipped step: then the eigendecomposition comes
 first, and an eigenvalue beyond a bound by more than a rounding margin,
 which proves a test would fail, skips the tests. The eigendecomposition,
 the Cholesky tests and the solve call the float64 LAPACK gufuncs that
-``np.linalg`` runs, directly, through the private seam :class:`_Lapack`:
-the same bits, without ``np.linalg``'s per-call wrapper, and with a
-failure shown as a NaN output instead of ``LinAlgError``. The center
-value f(x) is shared between the two probe phases, so one iteration costs
-exactly 2 r_k + 1 evaluations. A probe batch that holds a non-finite value
-or second difference, or whose probe steps are lost to rounding at x, ends
-the run as stopped_numerical, and so does a gradient norm or Hessian
-estimate that overflows, or a step whose direction, new iterate or length
-is not finite, as an eigensolver that fails gives.
+``np.linalg`` runs, directly, through the package's private seam
+``_lapack``: the same bits, without ``np.linalg``'s per-call wrapper, and
+with a failure shown as a NaN output instead of ``LinAlgError``. The
+center value f(x) is shared between the two probe phases, so one iteration
+costs exactly 2 r_k + 1 evaluations. A probe batch that holds a non-finite
+value or second difference, or whose probe steps are lost to rounding at
+x, ends the run as stopped_numerical, and so does a gradient norm or
+Hessian estimate that overflows, or a step whose direction, new iterate or
+length is not finite, as an eigensolver that fails gives.
 
 Under a fixed policy the directions are drawn a block of iterations ahead:
 one normal draw of up to 64 KiB, capped by the iterations the run has left,
@@ -39,7 +39,7 @@ its first probe batch, to a helper thread pinned to another CPU
 (``_helpers``), which draws it while iterations update and step. Such a
 block holds B = floor(500 / d) + 1 iterations, capped by the iterations
 left: the fewest whose stacked QR of gradient frames runs without the GIL
-(``sampling._householder_q``), so that the helper's QR does not stall this
+(``_lapack.householder_q``), so that the helper's QR does not stall this
 thread. Where B iterations' normals would exceed 512 KiB (from d = 129 at
 r = d), a block holds one iteration, since a longer draw keeps the helper
 longer from the objective's batches of several blocks. On one CPU the
@@ -56,9 +56,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from . import _helpers
+from . import _helpers, _lapack
 from .estimators import (
     HessianEstimate,
     _gradient,
@@ -68,9 +67,8 @@ from .estimators import (
     update_rate_bound,
 )
 from .oracle import BudgetExhaustedError, Oracle
-from .sampling import (_GIL_FREE_SIZE, DirectionSet, RngStream,
-                       _check_count, _check_real, _stiefel_columns,
-                       stiefel_sample)
+from .sampling import (DirectionSet, RngStream, _check_count, _check_real,
+                       _stiefel_columns, stiefel_sample)
 
 __all__ = [
     "AdaptiveDirections",
@@ -253,47 +251,11 @@ class RunTrace:
         return self.records[-1].evals if self.records else 0
 
 
-class _Lapack:
-    """The solver's seam to LAPACK: the float64 loops of the gufuncs in
-    numpy's private ``numpy.linalg._umath_linalg`` that ``np.linalg.eigh``,
-    ``np.linalg.cholesky`` and ``np.linalg.solve`` run on a float64 matrix
-    (syevd, potrf and gesv), called directly. Only ``np.linalg``'s per-call
-    wrapper goes (array conversion, type resolution, a nested error state,
-    ``astype`` and ``wrap``), so every output is the same bits.
-
-    A failure (an eigensolver that does not converge, a matrix that is not
-    positive definite, a singular system) fills the output with NaN and
-    raises the floating-point error ``invalid`` under the caller's error
-    state, where ``np.linalg`` raises ``LinAlgError``. The errors of
-    LAPACK's own arithmetic (overflow, divide, underflow), which
-    ``np.linalg`` ignores, come under the caller's error state too. Nothing
-    is checked: each argument must be a float64 array of the right shape.
-    tests/test_solver.py checks the bits and the failures against
-    ``np.linalg``, so a numpy whose private module changes fails there.
-    """
-
-    @staticmethod
-    def eigh(h):
-        """(w, q): the eigenvalues of h in ascending order and its
-        eigenvectors as columns, from the lower triangle."""
-        return _umath_linalg.eigh_lo(h, signature="d->dd")
-
-    @staticmethod
-    def cholesky(a):
-        """The lower Cholesky factor of a, from its lower triangle."""
-        return _umath_linalg.cholesky_lo(a, signature="d->d")
-
-    @staticmethod
-    def solve(h, g):
-        """The solution of h x = g for a vector g."""
-        return _umath_linalg.solve1(h, g, signature="dd->d")
-
-
 def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
                   decomposition=None) -> tuple[np.ndarray, bool]:
     """Clamp the spectrum of h into [lambda_min, lambda_max] and invert:
     Z = Q clamp(Lambda)^(-1) Q^T. Returns Z and whether any eigenvalue was
-    clamped. ``decomposition``, when given, is ``_Lapack.eigh(h)``, already
+    clamped. ``decomposition``, when given, is ``_lapack.eigh(h)``, already
     computed.
 
     Every eigenvalue of Z lies in [1/lambda_max, 1/lambda_min], and when the
@@ -306,7 +268,7 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
     NaN eigenvalues and vectors, so Z is NaN and the verdict False; the
     arithmetic runs under the caller's error state.
     """
-    w, q = _Lapack.eigh(h) if decomposition is None else decomposition
+    w, q = _lapack.eigh(h) if decomposition is None else decomposition
     clipped = bool(w[0] < lambda_min or w[-1] > lambda_max)
     w_clamped = np.minimum(np.maximum(w, lambda_min), lambda_max)
     z = (q * (1.0 / w_clamped)) @ q.T
@@ -317,7 +279,7 @@ def _clip_inverse(h: np.ndarray, lambda_min: float, lambda_max: float,
 def _cholesky_margin(d: int, w: np.ndarray, lambda_min: float,
                      lambda_max: float) -> float:
     """The margin delta = 2 d^2 eps (|w_1| + |w_d| + lambda_min + lambda_max)
-    beyond which an eigenvalue computed by ``_Lapack.eigh`` (LAPACK's
+    beyond which an eigenvalue computed by ``_lapack.eigh`` (LAPACK's
     syevd, as ``np.linalg.eigh`` runs it) proves that a Cholesky test of
     :func:`_newton_direction` fails; ``w`` are the computed eigenvalues of
     the d x d matrix h, in ascending order.
@@ -370,7 +332,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     exactly symmetric: a Cholesky factorisation of a non-finite matrix need
     not fail.
 
-    The LAPACK calls go through :class:`_Lapack`. A failed Cholesky test
+    The LAPACK calls go through ``_lapack``. A failed Cholesky test
     shows as a NaN factor, of which the test reads one element, and a
     failed eigensolver as a NaN direction, which :func:`iterate` stops on.
     Each sets the floating-point error ``invalid``, and the function
@@ -395,7 +357,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     d = len(g)
     decomposition = None
     if eigh_first:
-        decomposition = w, _ = _Lapack.eigh(h)
+        decomposition = w, _ = _lapack.eigh(h)
         delta = _cholesky_margin(d, w, lambda_min, lambda_max)
         if w[0] < lambda_min - delta or w[-1] > lambda_max + delta:
             z, clipped = _clip_inverse(h, lambda_min, lambda_max,
@@ -405,11 +367,11 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lambda_min: float,
     lower.reshape(-1)[::d + 1] -= lambda_min
     upper = np.subtract(0.0, h, order="C")
     upper.reshape(-1)[::d + 1] += lambda_max
-    if (math.isnan(_Lapack.cholesky(lower)[0, 0])
-            or math.isnan(_Lapack.cholesky(upper)[0, 0])):
+    if (math.isnan(_lapack.cholesky(lower)[0, 0])
+            or math.isnan(_lapack.cholesky(upper)[0, 0])):
         z, clipped = _clip_inverse(h, lambda_min, lambda_max, decomposition)
         return z @ g, clipped
-    return _Lapack.solve(h, g), False
+    return _lapack.solve(h, g), False
 
 
 def optimal_stepsize(lambda_min: float, L1: float) -> float:
@@ -552,9 +514,9 @@ def _draw(generator, d: int, r: int, count: int):
 def _ahead_count(d: int, r: int) -> int:
     """Iterations a fixed policy draws in one draw ahead: the fewest whose
     stacked QR of (B, d, d) gradient frames runs without the GIL
-    (B d > ``_GIL_FREE_SIZE``, see ``sampling._householder_q``), or one
-    where that many iterations' normals exceed ``_AHEAD_BYTES``."""
-    count = _GIL_FREE_SIZE // d + 1
+    (B d > ``_lapack.GIL_FREE_SIZE``), or one where that many
+    iterations' normals exceed ``_AHEAD_BYTES``."""
+    count = _lapack.GIL_FREE_SIZE // d + 1
     return count if 8 * count * d * r <= _AHEAD_BYTES else 1
 
 
@@ -597,26 +559,8 @@ def _fixed_directions(state: SolverState, d: int, r: int,
     return frame, extra, carried, ahead
 
 
-def _checked_alpha(state: SolverState, oracle: Oracle,
-                   config: SolverConfig) -> float:
-    """The checks of :func:`iterate`, which raise before any evaluation;
-    returns the config's resolved alpha."""
-    _validate_run_inputs(oracle, config)
-    if state.status != RUNNING:
-        raise ValueError(f"cannot iterate a solver in status {state.status!r}")
-    if state._block is not None:
-        policy, drawn = config.r_policy, state._block[0]
-        if (not isinstance(policy, FixedDirections)
-                or drawn != (oracle.dimension, policy.r)):
-            raise ValueError(
-                f"the state carries directions drawn for (d, r) = {drawn}, "
-                f"which do not fit {policy!r} at d={oracle.dimension}")
-    return config.resolved_alpha()
-
-
 def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
-            rng: RngStream, *, _alpha: Optional[float] = None,
-            ) -> tuple[SolverState, TraceRecord]:
+            rng: RngStream) -> tuple[SolverState, TraceRecord]:
     """Run one solver iteration; returns the new state and its trace record.
 
     Budget exhaustion inside either probe phase propagates as
@@ -649,18 +593,21 @@ def iterate(state: SolverState, oracle: Oracle, config: SolverConfig,
     that pending draw. A draw that raised there raises here, in the call
     that takes its block. Pass the same stream to every call of a run, and
     draw nothing else from it.
-
-    ``_alpha`` is for :func:`iterations`, which makes the checks once per
-    run: when given, they are skipped, and it is the config's resolved
-    alpha. (``iterations`` calls ``iterate`` itself, so the benchmark's
-    tracer, which wraps ``iterate`` by name, still sees every iteration.)
     """
-    alpha = (_checked_alpha(state, oracle, config) if _alpha is None
-             else _alpha)
+    _validate_run_inputs(oracle, config)
+    if state.status != RUNNING:
+        raise ValueError(f"cannot iterate a solver in status {state.status!r}")
     d = oracle.dimension
     policy = config.r_policy
     fixed = isinstance(policy, FixedDirections)
+    if state._block is not None:
+        drawn = state._block[0]
+        if not fixed or drawn != (d, policy.r):
+            raise ValueError(
+                f"the state carries directions drawn for (d, r) = {drawn}, "
+                f"which do not fit {policy!r} at d={d}")
     x = state.x
+    alpha = config.resolved_alpha()
 
     # (i) one orthonormal frame: gradient + the first d Hessian updates.
     if fixed:
@@ -771,19 +718,13 @@ def iterations(state: SolverState, oracle: Oracle, config: SolverConfig,
     carries the stop status: the generator marks it stopped_budget when a
     probe phase exhausts the budget and stopped_max_iter at the cap. A
     caller that stops early leaves the state as ``iterate`` returned it.
-    ``iterate``'s checks run once, before the first call; a caller changes
-    neither the config nor a yielded state while it iterates.
     """
-    alpha = None
     while state.status == RUNNING:
         if state.iteration >= config.max_iterations:
             state.status = STOPPED_MAX_ITER
             return
-        if alpha is None:
-            alpha = _checked_alpha(state, oracle, config)
         try:
-            state, record = iterate(state, oracle, config, rng,
-                                    _alpha=alpha)
+            state, record = iterate(state, oracle, config, rng)
         except BudgetExhaustedError:
             state.status = STOPPED_BUDGET
             return

@@ -41,7 +41,7 @@ from zonewton import (
     zo_floor_stop,
 )
 from zonewton import _helpers as helpers_module
-from zonewton import sampling as sampling_module
+from zonewton import _lapack as lapack_module
 from zonewton import solver as solver_module
 from zonewton.experiments import (
     gradient_bound_verification,
@@ -167,7 +167,7 @@ def _outputs(value):
 
 
 class TestLapackSeam:
-    """``solver._Lapack`` calls numpy's private LAPACK gufuncs directly. It
+    """``_lapack`` calls numpy's private LAPACK gufuncs directly. It
     must give ``np.linalg``'s outputs bit for bit, and a NaN output exactly
     where ``np.linalg`` raises ``LinAlgError``, so that a numpy whose
     private module changes fails here."""
@@ -208,25 +208,24 @@ class TestLapackSeam:
         w[0] = edge if ulps == 0 else np.nextafter(edge, ulps * inward)
         h = _symmetric_with_spectrum(w, gen)
         g = gen.standard_normal(d)
-        lapack = solver_module._Lapack
-        assert self.succeeds(lapack.eigh, np.linalg.eigh, h)
+        assert self.succeeds(lapack_module.eigh, np.linalg.eigh, h)
         eye = np.eye(d)
         tested = {"lower": h - self.LO * eye, "upper": self.HI * eye - h}
-        factored = {name: self.succeeds(lapack.cholesky,
+        factored = {name: self.succeeds(lapack_module.cholesky,
                                         np.linalg.cholesky, a)
                     for name, a in tested.items()}
         if d == 1:
             # h is w itself, so only the bound's own test fails, and it
             # fails on the bound and outside it
             assert factored[bound] is (ulps > 0)
-        assert self.succeeds(lapack.solve, np.linalg.solve, h, g)
+        assert self.succeeds(lapack_module.solve, np.linalg.solve, h, g)
 
     @pytest.mark.parametrize("d", [1, 2, 10, 100, 200])
     def test_a_singular_solve_is_nan(self, d):
         gen = np.random.default_rng(d)
         h = _symmetric_with_spectrum(gen.uniform(1.0, 2.0, d), gen)
         h[0], h[:, 0] = 0.0, 0.0
-        assert not self.succeeds(solver_module._Lapack.solve, np.linalg.solve,
+        assert not self.succeeds(lapack_module.solve, np.linalg.solve,
                                  h, gen.standard_normal(d))
 
     def test_an_eigensolver_failure_is_nan(self):
@@ -236,7 +235,7 @@ class TestLapackSeam:
         raised = 0
         for d in (1, 2, 4, 10, 100, 200):
             for value in (np.nan, np.inf):
-                raised += not self.succeeds(solver_module._Lapack.eigh,
+                raised += not self.succeeds(lapack_module.eigh,
                                             np.linalg.eigh,
                                             np.full((d, d), value))
         assert raised
@@ -296,13 +295,13 @@ class TestNewtonDirection:
         if d > 1:
             assert np.signbit(h[upper][h[upper] == 0.0]).any()
         tested = []
-        cholesky = solver_module._Lapack.cholesky
+        cholesky = lapack_module.cholesky
 
         def spy(a):
             tested.append(a.copy())
             return cholesky(a)
 
-        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+        monkeypatch.setattr(lapack_module, "cholesky", spy)
         with np.errstate(invalid="ignore"):
             _newton_direction(h, gen.standard_normal(d), self.LO, self.HI)
         lower, upper = tested
@@ -326,7 +325,7 @@ class TestNewtonDirection:
             assert state.status == RUNNING
 
         calls, factored = [], []
-        cholesky = solver_module._Lapack.cholesky
+        cholesky = lapack_module.cholesky
 
         def counted(*args):
             calls.append(1)
@@ -337,7 +336,7 @@ class TestNewtonDirection:
             return cholesky(a)
 
         monkeypatch.setattr(solver_module, "_clip_inverse", counted)
-        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+        monkeypatch.setattr(lapack_module, "cholesky", spy)
         verdicts, run = [], []
         for state, record in records():
             w = np.linalg.eigh(state.hessian.matrix)[0]
@@ -399,13 +398,13 @@ class TestEighFirstMargin:
         h = _symmetric_with_spectrum(w, gen)
         g = gen.standard_normal(d)
         want = _two_cholesky_direction(h, g, self.LO, self.HI)
-        cholesky, factored = solver_module._Lapack.cholesky, []
+        cholesky, factored = lapack_module.cholesky, []
 
         def spy(a):
             factored.append(1)
             return cholesky(a)
 
-        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+        monkeypatch.setattr(lapack_module, "cholesky", spy)
         for eigh_first in (False, True):
             factored.clear()
             with np.errstate(invalid="ignore"):
@@ -1060,11 +1059,11 @@ class TestStackedDraws:
     def test_every_qr_drawn_ahead_is_stacked_past_the_gil_threshold(
             self, monkeypatch, d, r):
         # numpy's gufunc loop releases the GIL when the outer size times
-        # the output's core size exceeds 500 (sampling._householder_q)
+        # the output's core size exceeds 500 (the _lapack docstring)
         monkeypatch.setattr(helpers_module, "_WORKERS", 2)
         events = []
         draw = solver_module._draw
-        householder_q = sampling_module._householder_q
+        householder_q = lapack_module.householder_q
 
         def spied_draw(generator, d, r, count):
             events.append(("draw", count))
@@ -1075,7 +1074,7 @@ class TestStackedDraws:
             return householder_q(a)
 
         monkeypatch.setattr(solver_module, "_draw", spied_draw)
-        monkeypatch.setattr(sampling_module, "_householder_q",
+        monkeypatch.setattr(lapack_module, "householder_q",
                             spied_householder_q)
         trace, _, _ = self.cubic_run(monkeypatch, 2, d, r, floor=False,
                                      max_iterations=2 * self.AHEAD[d, r] + 1)
@@ -1142,8 +1141,8 @@ def test_an_eigensolver_failure_stops_numerical_at_its_iteration(
     # tests, the second eigh first after a clipped step. Here the seam's
     # eigh fails at the first step or at the second.
     d = 3
-    lapack, seen = solver_module._Lapack, []
-    eigh, cholesky = lapack.eigh, lapack.cholesky
+    seen = []
+    eigh, cholesky = lapack_module.eigh, lapack_module.cholesky
 
     def failing_eigh(h):
         seen.append("eigh")
@@ -1155,8 +1154,8 @@ def test_an_eigensolver_failure_stops_numerical_at_its_iteration(
         seen.append("cholesky")
         return cholesky(a)
 
-    monkeypatch.setattr(lapack, "eigh", failing_eigh)
-    monkeypatch.setattr(lapack, "cholesky", spied_cholesky)
+    monkeypatch.setattr(lapack_module, "eigh", failing_eigh)
+    monkeypatch.setattr(lapack_module, "cholesky", spied_cholesky)
     oracle = make_quadratic(np.eye(d), np.ones(d)).make_oracle()
     config = SolverConfig(mu=1e-4, r_policy=FixedDirections(d),
                           lambda_min=2.0, lambda_max=3.0, max_iterations=5)
@@ -1257,14 +1256,14 @@ def test_both_probe_batches_run_under_the_caller_error_state(policy,
     if policy == "linear-gate":
         problem, config, x0 = _linear_gate_setting(60)
         d, seed, objective = len(x0), 2, problem.fn.batch
-        cholesky = solver_module._Lapack.cholesky
+        cholesky = lapack_module.cholesky
 
         def spy(a):
             factor = cholesky(a)
             failed.append(math.isnan(factor[0, 0]))
             return factor
 
-        monkeypatch.setattr(solver_module._Lapack, "cholesky", spy)
+        monkeypatch.setattr(lapack_module, "cholesky", spy)
     else:
         d, seed, x0 = 3, 18, np.ones(3)
         config = SolverConfig(mu=1e-3, r_policy=policy, L1=1.0, L2=0.0,
